@@ -54,6 +54,11 @@ from .laurent import star_mul
 from .verify import default_params, params_from_dict, run_battery
 
 
+# Largest quotient group whose sharp map ``param analyze`` lists; the listing
+# has one entry per element, and N = 2**64 alone can give 2**128 of them.
+MAX_ANALYZE_SIZE = 4096
+
+
 def _load_params(text: str | None) -> BilinearCocycle:
     if text is None:
         return params_from_dict(default_params())
@@ -88,6 +93,10 @@ def cmd_param_analyze(args) -> int:
     A = lam.antisymmetrized()
     sub = compute_H_hat(A, lam.N)
     quo = compute_K_hat(sub)
+    if quo.group.size > MAX_ANALYZE_SIZE:
+        raise ValueError(
+            f"quotient group has {quo.group.size} elements; param analyze "
+            f"lists the sharp map only up to {MAX_ANALYZE_SIZE} elements")
     table = descend_cocycle(lam, quo)
     pair = lambda_sharp(table)
     sharp = {str(list(k)): list(v) for k, v in pair.sharp.items()}

@@ -73,13 +73,23 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[cols[j][i] for j in range(g)] for i in range(g)]
 
 
-def smith_normal_form(A: Sequence[Sequence[int]]):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _triangular_solve(rows: Sequence[Sequence[int]],
+                      rhs: Sequence[int]) -> list[int] | None:
+    """Integer solution of ``rows . x = rhs`` for a lower-triangular ``rows``
+    with positive diagonal (a :func:`_hermite_columns` basis), by forward
+    substitution; ``None`` when ``rhs`` is not in the span of the columns."""
+    x: list[int] = []
+    for row, r in zip(rows, rhs):
+        q, rem = divmod(r - sum(a * b for a, b in zip(row, x)), row[len(x)])
+        if rem:
+            return None
+        x.append(q)
+    return x
 
-    Returns ``(D, U, V)`` as int64 arrays with ``U @ A @ V == D``, ``U`` and
-    ``V`` unimodular, and ``D`` diagonal with nonnegative entries each
-    dividing the next.
-    """
+
+def _smith_rows(A: Sequence[Sequence[int]]):
+    """:func:`smith_normal_form` with ``D``, ``U`` and ``V`` returned as
+    lists of Python-int rows, so entries of any size stay exact."""
     M = [[int(x) for x in row] for row in A]
     m = len(M)
     n = len(M[0]) if m else 0
@@ -145,9 +155,17 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
         if M[i][i] < 0:
             M[i] = [-x for x in M[i]]
             U[i] = [-x for x in U[i]]
-    return (np.array(M, dtype=np.int64),
-            np.array(U, dtype=np.int64),
-            np.array(V, dtype=np.int64))
+    return M, U, V
+
+
+def smith_normal_form(A: Sequence[Sequence[int]]):
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    Returns ``(D, U, V)`` as int64 arrays with ``U @ A @ V == D``, ``U`` and
+    ``V`` unimodular, and ``D`` diagonal with nonnegative entries each
+    dividing the next.
+    """
+    return tuple(np.array(X, dtype=np.int64) for X in _smith_rows(A))
 
 
 def _hermite_columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -197,16 +215,20 @@ class FiniteAbelianGroup:
 
     Elements are coordinate tuples reduced modulo the factors.  The
     character group is identified with the group itself through ``pairing``,
-    which sends ``(x, chi)`` to the phase ``sum_i x_i chi_i / d_i``.
+    which sends ``(x, chi)`` to the phase ``sum_i x_i chi_i / d_i``.  It is
+    evaluated in integer exponents over the group exponent
+    ``L = lcm(d_1, ..., d_r)``: the phase is ``(sum_i x_i chi_i L/d_i) / L``.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "exponent", "_weights")
 
     def __init__(self, factors: Sequence[int]):
         fs = tuple(int(d) for d in factors)
         if any(d < 1 for d in fs):
             raise ValueError("cyclic factors must be positive")
         self.factors = fs
+        self.exponent = math.lcm(*fs)
+        self._weights = tuple(self.exponent // d for d in fs)
 
     @property
     def rank(self) -> int:
@@ -245,8 +267,9 @@ class FiniteAbelianGroup:
     def pairing(self, x: Sequence[int], chi: Sequence[int]) -> Phase:
         x = self.reduce(x)
         chi = self.reduce(chi)
-        return Phase(sum(Fraction(a * c, d)
-                         for a, c, d in zip(x, chi, self.factors)))
+        L = self.exponent
+        return Phase(sum(a * c * w for a, c, w
+                         in zip(x, chi, self._weights)) % L, L)
 
     def random_element(self, rng: np.random.Generator) -> Vec:
         return tuple(int(rng.integers(0, d)) for d in self.factors)
@@ -283,9 +306,13 @@ class GroupBilinearTable:
     Stored as the matrix of values on the standard generators and extended
     by bilinearity; construction validates that each ``omega[i][j]`` has
     order dividing both generator orders so the extension is well defined.
+    Evaluation runs in integer exponents over the group exponent
+    ``L = lcm(factors)``: the validated orders make every ``omega[i][j] * L``
+    an integer, and ``table(x, y)`` is ``(x . E . y mod L) / L`` for that
+    integer matrix ``E``.
     """
 
-    __slots__ = ("group", "omega")
+    __slots__ = ("group", "omega", "_E")
 
     def __init__(self, group: FiniteAbelianGroup, omega):
         r = group.rank
@@ -305,6 +332,8 @@ class GroupBilinearTable:
                         f"the generator orders")
         self.group = group
         self.omega = tuple(rows)
+        L = group.exponent
+        self._E = tuple(tuple(int(w.q * L) for w in row) for row in rows)
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "GroupBilinearTable":
@@ -314,14 +343,10 @@ class GroupBilinearTable:
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Phase:
         x = self.group.reduce(x)
         y = self.group.reduce(y)
-        total = Phase.zero()
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    total = total + (xi * yj) * self.omega[i][j]
-        return total
+        L = self.group.exponent
+        total = sum(xi * sum(e * yj for e, yj in zip(row, y))
+                    for xi, row in zip(x, self._E) if xi)
+        return Phase(total % L, L)
 
     def antisymmetrized(self) -> "GroupBilinearTable":
         r = self.group.rank
@@ -385,10 +410,11 @@ class SublatticeBasis:
                 for j in range(self.g)]
 
     def contains(self, t: Sequence[int]) -> bool:
+        """Membership by integer forward substitution in the triangular
+        Hermite basis."""
         if len(t) != self.g:
             raise ValueError(f"expected a length-{self.g} vector")
-        sol = _fraction_solve(self.rows, t)
-        return all(x.denominator == 1 for x in sol)
+        return _triangular_solve(self.rows, t) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SublatticeBasis):
@@ -419,9 +445,9 @@ def compute_H_hat(Lam: Sequence[Sequence[int]], N: int) -> SublatticeBasis:
         for j in range(g):
             if (L[i][j] + L[j][i]) % N:
                 raise ValueError("Lam must be antisymmetric modulo N")
-    D, _, V = smith_normal_form(L)
-    mult = [N // math.gcd(int(D[i, i]), N) for i in range(g)]
-    B = [[int(V[i, j]) * mult[j] for j in range(g)] for i in range(g)]
+    D, _, V = _smith_rows(L)
+    mult = [N // math.gcd(D[i][i], N) for i in range(g)]
+    B = [[V[i][j] * mult[j] for j in range(g)] for i in range(g)]
     return SublatticeBasis(B, N)
 
 
@@ -465,15 +491,14 @@ class QuotientPresentation:
 
 def compute_K_hat(sub: SublatticeBasis) -> QuotientPresentation:
     """Present ``Z^g`` modulo the given sublattice as cyclic factors."""
-    D, U, _ = smith_normal_form(sub.rows)
+    D, U, _ = _smith_rows(sub.rows)
     g = sub.g
-    factors_full = [int(D[i, i]) for i in range(g)]
+    factors_full = [D[i][i] for i in range(g)]
     kept = [i for i, d in enumerate(factors_full) if d > 1]
     group = FiniteAbelianGroup([factors_full[i] for i in kept])
-    Urows = [[int(U[i, j]) for j in range(g)] for i in range(g)]
-    Uinv = _int_inverse(Urows)
+    Uinv = _int_inverse(U)
     lifts = [tuple(Uinv[row][i] for row in range(g)) for i in kept]
-    return QuotientPresentation(sub, group, Urows, factors_full, kept, lifts)
+    return QuotientPresentation(sub, group, U, factors_full, kept, lifts)
 
 
 def descend_cocycle(lam: BilinearCocycle,
@@ -550,17 +575,14 @@ def lambda_sharp(table: GroupBilinearTable) -> DualPairData:
     never are, thanks to their primitive diagonal.
     """
     group = table.group
-    basis = [tuple(int(i == j) for i in range(group.rank))
-             for j in range(group.rank)]
+    # The character of x has coordinate (x . E)_j / (L / d_j) on generator
+    # j; the table's order validation makes every E[i][j] divisible by
+    # L / d_j.
+    rows = [[e // w for e, w in zip(row, group._weights)] for row in table._E]
     sharp = {}
     for x in group.elements():
-        coords = []
-        for j, d in enumerate(group.factors):
-            c = table(x, basis[j]).q * d
-            if c.denominator != 1:
-                raise ValueError("pairing value order exceeds generator order")
-            coords.append(int(c) % d)
-        sharp[x] = tuple(coords)
+        sharp[x] = tuple(sum(a * row[j] for a, row in zip(x, rows)) % d
+                         for j, d in enumerate(group.factors))
     if len(set(sharp.values())) != group.size:
         raise ValueError("pairing is degenerate: sharp is not a bijection")
     flat = {v: k for k, v in sharp.items()}
@@ -602,10 +624,10 @@ class SubgroupPresentation:
 
     def restrict(self, x: Sequence[int]) -> Vec:
         x = self.ambient.reduce(x)
-        sol = _fraction_solve(self._basis, x)
-        if any(v.denominator != 1 for v in sol):
+        sol = _triangular_solve(self._basis, x)
+        if sol is None:
             raise ValueError(f"{x} is not in the subgroup")
-        y = _matvec(self._U2, [int(v) for v in sol])
+        y = _matvec(self._U2, sol)
         return tuple(y[i] % self._factors_full[i] for i in self._kept)
 
     def __repr__(self) -> str:
@@ -641,17 +663,14 @@ def subgroup_presentation(G: FiniteAbelianGroup,
              for j, d in enumerate(G.factors)]
     stacked = [[col[i] for col in cols] for i in range(r)]
     basis = _hermite_columns(stacked)
-    rel_cols = []
-    for j, d in enumerate(G.factors):
-        sol = _fraction_solve(basis, [d * int(i == j) for i in range(r)])
-        assert all(v.denominator == 1 for v in sol)
-        rel_cols.append([int(v) for v in sol])
+    # the relation vectors are among the spanning columns, so each solves
+    rel_cols = [_triangular_solve(basis, [d * int(i == j) for i in range(r)])
+                for j, d in enumerate(G.factors)]
     relations = [[rel_cols[j][i] for j in range(r)] for i in range(r)]
-    D2, U2, _ = smith_normal_form(relations)
-    factors_full = [int(D2[i, i]) for i in range(r)]
+    D2, U2rows, _ = _smith_rows(relations)
+    factors_full = [D2[i][i] for i in range(r)]
     kept = [i for i, d in enumerate(factors_full) if d > 1]
     group = FiniteAbelianGroup([factors_full[i] for i in kept])
-    U2rows = [[int(U2[i, j]) for j in range(r)] for i in range(r)]
     U2inv = _int_inverse(U2rows)
     gens_ambient = []
     for i in kept:

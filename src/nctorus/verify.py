@@ -10,6 +10,7 @@ does.  Scopes mirror the module layout: ``cocycle``, ``weyl``,
 from __future__ import annotations
 
 import itertools
+import numbers
 from typing import Mapping
 
 import numpy as np
@@ -109,13 +110,27 @@ def default_params() -> dict:
     return {"M": [[0, 1], [0, 0]], "N": 4}
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``; bools, floats, ``None`` and strings are
+    refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def params_from_dict(data: Mapping) -> BilinearCocycle:
     """Validate a ``{"M": ..., "N": ..., "g": ...}`` mapping and build the
     bilinear phase table it describes."""
     if "M" not in data or "N" not in data:
         raise ValueError('parameters need at least "M" and "N"')
-    lam = BilinearCocycle(data["M"], int(data["N"]))
-    if "g" in data and int(data["g"]) != lam.g:
+    M = data["M"]
+    if not isinstance(M, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in M):
+        raise ValueError('"M" must be a list of rows of integers')
+    M = [[_integer(x, f"M[{i}][{j}]") for j, x in enumerate(row)]
+         for i, row in enumerate(M)]
+    lam = BilinearCocycle(M, _integer(data["N"], "N"))
+    if "g" in data and _integer(data["g"], "g") != lam.g:
         raise ValueError(f'declared g={data["g"]} does not match the '
                          f"{lam.g}x{lam.g} matrix")
     return lam

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nctorus.cli import main
+from nctorus.cli import MAX_ANALYZE_SIZE, main
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +95,38 @@ def test_missing_param_file(capsys):
     rc, _, err = run_cli(capsys, "param", "analyze", "--param",
                          "@/no/such/file.json")
     assert rc == 2
+
+
+@pytest.mark.parametrize("param,needle", [
+    ('{"M": 5, "N": 4}', '"M" must be a list of rows'),
+    ('{"M": [5, 6], "N": 4}', '"M" must be a list of rows'),
+    ('{"M": [[null]], "N": 3}', "M[0][0] must be an integer, got None"),
+    ('{"M": [[0, 1.5], [0, 0]], "N": 4}', "M[0][1] must be an integer"),
+    ('{"M": [[0, 1e3], [0, 0]], "N": 4}', "M[0][1] must be an integer"),
+    ('{"M": [[0, 1], [true, 0]], "N": 4}', "M[1][0] must be an integer"),
+    ('{"M": [[0, 1], [0, 0]], "N": 4.0}', "N must be an integer"),
+    ('{"M": [[0, 1], [0, 0]], "N": "4"}', "N must be an integer"),
+    ('{"M": [[0, 1], [0, 0]], "N": 4, "g": 2.0}', "g must be an integer"),
+], ids=["M-scalar", "M-flat", "null", "float", "float-exp", "bool",
+        "N-float", "N-string", "g-float"])
+def test_non_integer_params_are_bad_input(capsys, param, needle):
+    for cmd in (["param", "analyze"], ["star", "mul", "t1", "t1"]):
+        rc, out, err = run_cli(capsys, *cmd, "--param", param)
+        assert rc == 2 and not out
+        assert needle in err
+
+
+def test_param_analyze_at_2_pow_64_refuses_huge_quotient(capsys):
+    param = json.dumps({"M": [[0, 1], [0, 0]], "N": 2 ** 64})
+    rc, out, err = run_cli(capsys, "param", "analyze", "--param", param)
+    assert rc == 2 and not out
+    assert f"quotient group has {2 ** 128} elements" in err
+    # the limit is inclusive: (Z/64)^2 has exactly MAX_ANALYZE_SIZE elements
+    assert MAX_ANALYZE_SIZE == 64 ** 2
+    param = json.dumps({"M": [[0, 1], [0, 0]], "N": 64})
+    rc, out, _ = run_cli(capsys, "param", "analyze", "--param", param,
+                         "--json")
+    assert rc == 0 and len(json.loads(out)["sharp"]) == 64 ** 2
 
 
 def test_unknown_scope_is_usage_error():

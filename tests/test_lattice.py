@@ -7,6 +7,7 @@ commutant sublattice and its quotient are compared with residue enumeration.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ def brute_kernel_residues(Lam, N, g):
         if all(sum(row[j] * t[j] for j in range(g)) % N == 0 for row in Lam):
             out.add(t)
     return out
+
+
+def fraction_pairing(factors, x, chi):
+    """Oracle: ``sum_i x_i chi_i / d_i`` mod 1, one Fraction per term, on the
+    coordinates as given."""
+    return sum((Fraction(a * c, d) for a, c, d in zip(x, chi, factors)),
+               Fraction(0)) % 1
+
+
+def fraction_rows(omega, x):
+    """Oracle helper: the row ``x . omega`` of Fraction exponents, so that
+    ``table(x, y)`` is ``sum_j row_j y_j`` mod 1."""
+    return [sum((xi * omega[i][j].q for i, xi in enumerate(x)), Fraction(0))
+            for j in range(len(omega))]
 
 
 def random_antisymmetric(rng, g, N):
@@ -132,6 +147,39 @@ def test_trivial_group():
     assert G.pairing((), ()) == Phase.zero()
 
 
+@pytest.mark.parametrize("factors", [(), (4, 6), (6, 4, 10)])
+def test_table_and_pairing_match_fraction_oracle(factors):
+    """Integer-exponent evaluation against per-term Fraction sums, on every
+    element pair and on unreduced, negative and ~2**70 coordinates."""
+    rng = np.random.default_rng(sum(factors) + 11)
+    G = FiniteAbelianGroup(factors)
+    omega = [[Phase(int(rng.integers(0, 60)), math.gcd(a, b))
+              for b in factors] for a in factors]
+    table = GroupBilinearTable(G, omega)
+    elems = list(G.elements())
+    for x in elems:
+        row = fraction_rows(omega, x)
+        for y in elems:
+            want = sum((r * b for r, b in zip(row, y)), Fraction(0)) % 1
+            assert table(x, y).q == want, (x, y)
+            assert G.pairing(x, y).q == fraction_pairing(factors, x, y)
+    rank = len(factors)
+    odd = [tuple(int(v) for v in rng.integers(-3 * 60, 3 * 60, size=rank))
+           for _ in range(30)]
+    odd += [tuple(2 ** 70 + int(v) for v in rng.integers(-60, 60, size=rank))
+            for _ in range(10)]
+    odd += [tuple(-2 ** 70 - int(v) for v in rng.integers(0, 60, size=rank))
+            for _ in range(10)]
+    for x in odd:
+        row = fraction_rows(omega, x)
+        for y in odd + elems[:20]:
+            want = sum((r * b for r, b in zip(row, y)), Fraction(0)) % 1
+            assert table(x, y) == Phase(want), (x, y)
+            assert table(x, y) == table(G.reduce(x), G.reduce(y))
+            assert G.pairing(x, y) == Phase(fraction_pairing(factors, x, y))
+            assert G.pairing(y, x) == Phase(fraction_pairing(factors, y, x))
+
+
 def test_group_rejects_bad_factors():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((0, 2))
@@ -224,6 +272,30 @@ def test_H_hat_validates_antisymmetry():
         compute_H_hat([[0, 1], [1, 0]], 3)
 
 
+def test_contains_matches_enumeration_for_random_bases():
+    """``contains`` against the lattice enumerated modulo its determinant D
+    (a full-rank lattice contains D Z^g), inside and outside the lattice."""
+    rng = np.random.default_rng(21)
+    for g in (1, 2, 3):
+        for _ in range(20):
+            B = rng.integers(-3, 4, size=(g, g))
+            D = abs(round(float(np.linalg.det(B))))
+            if D == 0 or D > 12:
+                continue
+            sub = SublatticeBasis(B.tolist(), 12)
+            assert sub.index == D
+            cols = [[int(B[i][j]) for i in range(g)] for j in range(g)]
+            residues = {tuple(sum(c * col[i] for c, col in zip(cs, cols)) % D
+                              for i in range(g))
+                        for cs in itertools.product(range(D), repeat=g)}
+            box = range(-D - 1, D + 2)
+            for t in itertools.product(box, repeat=g):
+                want = tuple(x % D for x in t) in residues
+                assert sub.contains(t) == want, (B.tolist(), t)
+                far = tuple(x + 7 * D * 2 ** 64 for x in t)
+                assert sub.contains(far) == want
+
+
 def test_sublattice_basis_is_canonical():
     # two bases of the same lattice: index-6 sublattice of Z^2
     a = SublatticeBasis([[2, 0], [0, 3]], 6)
@@ -253,6 +325,26 @@ def test_K_hat_round_trips(g, N):
             st = tuple(a + b for a, b in zip(s, t))
             assert quo.project(st) == quo.group.add(quo.project(s),
                                                     quo.project(t))
+
+
+@pytest.mark.parametrize("M,m", [([[0, 1], [0, 0]], 2 ** 64),
+                                 ([[0, 2], [0, 0]], 2 ** 63)])
+def test_H_hat_and_K_hat_beyond_int64(M, m):
+    """``N = 2**64`` overflows int64; Smith reduction stays in Python ints.
+    The commutant is ``m Z^2`` with ``m = N / gcd(M_01, N)``."""
+    N = 2 ** 64
+    lam = BilinearCocycle(M, N)
+    sub = compute_H_hat(lam.antisymmetrized(), N)
+    assert sub.index == m * m
+    assert sub.rows == ((m, 0), (0, m))
+    quo = compute_K_hat(sub)
+    assert quo.group.factors == (m, m)
+    assert quo.group.size == sub.index
+    assert sub.contains((m, -m)) and sub.contains((3 * m, 5 * N))
+    assert not sub.contains((1, 0)) and not sub.contains((m, m - 1))
+    assert quo.project(quo.lift((m - 1, 2))) == (m - 1, 2)
+    table = descend_cocycle(lam, quo)
+    assert table((1, 0), (0, 1)) == Phase(M[0][1], N)
 
 
 def test_K_hat_surjective_small():
@@ -372,6 +464,34 @@ def test_subgroup_trivial_and_full():
     full = subgroup_presentation(G, [(1, 0), (0, 1)])
     assert full.group.factors == (2, 2)
     assert len(full.elements) == 4
+
+
+def test_subgroup_restrict_matches_enumeration():
+    """``restrict`` is defined exactly on the subgroup enumerated from the
+    generators' multiples, inverts ``embed`` there and raises elsewhere."""
+    rng = np.random.default_rng(9)
+    for factors in [(4, 2), (6, 4), (2, 2, 3)]:
+        G = FiniteAbelianGroup(factors)
+        for _ in range(8):
+            k = int(rng.integers(0, 3))
+            gens = [G.random_element(rng) for _ in range(k)]
+            span = {G.zero()}
+            for cs in itertools.product(range(math.lcm(*factors)),
+                                        repeat=len(gens)):
+                x = G.zero()
+                for c, gen in zip(cs, gens):
+                    x = G.add(x, G.scale(c, gen))
+                span.add(x)
+            sub = subgroup_presentation(G, gens)
+            for x in G.elements():
+                if x in span:
+                    k = sub.restrict(x)
+                    assert k in sub.group and sub.embed(k) == x
+                    shifted = tuple(a - 3 * d for a, d in zip(x, factors))
+                    assert sub.restrict(shifted) == k
+                else:
+                    with pytest.raises(ValueError):
+                        sub.restrict(x)
 
 
 def test_subgroup_random_property():
