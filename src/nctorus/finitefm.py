@@ -13,11 +13,12 @@ a bilinear twist ``lam`` on it.  Twisted-equivariant objects on the dual
 (:class:`~nctorus.equivariant.EquivariantObject` over the translation
 G-set, transport law ``lam``) correspond to representations of ``B``
 equipped with twisted translation operators (:class:`ModuleOnXLambda`).
-:func:`fm_lambda` realizes the correspondence by tensoring with a
-:class:`DeformedKernel` and passing to invariants of the resulting honest
-action; :func:`fm_lambda_inverse` goes back through character eigenblocks,
-and :func:`verify_factorization` checks the transform against the
-composite of the plain transform with the comparison isomorphisms.
+:func:`fm_lambda` computes the correspondence through its factorization:
+the plain transform, with each translation acting as the object's own
+transport followed by the comparison permutation.  :func:`fm_lambda_inverse`
+goes back through character eigenblocks.  Tensoring with a
+:class:`DeformedKernel` and passing to invariants is the independent
+oracle that :func:`verify_factorization` checks the transform against.
 
 :func:`star_on_points` is the function-algebra shadow of the same twist: a
 double sum over translates weighted by the inverse of a nondegenerate
@@ -330,7 +331,9 @@ def random_sheaf(model: TorusModel, rng, max_dim: int = 2) -> EquivariantObject:
 
 
 class DeformedKernel:
-    """The ``|Khat|``-dimensional space mediating the twisted transform.
+    """The ``|Khat|``-dimensional space mediating the twisted transform,
+    kept as the oracle :func:`verify_factorization` checks
+    :func:`fm_lambda` against.
 
     Basis vectors ``e_j`` are indexed by the translation subgroup.  The
     kernel action ``left_matrix`` sends ``e_j`` to ``lam(j, k) e_{j-k}``
@@ -483,75 +486,18 @@ class ModuleOnXLambda:
 def _sheaf_layout(model: TorusModel, sheaf: EquivariantObject):
     if sheaf.gset.points != model.gset.points or sheaf.group != model.Khat:
         raise ValueError("object does not live on this model's dual points")
-    layout = []
-    run = 0
-    for beta in model.gset.points:
-        d = sheaf.dims[beta]
-        layout.append((beta, run, d))
-        run += d
-    return layout, run
-
-
-def _big_operators(model: TorusModel, sheaf: EquivariantObject):
-    """Tensor the object with the deformed kernel.
-
-    Returns the honest action ``T(k)``, the commuting right operators,
-    and the diagonal ``B``-action graded by the sum of the two gradings.
-    """
-    kernel = DeformedKernel(model)
-    layout, total = _sheaf_layout(model, sheaf)
-    nK = kernel.size
-    big = total * nK
-    offset = {beta: off for beta, off, _ in layout}
-    T = {}
-    R = {}
-    for k in model.Khat.elements():
-        tau = kernel.left_matrix(k)
-        mat = np.zeros((big, big), dtype=complex)
-        for beta, off, d in layout:
-            if not d:
-                continue
-            u = sheaf.matrix(k, beta)
-            t0 = offset[model.gset.act(beta, k)]
-            mat[t0 * nK:(t0 + u.shape[0]) * nK, off * nK:(off + d) * nK] = \
-                np.kron(u, tau)
-        T[k] = mat
-        R[k] = np.kron(np.eye(total), kernel.right_matrix(k))
-    Pi = {}
-    for a in model.B.elements():
-        diag = np.zeros(big, dtype=complex)
-        for beta, off, d in layout:
-            for j_pos, j in enumerate(kernel.order):
-                grade = model.B.add(beta, model.iota(j))
-                val = model.B.pairing(grade, a).embed()
-                for p in range(d):
-                    diag[(off + p) * nK + j_pos] = val
-        Pi[a] = np.diag(diag)
-    return kernel, layout, total, T, R, Pi
-
-
-def _invariants_basis(T: Mapping, tol: float = 1e-9):
-    mats = list(T.values())
-    P = sum(mats) / len(mats)
-    r = int(round(float(np.trace(P).real)))
-    if r == 0:
-        return P, np.zeros((P.shape[0], 0), dtype=complex)
-    U, svals, _ = np.linalg.svd(P)
-    if r < len(svals) and svals[r] > tol * max(1.0, svals[0]):
-        raise ValueError("invariants projector has ambiguous rank")
-    return P, U[:, :r]
+    return _graded_layout(sheaf.dims, model.B)
 
 
 def fm_lambda(model: TorusModel, sheaf: EquivariantObject,
               tol: float = 1e-9, validate: bool = True) -> ModuleOnXLambda:
     """Transform a twisted-equivariant object on the dual points into a
-    module with twisted translations.
+    module with twisted translations, through the factorization.
 
-    The object is tensored with the deformed kernel; the combined
-    translation action is honest, its invariants carry the diagonal
-    ``B``-action and the right kernel operators, and compressing to an
-    orthonormal basis of the invariants yields the module.  The total
-    dimension is preserved.
+    The ``B``-action is the plain transform of the graded dimensions.  The
+    operator of ``k`` applies the object's transport blockwise, a
+    degree-zero map into the grading translated by ``-iota(k)``, then the
+    comparison permutation back (:func:`fm_ab_equivariance_iso`).
     """
     if validate:
         report = check_linearization(sheaf, model.phi, tol)
@@ -559,15 +505,21 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject,
             raise ValueError(
                 f"object violates the transport law at {report.witness} "
                 f"(deviation {report.max_dev:.3g})")
-    _, _, total, T, R, Pi = _big_operators(model, sheaf)
-    _, C = _invariants_basis(T, tol)
-    if C.shape[1] != total:
-        raise ValueError("invariants have unexpected dimension "
-                         f"{C.shape[1]} != {total}")
-    Ct = C.conj().T
-    pi = {a: Ct @ Pi[a] @ C for a in model.B.elements()}
-    n = {k: Ct @ R[k] @ C for k in model.Khat.elements()}
-    return ModuleOnXLambda(model, pi, n)
+    layout, total = _sheaf_layout(model, sheaf)
+    dims = sheaf.dims
+    n = {}
+    for k in model.Khat.elements():
+        yhat = model.B.neg(model.iota(k))
+        shifted = translate_graded(dims, yhat, model.B)
+        mid_layout, mid_total = _graded_layout(shifted, model.B)
+        mid_offset = {beta: off for beta, off, _ in mid_layout}
+        blockwise = np.zeros((mid_total, total), dtype=complex)
+        for beta, off, d in layout:
+            u = sheaf.matrix(k, beta)
+            r0 = mid_offset[beta]
+            blockwise[r0:r0 + u.shape[0], off:off + d] = u
+        n[k] = fm_ab_equivariance_iso(dims, yhat, model.B) @ blockwise
+    return ModuleOnXLambda(model, fm_ab(dims, model.B).pi, n)
 
 
 def fm_lambda_inverse(model: TorusModel, module: ModuleOnXLambda,
@@ -575,29 +527,12 @@ def fm_lambda_inverse(model: TorusModel, module: ModuleOnXLambda,
     """Recover a twisted-equivariant object from a module: fibers are the
     character eigenspaces of the ``B``-action and the transports are the
     translation operators compressed between them."""
-    rep = module.rep()
-    bases = {}
-    dims = {}
-    total = 0
-    for beta in model.gset.points:
-        proj = character_projector(rep, beta)
-        r = int(round(float(np.trace(proj).real)))
-        U, svals, _ = np.linalg.svd(proj)
-        if r < len(svals) and svals[r] > tol * max(1.0, svals[0] if len(svals) else 1.0):
-            raise ValueError(f"ambiguous eigenspace at {beta}")
-        bases[beta] = U[:, :r]
-        dims[beta] = r
-        total += r
-    if total != module.dim:
-        raise ValueError("character eigenspaces do not exhaust the module")
-    rho = {}
-    for k in model.Khat.elements():
-        mats = {}
-        nk = module.n_matrix(k)
-        for beta in model.gset.points:
-            target = model.gset.act(beta, k)
-            mats[beta] = bases[target].conj().T @ nk @ bases[beta]
-        rho[k] = mats
+    bases = {beta: W for beta, (_, W) in _eigenspace_bases(module, tol).items()}
+    rho = {k: {beta: bases[model.gset.act(beta, k)].conj().T
+               @ module.n_matrix(k) @ bases[beta]
+               for beta in model.gset.points}
+           for k in model.Khat.elements()}
+    dims = {beta: W.shape[1] for beta, W in bases.items()}
     return EquivariantObject(model.gset, dims, rho)
 
 
@@ -700,57 +635,52 @@ def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
 
 def verify_factorization(model: TorusModel, sheaf: EquivariantObject,
                          tol: float = 1e-9) -> LinearizationReport:
-    """Compare the deformed transform against the plain one.
+    """Check the deformed transform against the kernel construction.
 
-    Path A embeds the graded space into the kernel-tensored space as
-    invariants and applies the right kernel operators there.  Path B stays
-    on the plain transform: apply the object's own transport blockwise,
-    then the comparison permutation for the corresponding translation.
-    With the kernel's normalization the two agree on the nose, as does the
-    ``B``-action against the plain diagonal one.
+    Tensoring with the :class:`DeformedKernel` makes the left action
+    honest; averaging it over the vectors ``e_i (x) e_0`` embeds the graded
+    space as its invariants.  There the right kernel operators and the
+    ``B``-action graded by the sum of the two gradings must equal those of
+    :func:`fm_lambda` on the nose.  The witness names the first failing
+    translation, then the first failing character.
     """
+    kernel = DeformedKernel(model)
     layout, total = _sheaf_layout(model, sheaf)
-    kernel, _, _, T, R, Pi = _big_operators(model, sheaf)
     nK = kernel.size
     big = total * nK
-    P = sum(T.values()) / len(T)
-    ins = np.zeros((big, total), dtype=complex)
-    zero_pos = kernel.index[model.Khat.zero()]
-    for i in range(total):
-        ins[i * nK + zero_pos, i] = 1.0
-    emb = P @ ins
-    dims = {beta: d for beta, _, d in layout}
+    offset = {beta: off for beta, off, _ in layout}
+    zero = kernel.index[model.Khat.zero()]
+    emb = np.zeros((big, total), dtype=complex)
+    for k in model.Khat.elements():
+        tau = kernel.left_matrix(k)[:, zero:zero + 1]
+        for beta, off, d in layout:
+            u = sheaf.matrix(k, beta)
+            t0 = offset[model.gset.act(beta, k)]
+            emb[t0 * nK:(t0 + u.shape[0]) * nK, off:off + d] += np.kron(u, tau)
+    emb /= nK
+    module = fm_lambda(model, sheaf, tol, validate=False)
     worst = 0.0
     witness = None
+
+    def note(big_op, op, tag):
+        nonlocal worst, witness
+        dev = float(np.max(np.abs(big_op @ emb - emb @ op))) if big else 0.0
+        if dev > worst:
+            worst = dev
+            if dev > tol and witness is None:
+                witness = tag
+
     for k in model.Khat.elements():
-        yhat = model.iota(k)
-        # the blockwise transport is a degree-zero map into the grading
-        # translated by -yhat; lay its target out accordingly
-        shifted = translate_graded(dims, model.B.neg(yhat), model.B)
-        mid_layout, mid_total = _graded_layout(shifted, model.B)
-        mid_offset = {beta: off for beta, off, _ in mid_layout}
-        blockwise = np.zeros((mid_total, total), dtype=complex)
-        for beta, off, d in layout:
-            if not d:
-                continue
-            u = sheaf.matrix(k, beta)
-            r0 = mid_offset[beta]
-            blockwise[r0:r0 + u.shape[0], off:off + d] = u
-        E = fm_ab_equivariance_iso(dims, model.B.neg(yhat), model.B)
-        tilde = E @ blockwise
-        dev = float(np.max(np.abs(R[k] @ emb - emb @ tilde))) if big else 0.0
-        if dev > worst:
-            worst = dev
-            if dev > tol and witness is None:
-                witness = ("translation", k)
-    plain = fm_ab(dims, model.B)
+        note(np.kron(np.eye(total), kernel.right_matrix(k)), module.n[k],
+             ("translation", k))
     for a in model.B.elements():
-        dev = float(np.max(np.abs(Pi[a] @ emb - emb @ plain.matrix(a)))) \
-            if big else 0.0
-        if dev > worst:
-            worst = dev
-            if dev > tol and witness is None:
-                witness = ("character", a)
+        diag = np.zeros(big, dtype=complex)
+        for beta, off, d in layout:
+            for j_pos, j in enumerate(kernel.order):
+                grade = model.B.add(beta, model.iota(j))
+                diag[off * nK + j_pos:(off + d) * nK:nK] = \
+                    model.B.pairing(grade, a).embed()
+        note(np.diag(diag), module.pi[a], ("character", a))
     return LinearizationReport(witness is None and worst <= tol, worst, witness)
 
 

@@ -137,9 +137,9 @@ def params_from_dict(data: Mapping) -> BilinearCocycle:
 
 
 def _random_symmetric(g: int, N: int, rng) -> list:
-    S = rng.integers(0, N, size=(g, g))
-    S = (S + S.T) % N
-    return [[int(x) for x in row] for row in S]
+    # numpy draws stay below 2**63; symmetrize in Python ints for any N
+    S = rng.integers(0, min(N, 2**63 - 1), size=(g, g)).tolist()
+    return [[(S[i][j] + S[j][i]) % N for j in range(g)] for i in range(g)]
 
 
 def _random_laurent(g: int, rng, terms: int = 4,

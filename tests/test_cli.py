@@ -129,6 +129,24 @@ def test_param_analyze_at_2_pow_64_refuses_huge_quotient(capsys):
     assert rc == 0 and len(json.loads(out)["sharp"]) == 64 ** 2
 
 
+HUGE_N = json.dumps({"M": [[0, 1], [0, 0]], "N": 2 ** 64})
+
+
+def test_star_mul_at_2_pow_64(capsys):
+    rc, out, err = run_cli(capsys, "star", "mul", "t1 + t2", "t1^-1",
+                           "--param", HUGE_N)
+    assert rc == 0 and not err
+    assert out.strip() == "t1^-1*t2 + 1"
+
+
+@pytest.mark.parametrize("scope", ["cocycle", "star", "weyl"])
+def test_verify_at_2_pow_64(capsys, scope):
+    rc, out, err = run_cli(capsys, "verify", "--scope", scope,
+                           "--param", HUGE_N)
+    assert rc == 0 and not err
+    assert "0 failures" in out
+
+
 def test_unknown_scope_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--scope", "bogus"])

@@ -198,6 +198,17 @@ def test_bilinear_roots_table():
         assert roots[k] == pytest.approx(Phase(k, 6).embed())
 
 
+def test_bilinear_roots_table_is_lazy():
+    N = 2 ** 64
+    roots = BilinearCocycle([[1]], N).roots()
+    assert roots[N // 4] == pytest.approx(1j)
+    assert roots[N - 1] == pytest.approx(Phase(N - 1, N).embed())
+    assert dict(roots).keys() == {N // 4, N - 1}
+    for k in (-1, N):
+        with pytest.raises(KeyError):
+            roots[k]
+
+
 def test_bilinear_json_round_trip():
     lam = BilinearCocycle([[0, 2], [1, 3]], 4)
     again = BilinearCocycle.from_json(lam.to_json())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nctorus.finitefm as finitefm
 from nctorus.cocycle import Phase
 from nctorus.equivariant import (
     GroupCocycleTable,
@@ -216,6 +217,13 @@ def test_trivial_subgroup_reduces_to_plain_transform():
     plain = fm_ab(dims, model.B)
     for a in model.B.elements():
         assert np.max(np.abs(mod.pi_matrix(a) - plain.matrix(a))) < 1e-9
+    # with a nontrivial subgroup the B-action is still exactly the plain one
+    for model in ALL_MODELS:
+        sheaf = random_sheaf(model, rng)
+        mod = fm_lambda(model, sheaf)
+        plain = fm_ab(sheaf.dims, model.B)
+        for a in model.B.elements():
+            assert np.array_equal(mod.pi[a], plain.pi[a])
 
 
 def test_fm_lambda_produces_valid_modules():
@@ -282,6 +290,37 @@ def test_factorization_through_plain_transform():
         report = verify_factorization(model, sheaf)
         assert report.ok, (model, report)
         assert report.max_dev < 1e-9
+
+
+def test_factorization_flags_a_wrong_comparison_permutation(monkeypatch):
+    rng = np.random.default_rng(59)
+    model = model_full_z4()
+    sheaf = random_sheaf(model, rng)
+    assert sheaf.total_dim() >= 2
+    assert verify_factorization(model, sheaf).ok
+    right = finitefm.fm_ab_equivariance_iso
+    monkeypatch.setattr(finitefm, "fm_ab_equivariance_iso",
+                        lambda dims, yhat, B: np.flipud(right(dims, yhat, B)))
+    report = verify_factorization(model, sheaf)
+    assert not report.ok
+    assert report.witness[0] == "translation"
+    assert report.witness[1] in set(model.Khat.elements())
+
+
+def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):
+    rng = np.random.default_rng(61)
+    pairs = [(random_sheaf(model, rng), random_sheaf(model, rng))
+             for model in ALL_MODELS for _ in range(2)]
+    expected = [hom_dim(s1, s2) for s1, s2 in pairs]
+    calls = []
+
+    def failing_svd(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    assert [hom_dim(s1, s2) for s1, s2 in pairs] == expected
+    assert calls and any(expected)
 
 
 def test_inverse_handles_conjugated_modules():
