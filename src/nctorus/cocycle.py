@@ -1,8 +1,10 @@
 """Exact root-of-unity phases and 2-cocycles on integer lattices.
 
-A :class:`Phase` stores the exponent ``q`` of ``e^{2*pi*i*q}`` as an exact
-rational modulo 1, so root-of-unity identities can be tested with ``==``
-instead of floating-point tolerances; complex numbers enter only through
+A :class:`Phase` stores the exponent of ``e^{2*pi*i*n/d}`` as the reduced
+integer pair ``(n, d)``, ``0 <= n < d``, so root-of-unity identities can be
+tested with ``==`` instead of floating-point tolerances, and phase
+arithmetic stays in Python ints; the rational exponent ``Phase.q`` is
+derived from the pair, and complex numbers enter only through
 :meth:`Phase.embed`.
 
 The cocycles of interest are the commutation data of quantum tori at a root
@@ -31,18 +33,47 @@ def _vadd(s: Sequence[int], t: Sequence[int]) -> Vec:
     return tuple(a + b for a, b in zip(s, t))
 
 
+def _reduce_pair(n: int, d: int) -> tuple[int, int]:
+    """``(n, d)`` for ints with ``d > 0`` -> ``(n', d')``, ``0 <= n' < d'``,
+    ``gcd(n', d') == 1``, ``n'/d' == n/d mod 1``."""
+    n %= d
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 class Phase:
-    """A root of unity stored as its exact exponent modulo 1.
+    """A root of unity ``e^{2*pi*i*n/d}`` stored as its reduced exponent.
+
+    The exponent is kept as the integer pair ``(n, d)`` with ``0 <= n < d``
+    and ``gcd(n, d) == 1``, so root-of-unity identities can be tested with
+    ``==`` on the pair instead of floating-point tolerances; read ``n`` and
+    ``d``, never assign them.  ``q`` is the same exponent as a ``Fraction``
+    in ``[0, 1)``, and ``order()`` is ``d``.
 
     Phases form an additive group mirroring multiplication of the underlying
     complex numbers: ``Phase(1, 4) + Phase(1, 4) == Phase(1, 2)`` just as
     ``i * i == -1``.
     """
 
-    __slots__ = ("q",)
+    __slots__ = ("n", "d")
 
     def __init__(self, numerator: int | Fraction = 0, denominator: int = 1):
-        self.q = Fraction(numerator, denominator) % 1
+        if type(numerator) is int and type(denominator) is int:
+            if denominator < 0:
+                numerator, denominator = -numerator, -denominator
+            elif not denominator:
+                raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+        else:
+            q = Fraction(numerator, denominator)
+            numerator, denominator = int(q.numerator), int(q.denominator)
+        self.n, self.d = _reduce_pair(numerator, denominator)
+
+    @classmethod
+    def _reduced(cls, n: int, d: int) -> "Phase":
+        """``Phase(n, d)`` for ints with ``d > 0``, skipping input checks."""
+        p = cls.__new__(cls)
+        p.n, p.d = _reduce_pair(n, d)
+        return p
 
     @classmethod
     def zero(cls) -> "Phase":
@@ -53,50 +84,57 @@ class Phase:
         """Inverse of ``str``: accepts ``"p/q"`` or a bare integer string."""
         return cls(Fraction(text.strip()))
 
+    @property
+    def q(self) -> Fraction:
+        """The exponent ``n/d`` as a ``Fraction`` in ``[0, 1)``."""
+        return Fraction(self.n, self.d)
+
     def embed(self) -> complex:
-        """The complex number ``e^{2*pi*i*q}`` this phase stands for."""
-        return cmath.exp(2j * math.pi * float(self.q))
+        """The complex number ``e^{2*pi*i*n/d}`` this phase stands for."""
+        return cmath.exp(2j * math.pi * (self.n / self.d))
 
     def order(self) -> int:
         """Multiplicative order of the embedded root of unity."""
-        return self.q.denominator
+        return self.d
 
     def __add__(self, other: "Phase") -> "Phase":
         if not isinstance(other, Phase):
             return NotImplemented
-        return Phase(self.q + other.q)
+        return Phase._reduced(self.n * other.d + other.n * self.d,
+                              self.d * other.d)
 
     def __sub__(self, other: "Phase") -> "Phase":
         if not isinstance(other, Phase):
             return NotImplemented
-        return Phase(self.q - other.q)
+        return Phase._reduced(self.n * other.d - other.n * self.d,
+                              self.d * other.d)
 
     def __neg__(self) -> "Phase":
-        return Phase(-self.q)
+        return Phase._reduced(-self.n, self.d)
 
     def __mul__(self, n: int) -> "Phase":
         if not isinstance(n, int):
             return NotImplemented
-        return Phase(n * self.q)
+        return Phase._reduced(n * self.n, self.d)
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return self.q != 0
+        return self.n != 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Phase):
             return NotImplemented
-        return self.q == other.q
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self) -> int:
         return hash(self.q)
 
     def __str__(self) -> str:
-        return str(self.q)
+        return str(self.n) if self.d == 1 else f"{self.n}/{self.d}"
 
     def __repr__(self) -> str:
-        return f"Phase({self.q})"
+        return f"Phase({self})"
 
 
 class WindowError(ValueError):

@@ -265,11 +265,12 @@ class FiniteAbelianGroup:
                 for j in range(self.rank)]
 
     def pairing(self, x: Sequence[int], chi: Sequence[int]) -> Phase:
-        x = self.reduce(x)
-        chi = self.reduce(chi)
-        L = self.exponent
-        return Phase(sum(a * c * w for a, c, w
-                         in zip(x, chi, self._weights)) % L, L)
+        r = len(self.factors)
+        if len(x) != r or len(chi) != r:
+            raise ValueError(f"expected {r} coordinates")
+        # unreduced is fine: x_i -> x_i + d_i adds chi_i * L to the sum
+        return Phase(sum(int(a) * int(c) * w for a, c, w
+                         in zip(x, chi, self._weights)), self.exponent)
 
     def random_element(self, rng: np.random.Generator) -> Vec:
         return tuple(int(rng.integers(0, d)) for d in self.factors)
@@ -333,7 +334,7 @@ class GroupBilinearTable:
         self.group = group
         self.omega = tuple(rows)
         L = group.exponent
-        self._E = tuple(tuple(int(w.q * L) for w in row) for row in rows)
+        self._E = tuple(tuple(w.n * (L // w.d) for w in row) for row in rows)
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "GroupBilinearTable":
@@ -341,12 +342,14 @@ class GroupBilinearTable:
         return cls(group, [[z] * group.rank for _ in range(group.rank)])
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Phase:
-        x = self.group.reduce(x)
-        y = self.group.reduce(y)
-        L = self.group.exponent
-        total = sum(xi * sum(e * yj for e, yj in zip(row, y))
+        r = self.group.rank
+        if len(x) != r or len(y) != r:
+            raise ValueError(f"expected {r} coordinates")
+        # unreduced is fine: d_i * E[i][j] and d_j * E[i][j] are 0 mod L
+        y = list(map(int, y))
+        total = sum(int(xi) * sum(e * yj for e, yj in zip(row, y))
                     for xi, row in zip(x, self._E) if xi)
-        return Phase(total % L, L)
+        return Phase(total, self.group.exponent)
 
     def antisymmetrized(self) -> "GroupBilinearTable":
         r = self.group.rank

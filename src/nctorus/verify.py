@@ -594,24 +594,34 @@ SCOPES = ("cocycle", "weyl", "lattice", "star", "equivariant", "fm")
 
 def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
                 params: Mapping = None, corrupt_phi: bool = False) -> list:
-    """Run one scope (or every scope) and return the collected results."""
+    """Run one scope (or every scope) and return the collected results.
+
+    An unknown scope or grid and invalid ``params`` raise ``ValueError``
+    before any battery runs.  An exception raised inside a battery is a
+    failed check, not bad input: it is recorded as a failing
+    ``<scope>-battery`` result whose witness names the exception, and the
+    remaining scopes still run.
+    """
     if grid not in ("small", "full"):
         raise ValueError(f"unknown grid {grid!r}")
-    if scope == "all":
-        results = []
-        for name in SCOPES:
-            results.extend(run_battery(name, seed, grid, params, corrupt_phi))
-        return results
-    if scope == "cocycle":
-        return battery_cocycle(seed, grid, params)
-    if scope == "weyl":
-        return battery_weyl(seed, grid, params)
-    if scope == "lattice":
-        return battery_lattice(seed, grid)
-    if scope == "star":
-        return battery_star(seed, grid, params)
-    if scope == "equivariant":
-        return battery_equivariant(seed, grid, corrupt_phi)
-    if scope == "fm":
-        return battery_fm(seed, grid)
-    raise ValueError(f"unknown scope {scope!r}")
+    if scope != "all" and scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}")
+    if params:
+        params_from_dict(params)
+    batteries = {
+        "cocycle": lambda: battery_cocycle(seed, grid, params),
+        "weyl": lambda: battery_weyl(seed, grid, params),
+        "lattice": lambda: battery_lattice(seed, grid),
+        "star": lambda: battery_star(seed, grid, params),
+        "equivariant": lambda: battery_equivariant(seed, grid, corrupt_phi),
+        "fm": lambda: battery_fm(seed, grid),
+    }
+    results = []
+    for name in SCOPES if scope == "all" else (scope,):
+        try:
+            results.extend(batteries[name]())
+        except Exception as exc:
+            results.append(PropertyResult(
+                f"{name}-battery", False, 1.0,
+                witness=f"{type(exc).__name__}: {exc}"))
+    return results

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from nctorus import verify
 from nctorus.cli import MAX_ANALYZE_SIZE, main
 
 
@@ -190,6 +191,29 @@ def test_verify_corrupt_phi_fails_with_witness(capsys):
                          "--seed", "7", "--corrupt-phi")
     assert rc == 1
     assert "FAIL" in out and "witness" in out
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_records_a_battery_exception_as_failure(capsys, monkeypatch,
+                                                      as_json):
+    def broken(seed, grid):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(verify, "battery_lattice", broken)
+    argv = ["verify", "--scope", "all", "--seed", "7"]
+    rc, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+    assert rc == 1 and not err
+    if as_json:
+        results = json.loads(out)["results"]
+        assert [r for r in results if not r["ok"]] == [
+            {"name": "lattice-battery", "ok": False, "max_dev": 1.0,
+             "witness": "ValueError: internal failure"}]
+        assert {r["name"] for r in results} >= {"cocycle-identity",
+                                                "fm-roundtrip-and-factorization"}
+    else:
+        assert ("[FAIL] lattice-battery                      dev 1  "
+                "witness ValueError: internal failure") in out.splitlines()
+        assert out.endswith(" checks, 1 failure\n")
 
 
 def test_verify_subprocess_byte_identical():

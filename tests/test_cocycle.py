@@ -5,6 +5,8 @@ four-factor identity is evaluated directly from the tables, with no reference
 to the library's own checker, before the checker's verdict is asserted.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +98,72 @@ def test_phase_parse_accepts_integers():
 
 def test_phase_hashable():
     assert len({Phase(1, 2), Phase(2, 4), Phase(1, 3)}) == 2
+
+
+# Exactness of the integer-pair representation, against a Fraction oracle.
+# Numerators and denominators reach negative values and sizes around 2**70.
+ints_st = st.one_of(st.integers(-60, 60),
+                    st.integers(2 ** 70 - 60, 2 ** 70 + 60),
+                    st.integers(-2 ** 70 - 60, -2 ** 70 + 60),
+                    st.integers(-2 ** 80, 2 ** 80))
+denominators_st = ints_st.filter(bool)
+
+
+def assert_phase_is(p, exponent):
+    """``p`` shows exactly what a Fraction-backed phase of ``exponent``
+    showed: ``q``, order, equality, hash, ``str``, ``repr`` and ``embed``."""
+    q = exponent % 1
+    assert p.q == q and p.order() == q.denominator
+    assert p == Phase(q)
+    assert hash(p) == hash(q)
+    assert str(p) == str(q) and repr(p) == f"Phase({q})"
+    assert p.embed() == cmath.exp(2j * math.pi * float(q))
+    assert bool(p) == (q != 0)
+
+
+@given(ints_st, denominators_st)
+def test_phase_pair_matches_fraction_oracle(n, d):
+    assert_phase_is(Phase(n, d), Fraction(n, d))
+    assert_phase_is(Phase(Fraction(n, d)), Fraction(n, d))
+    assert Phase(n, d) == Phase(Fraction(n, d))
+    assert Phase(n, d) == Phase(-n, -d)
+
+
+@given(ints_st, denominators_st, ints_st, denominators_st,
+       st.one_of(ints_st, st.booleans()))
+def test_phase_arithmetic_matches_fraction_oracle(a, b, c, d, k):
+    x, y = Phase(a, b), Phase(c, d)
+    fx, fy = Fraction(a, b), Fraction(c, d)
+    assert_phase_is(x + y, fx + fy)
+    assert_phase_is(x - y, fx - fy)
+    assert_phase_is(-x, -fx)
+    assert_phase_is(k * x, k * fx)
+    assert_phase_is(x * k, k * fx)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 7, 2 ** 70])
+def test_phase_zero_denominator_raises(n):
+    for args in [(n, 0), (np.int64(1), 0), (n, np.int64(0)),
+                 (Fraction(1, 2), 0)]:
+        with pytest.raises(ZeroDivisionError):
+            Phase(*args)
+
+
+def test_phase_numpy_and_bool_inputs():
+    cases = [(np.int64(3), 4), (np.int64(3), np.int64(-4)),
+             (np.int32(-5), np.int64(6)), (np.int64(2 ** 62 + 1), 3),
+             (np.uint8(200), 7), (np.int64(-7), np.int64(-21)),
+             (True, 2), (False, 3), (3, True), (True, 1)]
+    for n, d in cases:
+        p = Phase(n, d)
+        assert_phase_is(p, Fraction(int(n), int(d)))
+        assert type(p.order()) is int
+    assert_phase_is(Phase(True), Fraction(0))
+    assert_phase_is(Phase(np.int64(-3)), Fraction(0))
+    with pytest.raises(TypeError):
+        Phase(0.5)
+    with pytest.raises(TypeError):
+        Phase("1/2")
 
 
 # ---------------------------------------------------------------------------

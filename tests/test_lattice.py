@@ -180,6 +180,41 @@ def test_table_and_pairing_match_fraction_oracle(factors):
             assert G.pairing(y, x) == Phase(fraction_pairing(factors, y, x))
 
 
+@pytest.mark.parametrize("factors", [(4, 6), (6, 4, 10)])
+def test_table_and_pairing_on_int64_coordinates_near_2_pow_62(factors):
+    """numpy int64 coordinates whose products overflow int64 are converted
+    to Python ints before any arithmetic."""
+    rng = np.random.default_rng(len(factors) + 62)
+    G = FiniteAbelianGroup(factors)
+    omega = [[Phase(int(rng.integers(0, 60)), math.gcd(a, b))
+              for b in factors] for a in factors]
+    table = GroupBilinearTable(G, omega)
+    rank = len(factors)
+    vecs = [np.int64(2 ** 62) + rng.integers(-60, 60, size=rank)
+            for _ in range(8)]
+    vecs += [-v for v in vecs[:4]]
+    assert all(v.dtype == np.int64 for v in vecs)
+    for x in vecs:
+        xi = [int(a) for a in x]
+        row = fraction_rows(omega, xi)
+        for y in vecs:
+            yi = [int(b) for b in y]
+            want = sum((r * b for r, b in zip(row, yi)), Fraction(0)) % 1
+            assert table(x, y) == Phase(want), (xi, yi)
+            assert G.pairing(x, y) == Phase(fraction_pairing(factors, xi, yi))
+
+
+def test_table_and_pairing_reject_wrong_length():
+    G = FiniteAbelianGroup((4, 6))
+    table = GroupBilinearTable(G, [[Phase(1, 4), Phase(1, 2)],
+                                   [Phase.zero(), Phase(1, 6)]])
+    for x, y in [((1,), (1, 2)), ((1, 2), (1, 2, 3)), ((), ())]:
+        with pytest.raises(ValueError):
+            table(x, y)
+        with pytest.raises(ValueError):
+            G.pairing(x, y)
+
+
 def test_group_rejects_bad_factors():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((0, 2))
