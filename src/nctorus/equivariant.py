@@ -335,6 +335,15 @@ def _null_space_rows(blocks: list, nvars: int, tol: float) -> list:
             if i >= len(svals) or svals[i] <= tol * scale]
 
 
+def _inverse(mats: list, what: str) -> np.ndarray:
+    """Inverses of a list of square matrices of one size; ``ValueError``
+    naming ``what`` when one is singular or they are not all square."""
+    try:
+        return np.linalg.inv(np.array(mats))
+    except (np.linalg.LinAlgError, ValueError):
+        raise ValueError(f"{what} is not invertible") from None
+
+
 def hom_space(a: EquivariantObject, b: EquivariantObject,
               tol: float = 1e-9) -> list[dict]:
     """Basis of the maps commuting with the twisted transports.
@@ -342,8 +351,13 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
     Solves ``chi[s.g] rho^a_g[s] == rho^b_g[s] chi[s]`` for families of
     matrices ``chi[s]: fiber_a(s) -> fiber_b(s)``; any common scalar twist
     cancels between the two sides, so this is meaningful whenever ``a`` and
-    ``b`` satisfy the same law.  Returns Frobenius-orthonormal basis
-    families computed from an SVD null space.
+    ``b`` satisfy the same law.  A solution is fixed on each orbit by its
+    value at one point ``s``, which need only commute with the transports
+    of the stabilizer of ``s``; transport gives the rest, ``chi[s.g] =
+    rho^b_g[s] chi[s] rho^a_g[s]^-1`` (Frobenius reciprocity).  Returns
+    Frobenius-orthonormal basis families, one QR per orbit.  Raises
+    ``ValueError`` when a transport out of an orbit representative is
+    singular.
     """
     if a.gset is not b.gset:
         same = (a.gset.points == b.gset.points and a.group == b.group
@@ -353,44 +367,45 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
         if not same:
             raise ValueError("objects live on different G-sets")
     gset = a.gset
-    G = a.group
-    points = gset.points
-    sizes = {s: b.dims[s] * a.dims[s] for s in points}
-    offsets = {}
-    run = 0
-    for s in points:
-        offsets[s] = run
-        run += sizes[s]
-    nvars = run
-    if nvars == 0:
-        return []
-    blocks = []
-    # constraints for the generators imply them for every element: compose
-    # the law along a generator decomposition and the common twist cancels
-    for g in G.generators():
-        for s in points:
-            t = gset.act(s, g)
-            ra = a.matrix(g, s)
-            rb = b.matrix(g, s)
-            rows = b.dims[t] * a.dims[s]
-            if rows == 0:
-                continue
-            eq = np.zeros((rows, nvars), dtype=complex)
-            # chi[t] @ ra  ->  (I kron ra^T) vec(chi[t])   (row-major vec)
-            left = np.kron(np.eye(b.dims[t]), ra.T)
-            eq[:, offsets[t]:offsets[t] + sizes[t]] += left
-            # rb @ chi[s]  ->  (rb kron I) vec(chi[s])
-            right = np.kron(rb, np.eye(a.dims[s]))
-            eq[:, offsets[s]:offsets[s] + sizes[s]] -= right
-            blocks.append(eq)
-    null = _null_space_rows(blocks, nvars, tol)
+    elements = list(a.group.elements())
     out = []
-    for vec in null:
-        fam = {}
-        for s in points:
-            chunk = vec[offsets[s]:offsets[s] + sizes[s]]
-            fam[s] = chunk.reshape(b.dims[s], a.dims[s])
-        out.append(fam)
+    done = set()
+    for s in gset.points:
+        if s in done:
+            continue
+        # the first element reaching each point; elements() starts at zero,
+        # so any later element fixing s is a nontrivial stabilizer element
+        orbit = {}
+        stab = []
+        for g in elements:
+            t = gset.act(s, g)
+            if t not in orbit:
+                orbit[t] = g
+            elif t == s:
+                stab.append(g)
+        done.update(orbit)
+        rho_a = [a.matrix(g, s) for g in orbit.values()]
+        rho_b = [b.matrix(g, s) for g in orbit.values()]
+        rho_a_inv = _inverse(rho_a, f"a transport out of {s}")
+        _inverse(rho_b, f"a transport out of {s}")
+        da, db = a.dims[s], b.dims[s]
+        if not da * db:
+            continue
+        # chi @ ra - rb @ chi  ->  (I kron ra^T - rb kron I) vec(chi) for the
+        # stabilizer transports ra, rb, with chi vectorized row-major
+        rep = _null_space_rows([np.kron(np.eye(db), a.matrix(h, s).T)
+                                - np.kron(b.matrix(h, s), np.eye(da))
+                                for h in stab], da * db, tol)
+        if not rep:
+            continue
+        chi = np.array(rep).reshape(-1, 1, db, da)
+        moved = np.array(rho_b) @ chi @ rho_a_inv
+        q, _ = np.linalg.qr(moved.reshape(len(rep), -1).T)
+        for fam in q.T.reshape(-1, len(orbit), db, da):
+            full = {p: np.zeros((b.dims[p], a.dims[p]), dtype=complex)
+                    for p in gset.points}
+            full.update(zip(orbit, fam))
+            out.append(full)
     return out
 
 

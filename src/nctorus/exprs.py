@@ -99,6 +99,8 @@ def _parse_rational(text: str) -> Fraction:
         num, den = text.split("/")
         if "." in num or "." in den:
             raise ParseError(f"bad number {text!r}")
+        if int(den) == 0:
+            raise ParseError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(text)
 

@@ -38,7 +38,7 @@ from .equivariant import (
     GroupCocycleTable,
     GSet,
     LinearizationReport,
-    _null_space_rows,
+    _inverse,
     check_linearization,
     free,
 )
@@ -560,12 +560,14 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
     """Orthonormal basis of maps intertwining both the ``B``-action and
     the twisted translations.
 
-    The ``B``-action splits either module into character eigenspaces and
-    each translation shifts the character by the embedded element, so an
-    intertwiner is block diagonal over characters; solving for the blocks
-    keeps the null-space problem small.  Generator constraints suffice:
-    every operator of either family is a nonzero multiple of a product of
-    generator ones.
+    An intertwiner is block diagonal over the characters of the
+    ``B``-action, and the translation of ``k`` moves the block of ``beta``
+    to that of ``beta + iota(k)``.  ``iota`` is injective, so the
+    translations permute the characters freely: any map ``X`` between the
+    ``beta``-eigenspaces, at one ``beta`` per orbit, extends to the
+    intertwiner ``sum_k n2[k] X n1[k]^-1``, and these are all.  One QR
+    makes the result Frobenius-orthonormal.  Raises ``ValueError`` when a
+    translation operator is singular.
     """
     if m1.model is not m2.model and (
             m1.model.B != m2.model.B or m1.model.Khat != m2.model.Khat
@@ -577,54 +579,27 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
         return []
     model = m1.model
     B = model.B
-    betas = list(B.elements())
+    n1_inv = _inverse(list(m1.n.values()), "a translation operator")
+    _inverse(list(m2.n.values()), "a translation operator")
+    n2 = np.array(list(m2.n.values()))
+    shifts = [model.iota(k) for k in m1.n]
     blocks1 = _eigenspace_bases(m1, tol)
     blocks2 = _eigenspace_bases(m2, tol)
-    rk1 = {beta: blocks1[beta][1].shape[1] for beta in betas}
-    rk2 = {beta: blocks2[beta][1].shape[1] for beta in betas}
-    offs = {}
-    nvars = 0
-    for beta in betas:
-        if rk1[beta] and rk2[beta]:
-            offs[beta] = nvars
-            nvars += rk1[beta] * rk2[beta]
-    if nvars == 0:
-        return []
-    rows = []
-    for k in model.Khat.generators():
-        n1 = m1.n_matrix(k)
-        n2 = m2.n_matrix(k)
-        for beta in betas:
-            shifted = B.add(beta, model.iota(k))
-            neq = rk2[shifted] * rk1[beta]
-            if neq == 0 or (beta not in offs and shifted not in offs):
-                continue
-            block = np.zeros((neq, nvars), dtype=complex)
-            if beta in offs:
-                N2 = blocks2[shifted][1].conj().T @ n2 @ blocks2[beta][1]
-                o = offs[beta]
-                block[:, o:o + rk2[beta] * rk1[beta]] += \
-                    np.kron(N2, np.eye(rk1[beta]))
-            if shifted in offs:
-                N1 = blocks1[shifted][1].conj().T @ n1 @ blocks1[beta][1]
-                o = offs[shifted]
-                block[:, o:o + rk2[shifted] * rk1[shifted]] -= \
-                    np.kron(np.eye(rk2[shifted]), N1.T)
-            rows.append(block)
     maps = []
-    for y in _null_space_rows(rows, nvars, tol):
-        X = np.zeros((d2, d1), dtype=complex)
-        for beta, o in offs.items():
-            Y = y[o:o + rk2[beta] * rk1[beta]].reshape(rk2[beta], rk1[beta])
-            proj1, W1 = blocks1[beta]
-            X += blocks2[beta][1] @ Y @ (W1.conj().T @ proj1)
-        maps.append(X)
-    if not maps:
-        return []
-    # re-orthonormalize: the block coordinates are only isometric to the
-    # Frobenius geometry when the eigenspace decompositions are orthogonal
-    stacked = np.array([X.ravel() for X in maps])
-    q, _ = np.linalg.qr(stacked.T)
+    done = set()
+    for beta in B.elements():
+        if beta in done:
+            continue
+        done.update(B.add(beta, y) for y in shifts)
+        proj1, W1 = blocks1[beta]
+        W2 = blocks2[beta][1]
+        # X_ij = W2[:, i] (x) (W1^H proj1)[j], moved by every translation
+        moved = np.einsum("kai,kjb->ijab", n2 @ W2,
+                          W1.conj().T @ proj1 @ n1_inv)
+        maps.append(moved.reshape(-1, d2 * d1))
+    # the extended maps are independent but, unless the eigenspace
+    # decompositions are orthogonal, not orthonormal
+    q, _ = np.linalg.qr(np.concatenate(maps).T)
     return [q[:, i].reshape(d2, d1) for i in range(q.shape[1])]
 
 

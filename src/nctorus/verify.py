@@ -596,9 +596,9 @@ def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
                 params: Mapping = None, corrupt_phi: bool = False) -> list:
     """Run one scope (or every scope) and return the collected results.
 
-    An unknown scope or grid and invalid ``params`` raise ``ValueError``
-    before any battery runs.  An exception raised inside a battery is a
-    failed check, not bad input: it is recorded as a failing
+    An unknown scope or grid, a negative seed and invalid ``params`` raise
+    ``ValueError`` before any battery runs.  An exception raised inside a
+    battery is a failed check, not bad input: it is recorded as a failing
     ``<scope>-battery`` result whose witness names the exception, and the
     remaining scopes still run.
     """
@@ -606,6 +606,8 @@ def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
         raise ValueError(f"unknown grid {grid!r}")
     if scope != "all" and scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if params:
         params_from_dict(params)
     batteries = {

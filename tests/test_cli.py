@@ -86,6 +86,13 @@ def test_star_mul_bad_expression(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("expr", ["1/0", "0/0", "2/0*t1", "1/0i"])
+def test_star_mul_zero_denominator_is_bad_input(capsys, expr):
+    rc, out, err = run_cli(capsys, "star", "mul", expr, "1")
+    assert rc == 2 and not out
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_bad_param_json(capsys):
     rc, _, err = run_cli(capsys, "star", "mul", "t1", "t1",
                          "--param", "{not json")
@@ -152,6 +159,14 @@ def test_unknown_scope_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--scope", "bogus"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_negative_seed_is_bad_input(capsys, as_json):
+    argv = ["verify", "--seed", "-1", *(["--json"] if as_json else [])]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and not out
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 def test_fm_demo(capsys):

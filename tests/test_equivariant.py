@@ -6,6 +6,7 @@ from nctorus.equivariant import (
     EquivariantObject,
     GroupCocycleTable,
     GSet,
+    _null_space_rows,
     check_linearization,
     forget,
     free,
@@ -16,6 +17,7 @@ from nctorus.equivariant import (
     to_module,
     twisted_algebra,
 )
+from nctorus.finitefm import TorusModel, free_sheaf, random_sheaf
 from nctorus.lattice import FiniteAbelianGroup, GroupBilinearTable
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -311,6 +313,161 @@ def test_hom_space_rejects_mismatched_gsets():
     b = free({"*": 1}, GroupCocycleTable.trivial(H), GSet.trivial(H))
     with pytest.raises(ValueError):
         hom_space(a, b)
+
+
+def stacked_hom_dim(a, b, tol=1e-9):
+    """Oracle: the hom dimension as the null space of one stacked system
+    over every point, with the constraints of each group generator."""
+    gset = a.gset
+    points = gset.points
+    sizes = {s: b.dims[s] * a.dims[s] for s in points}
+    offsets = {}
+    run = 0
+    for s in points:
+        offsets[s] = run
+        run += sizes[s]
+    nvars = run
+    if nvars == 0:
+        return 0
+    blocks = []
+    for g in a.group.generators():
+        for s in points:
+            t = gset.act(s, g)
+            rows = b.dims[t] * a.dims[s]
+            if rows == 0:
+                continue
+            eq = np.zeros((rows, nvars), dtype=complex)
+            eq[:, offsets[t]:offsets[t] + sizes[t]] += \
+                np.kron(np.eye(b.dims[t]), a.matrix(g, s).T)
+            eq[:, offsets[s]:offsets[s] + sizes[s]] -= \
+                np.kron(b.matrix(g, s), np.eye(a.dims[s]))
+            blocks.append(eq)
+    return len(_null_space_rows(blocks, nvars, tol))
+
+
+def torus_models():
+    def G(*factors):
+        return FiniteAbelianGroup(factors)
+    half = GroupBilinearTable(G(2), [[Phase(1, 2)]])
+    upper = GroupBilinearTable(
+        G(2, 2), [[Phase.zero(), Phase(1, 2)], [Phase.zero(), Phase.zero()]])
+    return [TorusModel(G(4), G(2), [[2]], half),
+            TorusModel(G(8), G(4), [[2]],
+                       GroupBilinearTable(G(4), [[Phase(1, 4)]])),
+            TorusModel(G(2, 4), G(2, 2), [[1, 0], [0, 2]], upper),
+            TorusModel(G(2, 2, 2), G(2, 2), [[1, 0], [0, 1], [0, 0]])]
+
+
+def quotient_gset(factors):
+    """``G`` acting by translation on the group with the last factor of
+    ``G`` cut down to 2: more than one point per orbit when ``G`` has
+    another factor, and the stabilizer ``{0, 2, ...}`` in the last factor
+    when that factor exceeds 2."""
+    G = FiniteAbelianGroup(factors)
+    Q = FiniteAbelianGroup(factors[:-1] + (2,))
+    return GSet(G, tuple(Q.elements()), Q.add)
+
+
+def conjugated_free(dims, phi, gset, rng):
+    obj = free(dims, phi, gset)
+    return obj.conjugate({s: rng.normal(size=(d, d))
+                          + 1j * rng.normal(size=(d, d))
+                          for s, d in obj.dims.items()})
+
+
+def orbit_representatives(gset):
+    reps, seen = [], set()
+    for s in gset.points:
+        if s not in seen:
+            reps.append(s)
+            seen.update(gset.act(s, g) for g in gset.group.elements())
+    return reps
+
+
+def test_hom_dim_matches_the_stacked_oracle_on_gsets():
+    rng = np.random.default_rng(67)
+    gsets = [quotient_gset((4,)), quotient_gset((2, 4))]
+    for factors in [(2,), (4,), (2, 2)]:
+        G = FiniteAbelianGroup(factors)
+        gsets += [GSet.regular(G), GSet.trivial(G, ("p", "q"))]
+    for gset in gsets:
+        for _ in range(2):
+            phi = random_bilinear_phi(gset.group, rng)
+            a, b = (conjugated_free(
+                {s: int(rng.integers(0, 2)) for s in gset.points},
+                phi, gset, rng) for _ in range(2))
+            assert hom_dim(a, b) == stacked_hom_dim(a, b), gset
+
+
+def test_hom_dim_on_torus_models_is_the_orbit_formula():
+    rng = np.random.default_rng(71)
+    for model in torus_models():
+        reps = orbit_representatives(model.gset)
+        assert len(reps) < len(model.gset.points)
+        for _ in range(3):
+            s1, s2 = random_sheaf(model, rng), random_sheaf(model, rng)
+            want = sum(s1.dims[s] * s2.dims[s] for s in reps)
+            assert hom_dim(s1, s2) == want == stacked_hom_dim(s1, s2)
+
+
+def test_hom_space_is_frobenius_orthonormal():
+    rng = np.random.default_rng(73)
+    G = FiniteAbelianGroup((2, 4))
+    cases = [(random_sheaf(model, rng), random_sheaf(model, rng))
+             for model in torus_models()]
+    phi = random_bilinear_phi(G, rng)
+    gset = quotient_gset((2, 4))
+    cases.append(tuple(conjugated_free(
+        {s: 1 for s in gset.points}, phi, gset, rng) for _ in range(2)))
+    for a, b in cases:
+        basis = hom_space(a, b)
+        assert basis
+        flat = np.array([np.concatenate([fam[s].ravel()
+                                         for s in a.gset.points])
+                         for fam in basis])
+        gram = flat.conj() @ flat.T
+        assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-9
+        for fam in basis:
+            for g in a.group.elements():
+                for s in a.gset.points:
+                    t = a.gset.act(s, g)
+                    resid = fam[t] @ a.matrix(g, s) - b.matrix(g, s) @ fam[s]
+                    assert np.max(np.abs(resid), initial=0.0) < 1e-9
+
+
+def test_hom_space_rejects_singular_transports():
+    model = torus_models()[0]
+    obj = free_sheaf(model, {s: 1 for s in model.gset.points})
+    zero = EquivariantObject(
+        obj.gset, obj.dims,
+        {g: {s: np.zeros_like(m) for s, m in per.items()}
+         for g, per in obj.rho.items()})
+    for a, b in ((zero, obj), (obj, zero)):
+        with pytest.raises(ValueError, match="not invertible"):
+            hom_space(a, b)
+
+
+def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):
+    rng = np.random.default_rng(61)
+    pairs = []
+    for factors in [(2, 2), (2, 4)]:
+        G = FiniteAbelianGroup(factors)
+        gset = GSet.trivial(G, ("p", "q"))
+        for _ in range(2):
+            phi = random_bilinear_phi(G, rng)
+            pairs.append(tuple(conjugated_free(
+                {s: int(rng.integers(0, 3)) for s in gset.points},
+                phi, gset, rng) for _ in range(2)))
+    expected = [hom_dim(a, b) for a, b in pairs]
+    calls = []
+
+    def failing_svd(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    assert [hom_dim(a, b) for a, b in pairs] == expected
+    assert calls and any(expected)
 
 
 # ---------------------------------------------------------------------------

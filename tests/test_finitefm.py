@@ -307,20 +307,28 @@ def test_factorization_flags_a_wrong_comparison_permutation(monkeypatch):
     assert report.witness[1] in set(model.Khat.elements())
 
 
-def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):
+def test_module_hom_space_is_frobenius_orthonormal():
     rng = np.random.default_rng(61)
-    pairs = [(random_sheaf(model, rng), random_sheaf(model, rng))
-             for model in ALL_MODELS for _ in range(2)]
-    expected = [hom_dim(s1, s2) for s1, s2 in pairs]
-    calls = []
+    for model in ALL_MODELS:
+        m1, m2 = (fm_lambda(model, random_sheaf(model, rng)) for _ in range(2))
+        n = m2.dim
+        m2 = m2.conjugate(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        basis = module_hom_space(m1, m2)
+        assert basis
+        flat = np.array([X.ravel() for X in basis])
+        gram = flat.conj() @ flat.T
+        assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-9
 
-    def failing_svd(*args, **kwargs):
-        calls.append(1)
-        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    assert [hom_dim(s1, s2) for s1, s2 in pairs] == expected
-    assert calls and any(expected)
+def test_module_hom_space_rejects_singular_translations():
+    rng = np.random.default_rng(62)
+    model = model_halved(True)
+    mod = fm_lambda(model, random_sheaf(model, rng))
+    zero = ModuleOnXLambda(model, mod.pi,
+                           {k: np.zeros_like(m) for k, m in mod.n.items()})
+    for m1, m2 in ((zero, mod), (mod, zero)):
+        with pytest.raises(ValueError, match="not invertible"):
+            module_hom_space(m1, m2)
 
 
 def test_inverse_handles_conjugated_modules():
