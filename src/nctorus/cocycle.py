@@ -21,6 +21,7 @@ import cmath
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -320,11 +321,15 @@ class BilinearCocycle:
         """``s . M t`` reduced modulo ``N``."""
         if len(s) != self.g or len(t) != self.g:
             raise ValueError(f"expected vectors of length {self.g}")
+        return self._exponent(s, t) % self.N
+
+    def _exponent(self, s: Sequence[int], t: Sequence[int]) -> int:
+        """Unreduced ``s . M t`` for vectors known to have length ``g``."""
         total = 0
         for si, row in zip(s, self.M):
             if si:
-                total += si * sum(m * tj for m, tj in zip(row, t))
-        return total % self.N
+                total += si * sum(map(operator.mul, row, t))
+        return total
 
     def __call__(self, s: Sequence[int], t: Sequence[int]) -> Phase:
         return Phase(self.exponent(s, t), self.N)
@@ -393,13 +398,24 @@ def check_cocycle(lam, window: ExponentWindow | None = None,
             raise ValueError("pass a window for cochains that do not carry one")
         window = ExponentWindow.centered(g, 2)
 
-    def violates(t1: Vec, t2: Vec, t3: Vec) -> bool:
-        try:
-            lhs = lam(t1, t2) + lam(_vadd(t1, t2), t3)
-            rhs = lam(t1, _vadd(t2, t3)) + lam(t2, t3)
-        except WindowError:
-            return False
-        return lhs != rhs
+    if isinstance(lam, BilinearCocycle):
+        # the same identity in integer exponents modulo N, with the vector
+        # lengths checked once for the whole window
+        if window.g != lam.g:
+            raise ValueError(f"expected vectors of length {lam.g}")
+        e = lam._exponent
+
+        def violates(t1: Vec, t2: Vec, t3: Vec) -> bool:
+            return (e(t1, t2) + e(_vadd(t1, t2), t3) - e(t1, _vadd(t2, t3))
+                    - e(t2, t3)) % lam.N != 0
+    else:
+        def violates(t1: Vec, t2: Vec, t3: Vec) -> bool:
+            try:
+                lhs = lam(t1, t2) + lam(_vadd(t1, t2), t3)
+                rhs = lam(t1, _vadd(t2, t3)) + lam(t2, t3)
+            except WindowError:
+                return False
+            return lhs != rhs
 
     if samples is None:
         for t1 in window:

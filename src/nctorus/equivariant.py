@@ -34,10 +34,11 @@ class GSet:
     """Finite set with a right action of a finite abelian group.
 
     The action axioms are checked exhaustively on construction (the sets
-    here are small), so downstream code can rely on them.
+    here are small), so downstream code can rely on them.  The check fills
+    ``table[s][g] = s.g`` for every point and every ``g`` in ``elements()``.
     """
 
-    __slots__ = ("group", "points", "_act")
+    __slots__ = ("group", "points", "table")
 
     def __init__(self, group: FiniteAbelianGroup, points: Sequence,
                  act: Callable):
@@ -48,23 +49,23 @@ class GSet:
             raise ValueError("a G-set needs at least one point")
         self.group = group
         self.points = points
-        self._act = act
-        pts = set(points)
-        for s in points:
-            if act(s, group.zero()) != s:
+        table = {s: {g: act(s, g) for g in group.elements()} for s in points}
+        zero = group.zero()
+        for s, row in table.items():
+            if row[zero] != s:
                 raise ValueError(f"identity does not fix {s}")
-        for s in points:
-            for g1 in group.elements():
-                mid = act(s, g1)
-                if mid not in pts:
+        for s, row in table.items():
+            for g1, mid in row.items():
+                if mid not in table:
                     raise ValueError(f"action leaves the point set at {s}.{g1}")
-                for g2 in group.elements():
-                    if act(mid, g2) != act(s, group.add(g1, g2)):
+                for g2, t in table[mid].items():
+                    if t != row[group.add(g1, g2)]:
                         raise ValueError(
                             f"action is not associative at ({s}, {g1}, {g2})")
+        self.table = table
 
     def act(self, s, g):
-        return self._act(s, g)
+        return self.table[s][self.group.reduce(g)]
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup, points: Sequence = ("*",)) -> "GSet":
@@ -179,8 +180,7 @@ class EquivariantObject:
             mats = {}
             for s in gset.points:
                 m = np.asarray(per_point[s], dtype=complex)
-                target = gset.act(s, g)
-                want = (self.dims[target], self.dims[s])
+                want = (self.dims[gset.table[s][g]], self.dims[s])
                 if m.shape != want:
                     raise ValueError(
                         f"transport for ({g}, {s}) has shape {m.shape}, "
@@ -206,7 +206,7 @@ class EquivariantObject:
         """
         inv = {s: np.linalg.inv(np.asarray(T[s], dtype=complex))
                for s in self.gset.points}
-        rho = {g: {s: np.asarray(T[self.gset.act(s, g)], dtype=complex)
+        rho = {g: {s: np.asarray(T[self.gset.table[s][g]], dtype=complex)
                    @ self.rho[g][s] @ inv[s]
                    for s in self.gset.points}
                for g in self.group.elements()}
@@ -241,16 +241,17 @@ def check_linearization(obj: EquivariantObject, phi,
     """Verify ``rho_{g2}[s.g1] rho_{g1}[s] == phi(g1,g2) rho_{g1+g2}[s]``
     entrywise within ``tol`` for all group pairs and points."""
     G = obj.group
-    gset = obj.gset
+    table = obj.gset.table
+    rho = obj.rho
     worst = 0.0
     witness = None
     for g1 in G.elements():
         for g2 in G.elements():
-            g12 = G.add(g1, g2)
+            rho1, rho2, rho12 = rho[g1], rho[g2], rho[G.add(g1, g2)]
             scale = phi(g1, g2) if callable(phi) else phi[(g1, g2)]
-            for s in gset.points:
-                lhs = obj.matrix(g2, gset.act(s, g1)) @ obj.matrix(g1, s)
-                rhs = scale * obj.matrix(g12, s)
+            for s in obj.gset.points:
+                lhs = rho2[table[s][g1]] @ rho1[s]
+                rhs = scale * rho12[s]
                 dev = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
                 if dev > worst:
                     worst = dev
@@ -276,6 +277,7 @@ def free(dims: Mapping, phi, gset: GSet) -> EquivariantObject:
     non-cocycles.
     """
     G = gset.group
+    table = gset.table
     order = list(G.elements())
     pos = {g: i for i, g in enumerate(order)}
     base = {s: int(dims.get(s, 0)) for s in gset.points}
@@ -286,24 +288,25 @@ def free(dims: Mapping, phi, gset: GSet) -> EquivariantObject:
         run = 0
         for gp in order:
             offs.append(run)
-            run += base[gset.act(s, gp)]
+            run += base[table[s][gp]]
         offsets[s] = offs
         total[s] = run
     rho = {}
-    for g in G.elements():
+    for g in order:
+        # summand g' of the target comes from summand g + g' of the source
+        src = [pos[G.add(g, gp)] for gp in order]
+        scales = [phi(g, gp) if callable(phi) else phi[(g, gp)]
+                  for gp in order]
         mats = {}
         for s in gset.points:
-            t = gset.act(s, g)
+            t = table[s][g]
             m = np.zeros((total[t], total[s]), dtype=complex)
-            for gp in order:
-                d = base[gset.act(t, gp)]
-                if not d:
-                    continue
-                src = G.add(g, gp)
-                scale = phi(g, gp) if callable(phi) else phi[(g, gp)]
-                r0 = offsets[t][pos[gp]]
-                c0 = offsets[s][pos[src]]
-                m[r0:r0 + d, c0:c0 + d] = scale * np.eye(d)
+            for i, gp in enumerate(order):
+                d = base[table[t][gp]]
+                if d:
+                    r0 = offsets[t][i]
+                    c0 = offsets[s][src[i]]
+                    m[r0:r0 + d, c0:c0 + d] = scales[i] * np.eye(d)
             mats[s] = m
         rho[g] = mats
     return EquivariantObject(gset, total, rho)
@@ -359,33 +362,28 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
     ``ValueError`` when a transport out of an orbit representative is
     singular.
     """
-    if a.gset is not b.gset:
-        same = (a.gset.points == b.gset.points and a.group == b.group
-                and all(a.gset.act(s, g) == b.gset.act(s, g)
-                        for s in a.gset.points
-                        for g in a.group.elements()))
-        if not same:
-            raise ValueError("objects live on different G-sets")
+    if a.gset is not b.gset and (
+            a.gset.points != b.gset.points or a.group != b.group
+            or a.gset.table != b.gset.table):
+        raise ValueError("objects live on different G-sets")
     gset = a.gset
-    elements = list(a.group.elements())
     out = []
     done = set()
     for s in gset.points:
         if s in done:
             continue
-        # the first element reaching each point; elements() starts at zero,
-        # so any later element fixing s is a nontrivial stabilizer element
+        # the first element reaching each point; rows follow elements(), which
+        # starts at zero, so any later element fixing s is a nontrivial one
         orbit = {}
         stab = []
-        for g in elements:
-            t = gset.act(s, g)
+        for g, t in gset.table[s].items():
             if t not in orbit:
                 orbit[t] = g
             elif t == s:
                 stab.append(g)
         done.update(orbit)
-        rho_a = [a.matrix(g, s) for g in orbit.values()]
-        rho_b = [b.matrix(g, s) for g in orbit.values()]
+        rho_a = [a.rho[g][s] for g in orbit.values()]
+        rho_b = [b.rho[g][s] for g in orbit.values()]
         rho_a_inv = _inverse(rho_a, f"a transport out of {s}")
         _inverse(rho_b, f"a transport out of {s}")
         da, db = a.dims[s], b.dims[s]
@@ -393,8 +391,8 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
             continue
         # chi @ ra - rb @ chi  ->  (I kron ra^T - rb kron I) vec(chi) for the
         # stabilizer transports ra, rb, with chi vectorized row-major
-        rep = _null_space_rows([np.kron(np.eye(db), a.matrix(h, s).T)
-                                - np.kron(b.matrix(h, s), np.eye(da))
+        rep = _null_space_rows([np.kron(np.eye(db), a.rho[h][s].T)
+                                - np.kron(b.rho[h][s], np.eye(da))
                                 for h in stab], da * db, tol)
         if not rep:
             continue
@@ -534,10 +532,8 @@ def to_module(obj: EquivariantObject) -> dict:
     The family at each point is a (right) module over the twisted algebra
     on that point set; requires the underlying action to be trivial.
     """
-    for s in obj.gset.points:
-        for g in obj.group.elements():
-            if obj.gset.act(s, g) != s:
-                raise ValueError("to_module needs a trivial underlying action")
+    if any(t != s for s, row in obj.gset.table.items() for t in row.values()):
+        raise ValueError("to_module needs a trivial underlying action")
     return {s: {g: obj.matrix(g, s).copy() for g in obj.group.elements()}
             for s in obj.gset.points}
 

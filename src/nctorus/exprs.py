@@ -128,9 +128,11 @@ def _parse_coeff(text: str) -> complex:
         raise ParseError("empty coefficient")
     if text == "i":
         return sign * 1j
-    if text.endswith("i"):
-        return sign * float(_parse_rational(text[:-1])) * 1j
-    return sign * float(_parse_rational(text)) + 0j
+    try:
+        value = sign * float(_parse_rational(text.removesuffix("i")))
+    except OverflowError:
+        raise ParseError(f"coefficient {text!r} is too large") from None
+    return value * 1j if text.endswith("i") else value + 0j
 
 
 _VAR = re.compile(r"t(\d+)(?:\^(-?\d+))?\Z")

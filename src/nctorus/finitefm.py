@@ -42,7 +42,8 @@ from .equivariant import (
     check_linearization,
     free,
 )
-from .lattice import DualPairData, FiniteAbelianGroup, GroupBilinearTable
+from .lattice import (DualPairData, FiniteAbelianGroup, GroupBilinearTable,
+                      _matvec)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ class TorusModel:
     tuples; it must be injective.  ``lam`` defaults to the trivial form.
     """
 
-    __slots__ = ("B", "Khat", "embed", "lam", "phi", "gset")
+    __slots__ = ("B", "Khat", "embed", "lam", "phi", "gset", "_iota")
 
     def __init__(self, B: FiniteAbelianGroup, Khat: FiniteAbelianGroup,
                  embed, lam: GroupBilinearTable = None):
@@ -287,18 +288,16 @@ class TorusModel:
             if rel != B.zero():
                 raise ValueError(
                     f"embedding does not respect the order of generator {j}")
-        for k in Khat.elements():
-            if self.iota(k) == B.zero() and k != Khat.zero():
+        self._iota = {k: B.reduce(_matvec(embed, k)) for k in Khat.elements()}
+        for k, x in self._iota.items():
+            if x == B.zero() and k != Khat.zero():
                 raise ValueError(f"embedding is not injective: {k} maps to 0")
         self.gset = GSet(Khat, tuple(B.elements()),
-                         lambda beta, k: B.add(beta, self.iota(k)))
+                         lambda beta, k: B.add(beta, self._iota[k]))
 
     def iota(self, k):
         """Image of a ``Khat`` element among the dual tuples."""
-        k = self.Khat.reduce(k)
-        return self.B.reduce(tuple(
-            sum(self.embed[i][j] * k[j] for j in range(self.Khat.rank))
-            for i in range(self.B.rank)))
+        return self._iota[self.Khat.reduce(k)]
 
     def character(self, k, a) -> Phase:
         """Pairing phase ``<iota(k), a>`` of the embedded element with ``a``."""
@@ -508,14 +507,14 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject,
     layout, total = _sheaf_layout(model, sheaf)
     dims = sheaf.dims
     n = {}
-    for k in model.Khat.elements():
-        yhat = model.B.neg(model.iota(k))
+    for k, rho in sheaf.rho.items():
+        yhat = model.B.neg(model._iota[k])
         shifted = translate_graded(dims, yhat, model.B)
         mid_layout, mid_total = _graded_layout(shifted, model.B)
         mid_offset = {beta: off for beta, off, _ in mid_layout}
         blockwise = np.zeros((mid_total, total), dtype=complex)
         for beta, off, d in layout:
-            u = sheaf.matrix(k, beta)
+            u = rho[beta]
             r0 = mid_offset[beta]
             blockwise[r0:r0 + u.shape[0], off:off + d] = u
         n[k] = fm_ab_equivariance_iso(dims, yhat, model.B) @ blockwise
@@ -528,8 +527,8 @@ def fm_lambda_inverse(model: TorusModel, module: ModuleOnXLambda,
     character eigenspaces of the ``B``-action and the transports are the
     translation operators compressed between them."""
     bases = {beta: W for beta, (_, W) in _eigenspace_bases(module, tol).items()}
-    rho = {k: {beta: bases[model.gset.act(beta, k)].conj().T
-               @ module.n_matrix(k) @ bases[beta]
+    rho = {k: {beta: bases[model.gset.table[beta][k]].conj().T
+               @ module.n[k] @ bases[beta]
                for beta in model.gset.points}
            for k in model.Khat.elements()}
     dims = {beta: W.shape[1] for beta, W in bases.items()}
@@ -625,12 +624,13 @@ def verify_factorization(model: TorusModel, sheaf: EquivariantObject,
     big = total * nK
     offset = {beta: off for beta, off, _ in layout}
     zero = kernel.index[model.Khat.zero()]
+    table = model.gset.table
     emb = np.zeros((big, total), dtype=complex)
-    for k in model.Khat.elements():
+    for k, rho in sheaf.rho.items():
         tau = kernel.left_matrix(k)[:, zero:zero + 1]
         for beta, off, d in layout:
-            u = sheaf.matrix(k, beta)
-            t0 = offset[model.gset.act(beta, k)]
+            u = rho[beta]
+            t0 = offset[table[beta][k]]
             emb[t0 * nK:(t0 + u.shape[0]) * nK, off:off + d] += np.kron(u, tau)
     emb /= nK
     module = fm_lambda(model, sheaf, tol, validate=False)
@@ -652,9 +652,8 @@ def verify_factorization(model: TorusModel, sheaf: EquivariantObject,
         diag = np.zeros(big, dtype=complex)
         for beta, off, d in layout:
             for j_pos, j in enumerate(kernel.order):
-                grade = model.B.add(beta, model.iota(j))
                 diag[off * nK + j_pos:(off + d) * nK:nK] = \
-                    model.B.pairing(grade, a).embed()
+                    model.B.pairing(table[beta][j], a).embed()
         note(np.diag(diag), module.pi[a], ("character", a))
     return LinearizationReport(witness is None and worst <= tol, worst, witness)
 

@@ -218,9 +218,12 @@ class FiniteAbelianGroup:
     which sends ``(x, chi)`` to the phase ``sum_i x_i chi_i / d_i``.  It is
     evaluated in integer exponents over the group exponent
     ``L = lcm(d_1, ..., d_r)``: the phase is ``(sum_i x_i chi_i L/d_i) / L``.
+    The first :meth:`elements` call caches the elements and their index, from
+    which :meth:`reduce` then returns canonical tuples; a group that is never
+    enumerated (such as a quotient of order ``2**64``) builds neither.
     """
 
-    __slots__ = ("factors", "exponent", "_weights")
+    __slots__ = ("factors", "exponent", "_weights", "_elements", "_index")
 
     def __init__(self, factors: Sequence[int]):
         fs = tuple(int(d) for d in factors)
@@ -229,6 +232,8 @@ class FiniteAbelianGroup:
         self.factors = fs
         self.exponent = math.lcm(*fs)
         self._weights = tuple(self.exponent // d for d in fs)
+        self._elements = None
+        self._index = None
 
     @property
     def rank(self) -> int:
@@ -242,6 +247,10 @@ class FiniteAbelianGroup:
         return (0,) * len(self.factors)
 
     def reduce(self, x: Sequence[int]) -> Vec:
+        if self._index is not None and type(x) is tuple:
+            i = self._index.get(x)
+            if i is not None:
+                return self._elements[i]
         if len(x) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates")
         return tuple(int(a) % d for a, d in zip(x, self.factors))
@@ -257,7 +266,11 @@ class FiniteAbelianGroup:
         return tuple((n * a) % d for a, d in zip(self.reduce(x), self.factors))
 
     def elements(self) -> Iterator[Vec]:
-        return itertools.product(*(range(d) for d in self.factors))
+        if self._elements is None:
+            self._elements = tuple(
+                itertools.product(*(range(d) for d in self.factors)))
+            self._index = {x: i for i, x in enumerate(self._elements)}
+        return iter(self._elements)
 
     def generators(self) -> list[Vec]:
         """One standard generator per cyclic factor."""

@@ -93,6 +93,15 @@ def test_star_mul_zero_denominator_is_bad_input(capsys, expr):
     assert err.startswith("error:") and "zero denominator" in err
 
 
+@pytest.mark.parametrize("expr", ["9" * 400, "9" * 400 + "i",
+                                  "t1 - " + "9" * 400 + "i*t2"],
+                         ids=["real", "imaginary", "in-a-sum"])
+def test_star_mul_coefficient_too_large_for_float_is_bad_input(capsys, expr):
+    rc, out, err = run_cli(capsys, "star", "mul", expr, "1")
+    assert rc == 2 and not out
+    assert err.startswith("error:") and "too large" in err
+
+
 def test_bad_param_json(capsys):
     rc, _, err = run_cli(capsys, "star", "mul", "t1", "t1",
                          "--param", "{not json")

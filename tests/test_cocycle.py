@@ -303,6 +303,10 @@ def test_bilinear_rejects_bad_shapes():
         BilinearCocycle([[1]], 0)
     with pytest.raises(ValueError):
         BilinearCocycle([[1]], 3).exponent((1, 2), (1,))
+    for samples in (None, 5):
+        with pytest.raises(ValueError, match="expected vectors of length 1"):
+            check_cocycle(BilinearCocycle([[1]], 3), samples=samples,
+                          window=ExponentWindow.centered(2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,63 @@ def test_gset_trivial():
     assert S.act("a", (1, 1)) == "a"
 
 
+def unreduced_forms(G, g, rng):
+    """``g`` as the caller may pass it: shifted by multiples of the factors
+    (also negative ones), as a list, and in numpy ints."""
+    shift = [int(v) for v in rng.integers(-3, 4, size=G.rank)]
+    moved = tuple(a + m * d for a, m, d in zip(g, shift, G.factors))
+    return [g, moved, list(moved), tuple(np.int64(a) for a in moved)]
+
+
+def test_gset_act_matches_the_action_callable():
+    """``act`` reads the table filled at construction; it must give what
+    the callable gives on every point and element, reduced or not."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for factors in [(4,), (2, 2), (2, 3)]:
+        G = FiniteAbelianGroup(factors)
+        cases.append((G, tuple(G.elements()), G.add))
+        cases.append((G, ("a", "b"), lambda s, g: s))
+    for factors in [(4,), (2, 4)]:
+        G = FiniteAbelianGroup(factors)
+        Q = FiniteAbelianGroup(factors[:-1] + (2,))
+        cases.append((G, tuple(Q.elements()), Q.add))
+    for model in torus_models():
+        B, K = model.B, model.Khat
+
+        def shift(beta, k, B=B, K=K, embed=model.embed):
+            return B.add(beta, tuple(
+                sum(e * c for e, c in zip(row, K.reduce(k))) for row in embed))
+        cases.append((K, model.gset.points, shift))
+        assert GSet(K, model.gset.points, shift).table == model.gset.table
+    for G, points, act in cases:
+        gset = GSet(G, points, act)
+        assert list(gset.table) == list(points)
+        for s in points:
+            assert list(gset.table[s]) == list(G.elements())
+            for g in G.elements():
+                for form in unreduced_forms(G, g, rng):
+                    assert gset.act(s, form) == act(s, g), (s, form)
+
+
 def test_gset_rejects_escaping_action():
     G = FiniteAbelianGroup((4,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^action leaves the point set at a\.\(1,\)$"):
+        GSet(G, ("a", "b"), lambda s, g: "c" if g[0] else s)
+    # escaping only at a later element: associativity breaks first
+    with pytest.raises(ValueError, match=r"^action is not associative at "
+                                         r"\(0, \(1,\), \(3,\)\)$"):
         GSet(G, (0, 1, 2, 3), lambda s, g: s + g[0])
 
 
 def test_gset_rejects_non_action():
     G = FiniteAbelianGroup((4,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^action is not associative at "
+                                         r"\(0, \(1,\), \(1,\)\)$"):
         GSet(G, (0, 1, 2, 3), lambda s, g: (s + g[0] ** 2) % 4)
+    with pytest.raises(ValueError, match=r"^identity does not fix 1$"):
+        GSet(G, (0, 1), lambda s, g: 0)
 
 
 def test_gset_rejects_duplicate_points():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,45 @@ def test_model_rejects_bad_embeddings():
         TorusModel(B, FiniteAbelianGroup((4,)), [[2]])   # kernel contains 2
     with pytest.raises(ValueError):
         TorusModel(B, FiniteAbelianGroup((2,)), [[1], [0]])
+
+
+def test_model_iota_table_matches_the_embedding_formula():
+    """Every integer embedding of ``Khat`` in {1, Z/2, (Z/2)^2, Z/4} into a
+    ``B`` of order at most 8 (entries reduced per row, which covers the
+    acceptance family): the model exists exactly when the embedding
+    respects the generator orders and is injective, and then ``iota`` is
+    the matrix formula on every element, reduced or not."""
+    built = 0
+    for b in [(2,), (4,), (8,), (2, 2), (2, 4), (2, 2, 2)]:
+        B = FiniteAbelianGroup(b)
+        for k in [(), (2,), (2, 2), (4,)]:
+            K = FiniteAbelianGroup(k)
+            for entries in itertools.product(
+                    *(range(d) for d in b for _ in k)):
+                embed = [list(entries[i * len(k):(i + 1) * len(k)])
+                         for i in range(len(b))]
+
+                def formula(x):
+                    return tuple(sum(e * c for e, c in zip(row, x)) % d
+                                 for row, d in zip(embed, b))
+                images = [formula(x) for x in K.elements()]
+                valid = len(set(images)) == K.size and all(
+                    formula(tuple(dj * (i == j) for i in range(len(k))))
+                    == B.zero() for j, dj in enumerate(k))
+                if not valid:
+                    with pytest.raises(ValueError):
+                        TorusModel(B, K, embed)
+                    continue
+                model = TorusModel(B, K, embed)
+                built += 1
+                for x in K.elements():
+                    for form in (x, [a + 3 * d for a, d in zip(x, k)],
+                                 tuple(np.int64(a - d) for a, d in zip(x, k))):
+                        assert model.iota(form) == formula(x), (embed, form)
+                    for beta in B.elements():
+                        assert model.gset.act(beta, x) == B.add(beta,
+                                                                formula(x))
+    assert built > 25
 
 
 def test_model_translation_orbits():

@@ -127,6 +127,55 @@ def test_group_basics():
     assert (3, 1) in G and (4, 0) not in G and (1,) not in G
 
 
+@pytest.mark.parametrize("factors", [(), (5,), (4, 2), (2, 3, 4)])
+def test_indexed_arithmetic_matches_tuple_oracle(factors):
+    """Once a group is enumerated, ``reduce``, ``add`` and ``neg`` answer
+    from its element index; they must still agree with plain modular tuple
+    arithmetic on every accepted form of input."""
+    G = FiniteAbelianGroup(factors)
+    r = len(factors)
+    order = list(itertools.product(*(range(d) for d in factors)))
+    assert list(G.elements()) == order
+    assert list(G.elements()) == order and list(G) == order
+
+    def oracle(x):
+        return tuple(int(a) % d for a, d in zip(x, factors))
+
+    rng = np.random.default_rng(len(order))
+    inputs = order + [list(x) for x in order]
+    inputs += [tuple(np.int64(a) for a in x) for x in order]
+    inputs += [np.array(x, dtype=np.int64) for x in order[:5]]
+    inputs += [tuple(int(v) for v in rng.integers(-30, 30, size=r))
+               for _ in range(40)]
+    inputs += [tuple(a + 2 ** 70 * d for a, d in zip(x, factors))
+               for x in order[:5]]
+    for x in inputs:
+        want = oracle(x)
+        got = G.reduce(x)
+        assert got == want and type(got) is tuple, x
+        assert all(type(a) is int for a in got), x
+        assert G.neg(x) == tuple((-a) % d for a, d in zip(want, factors))
+        for y in inputs[::7]:
+            assert G.add(x, y) == tuple(
+                (a + b) % d for a, b, d in zip(want, oracle(y), factors))
+    for bad in [(0,) * (r + 1), [0] * (r + 1), (1,) * (r + 2)] \
+            + ([(0,) * (r - 1)] if r else []):
+        for call in (G.reduce, G.neg, lambda x: G.add(x, G.zero()),
+                     lambda x: G.add(G.zero(), x)):
+            with pytest.raises(ValueError, match=f"expected {r} coordinates"):
+                call(bad)
+
+
+def test_group_builds_its_index_only_when_enumerated():
+    G = FiniteAbelianGroup((4, 6))
+    assert G.reduce((5, -1)) == (1, 5) and G.add((3, 5), (1, 1)) == (0, 0)
+    assert G.neg((1, 1)) == (3, 5) and (1, 2) in G
+    assert G.pairing((1, 1), (1, 1)) == Phase(5, 12)
+    assert G._elements is None and G._index is None
+    assert len(list(G.elements())) == 24
+    assert len(G._elements) == len(G._index) == 24
+
+
 def test_group_pairing_is_bimultiplicative_and_separates():
     G = FiniteAbelianGroup((2, 4))
     assert G.pairing((1, 0), (1, 0)) == Phase(1, 2)
@@ -380,6 +429,8 @@ def test_H_hat_and_K_hat_beyond_int64(M, m):
     assert quo.project(quo.lift((m - 1, 2))) == (m - 1, 2)
     table = descend_cocycle(lam, quo)
     assert table((1, 0), (0, 1)) == Phase(M[0][1], N)
+    # nothing above enumerated the quotient, so it built no element index
+    assert quo.group._elements is None and quo.group._index is None
 
 
 def test_K_hat_surjective_small():
