@@ -236,7 +236,7 @@ class LinearizationReport:
                 f" witness={self.witness})")
 
 
-def check_linearization(obj: EquivariantObject, phi,
+def check_linearization(obj: EquivariantObject, phi: GroupCocycleTable,
                         tol: float = 1e-9) -> LinearizationReport:
     """Verify ``rho_{g2}[s.g1] rho_{g1}[s] == phi(g1,g2) rho_{g1+g2}[s]``
     entrywise within ``tol`` for all group pairs and points."""
@@ -248,7 +248,7 @@ def check_linearization(obj: EquivariantObject, phi,
     for g1 in G.elements():
         for g2 in G.elements():
             rho1, rho2, rho12 = rho[g1], rho[g2], rho[G.add(g1, g2)]
-            scale = phi(g1, g2) if callable(phi) else phi[(g1, g2)]
+            scale = phi(g1, g2)
             for s in obj.gset.points:
                 lhs = rho2[table[s][g1]] @ rho1[s]
                 rhs = scale * rho12[s]
@@ -265,7 +265,8 @@ def forget(obj: EquivariantObject) -> dict:
     return dict(obj.dims)
 
 
-def free(dims: Mapping, phi, gset: GSet) -> EquivariantObject:
+def free(dims: Mapping, phi: GroupCocycleTable,
+         gset: GSet) -> EquivariantObject:
     """Induce a twisted-equivariant object from a bare graded space.
 
     The fiber at ``s`` is the direct sum over group elements ``g'`` of the
@@ -295,8 +296,7 @@ def free(dims: Mapping, phi, gset: GSet) -> EquivariantObject:
     for g in order:
         # summand g' of the target comes from summand g + g' of the source
         src = [pos[G.add(g, gp)] for gp in order]
-        scales = [phi(g, gp) if callable(phi) else phi[(g, gp)]
-                  for gp in order]
+        scales = [phi(g, gp) for gp in order]
         mats = {}
         for s in gset.points:
             t = table[s][g]

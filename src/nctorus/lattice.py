@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,38 +40,6 @@ def _matvec(rows: Sequence[Sequence[int]], t: Sequence[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, t)) for row in rows]
 
 
-def _fraction_solve(rows: Sequence[Sequence[int]], rhs: Sequence) -> list[Fraction]:
-    """Solve the square nonsingular system ``rows . x = rhs`` exactly."""
-    g = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(r)]
-           for row, r in zip(rows, rhs)]
-    for c in range(g):
-        piv = next((r for r in range(c, g) if aug[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        scale = aug[c][c]
-        aug[c] = [x / scale for x in aug[c]]
-        for r in range(g):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [aug[r][g] for r in range(g)]
-
-
-def _int_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    g = len(rows)
-    cols = []
-    for j in range(g):
-        e = [int(i == j) for i in range(g)]
-        sol = _fraction_solve(rows, e)
-        if any(x.denominator != 1 for x in sol):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(x) for x in sol])
-    return [[cols[j][i] for j in range(g)] for i in range(g)]
-
-
 def _triangular_solve(rows: Sequence[Sequence[int]],
                       rhs: Sequence[int]) -> list[int] | None:
     """Integer solution of ``rows . x = rhs`` for a lower-triangular ``rows``
@@ -89,18 +56,23 @@ def _triangular_solve(rows: Sequence[Sequence[int]],
 
 def _smith_rows(A: Sequence[Sequence[int]]):
     """:func:`smith_normal_form` with ``D``, ``U`` and ``V`` returned as
-    lists of Python-int rows, so entries of any size stay exact."""
+    lists of Python-int rows, so entries of any size stay exact, followed
+    by ``U``'s inverse: every row operation on ``U`` is matched by the
+    inverse column operation on it."""
     M = [[int(x) for x in row] for row in A]
     m = len(M)
     n = len(M[0]) if m else 0
     if any(len(row) != n for row in M):
         raise ValueError("ragged matrix")
     U = _identity(m)
+    Uinv = _identity(m)
     V = _identity(n)
 
     def swap_rows(a, b):
         M[a], M[b] = M[b], M[a]
         U[a], U[b] = U[b], U[a]
+        for row in Uinv:
+            row[a], row[b] = row[b], row[a]
 
     def swap_cols(a, b):
         for row in M:
@@ -111,6 +83,8 @@ def _smith_rows(A: Sequence[Sequence[int]]):
     def add_row(dst, src, q):  # row_dst += q * row_src
         M[dst] = [x + q * y for x, y in zip(M[dst], M[src])]
         U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        for row in Uinv:  # col_src -= q * col_dst
+            row[src] -= q * row[dst]
 
     def add_col(dst, src, q):
         for row in M:
@@ -155,7 +129,9 @@ def _smith_rows(A: Sequence[Sequence[int]]):
         if M[i][i] < 0:
             M[i] = [-x for x in M[i]]
             U[i] = [-x for x in U[i]]
-    return M, U, V
+            for row in Uinv:
+                row[i] = -row[i]
+    return M, U, V, Uinv
 
 
 def smith_normal_form(A: Sequence[Sequence[int]]):
@@ -165,7 +141,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     ``V`` unimodular, and ``D`` diagonal with nonnegative entries each
     dividing the next.
     """
-    return tuple(np.array(X, dtype=np.int64) for X in _smith_rows(A))
+    return tuple(np.array(X, dtype=np.int64) for X in _smith_rows(A)[:3])
 
 
 def _hermite_columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -174,7 +150,7 @@ def _hermite_columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     positive diagonal and reduced entries left of it."""
     r = len(rows)
     M = [list(map(int, row)) for row in rows]
-    k = len(M[0])
+    k = len(M[0]) if M else 0
 
     def add_col(dst, src, q):
         for row in M:
@@ -461,10 +437,26 @@ def compute_H_hat(Lam: Sequence[Sequence[int]], N: int) -> SublatticeBasis:
         for j in range(g):
             if (L[i][j] + L[j][i]) % N:
                 raise ValueError("Lam must be antisymmetric modulo N")
-    D, _, V = _smith_rows(L)
+    D, _, V, _ = _smith_rows(L)
     mult = [N // math.gcd(D[i][i], N) for i in range(g)]
     B = [[V[i][j] * mult[j] for j in range(g)] for i in range(g)]
     return SublatticeBasis(B, N)
+
+
+def _cyclic_factors(relations: Sequence[Sequence[int]]):
+    """Smith-reduce a square relation matrix whose columns span a full-rank
+    lattice.  ``Z^g`` modulo that span is the sum of ``Z/d`` over the
+    ``kept`` diagonal entries ``d > 1``: ``U . t`` gives the coordinates of
+    ``t``, and the kept columns of ``U``'s inverse lift the generators.
+
+    Returns ``(group, U, diagonal, kept, lifts)``.
+    """
+    D, U, _, Uinv = _smith_rows(relations)
+    diagonal = [D[i][i] for i in range(len(D))]
+    kept = [i for i, d in enumerate(diagonal) if d > 1]
+    lifts = [tuple(row[i] for row in Uinv) for i in kept]
+    return (FiniteAbelianGroup([diagonal[i] for i in kept]), U, diagonal,
+            kept, lifts)
 
 
 class QuotientPresentation:
@@ -472,16 +464,17 @@ class QuotientPresentation:
 
     ``project`` maps exponent vectors onto quotient coordinates and
     ``lift`` is an explicit section of it; the lifts of the quotient
-    generators are stored in ``lifts``.
+    generators are stored in ``lifts``.  The fields after ``sublattice``
+    are those of :func:`_cyclic_factors`.
     """
 
-    __slots__ = ("sublattice", "group", "U", "factors_full", "kept", "lifts")
+    __slots__ = ("sublattice", "group", "U", "diagonal", "kept", "lifts")
 
-    def __init__(self, sublattice, group, U, factors_full, kept, lifts):
+    def __init__(self, sublattice, group, U, diagonal, kept, lifts):
         self.sublattice = sublattice
         self.group = group
         self.U = U
-        self.factors_full = factors_full
+        self.diagonal = diagonal
         self.kept = kept
         self.lifts = lifts
 
@@ -489,7 +482,7 @@ class QuotientPresentation:
         if len(t) != self.sublattice.g:
             raise ValueError(f"expected a length-{self.sublattice.g} vector")
         y = _matvec(self.U, [int(x) for x in t])
-        return tuple(y[i] % self.factors_full[i] for i in self.kept)
+        return tuple(y[i] % self.diagonal[i] for i in self.kept)
 
     def lift(self, k: Sequence[int]) -> Vec:
         k = self.group.reduce(k)
@@ -507,14 +500,7 @@ class QuotientPresentation:
 
 def compute_K_hat(sub: SublatticeBasis) -> QuotientPresentation:
     """Present ``Z^g`` modulo the given sublattice as cyclic factors."""
-    D, U, _ = _smith_rows(sub.rows)
-    g = sub.g
-    factors_full = [D[i][i] for i in range(g)]
-    kept = [i for i, d in enumerate(factors_full) if d > 1]
-    group = FiniteAbelianGroup([factors_full[i] for i in kept])
-    Uinv = _int_inverse(U)
-    lifts = [tuple(Uinv[row][i] for row in range(g)) for i in kept]
-    return QuotientPresentation(sub, group, U, factors_full, kept, lifts)
+    return QuotientPresentation(sub, *_cyclic_factors(sub.rows))
 
 
 def descend_cocycle(lam: BilinearCocycle,
@@ -615,36 +601,31 @@ class SubgroupPresentation:
     abstract coordinates into the ambient group and :meth:`restrict` maps
     ambient members of the subgroup back.  ``elements`` lists the subgroup
     inside the ambient group in sorted order.
+
+    In the coordinates of the Hermite ``basis`` of its integer lifts the
+    subgroup is ``Z^r`` modulo the ambient relations, which ``quotient``
+    presents.
     """
 
-    __slots__ = ("ambient", "group", "elements", "_gens_ambient",
-                 "_basis", "_U2", "_factors_full", "_kept")
+    __slots__ = ("ambient", "group", "elements", "_basis", "_quotient")
 
-    def __init__(self, ambient, group, elements, gens_ambient,
-                 basis, U2, factors_full, kept):
+    def __init__(self, ambient: FiniteAbelianGroup, basis,
+                 quotient: QuotientPresentation):
         self.ambient = ambient
-        self.group = group
-        self.elements = elements
-        self._gens_ambient = gens_ambient
+        self.group = quotient.group
         self._basis = basis
-        self._U2 = U2
-        self._factors_full = factors_full
-        self._kept = kept
+        self._quotient = quotient
+        self.elements = tuple(sorted(map(self.embed, self.group.elements())))
 
     def embed(self, k: Sequence[int]) -> Vec:
-        k = self.group.reduce(k)
-        out = self.ambient.zero()
-        for coeff, gen in zip(k, self._gens_ambient):
-            out = self.ambient.add(out, self.ambient.scale(coeff, gen))
-        return out
+        return self.ambient.reduce(_matvec(self._basis, self._quotient.lift(k)))
 
     def restrict(self, x: Sequence[int]) -> Vec:
         x = self.ambient.reduce(x)
         sol = _triangular_solve(self._basis, x)
         if sol is None:
             raise ValueError(f"{x} is not in the subgroup")
-        y = _matvec(self._U2, sol)
-        return tuple(y[i] % self._factors_full[i] for i in self._kept)
+        return self._quotient.project(sol)
 
     def __repr__(self) -> str:
         return (f"SubgroupPresentation(factors={list(self.group.factors)} "
@@ -653,45 +634,21 @@ class SubgroupPresentation:
 
 def subgroup_presentation(G: FiniteAbelianGroup,
                           gens: Sequence[Sequence[int]]) -> SubgroupPresentation:
-    """Close a generating set inside ``G`` and present the subgroup.
+    """Present the subgroup of ``G`` generated by ``gens``.
 
     The presentation is computed from the lattice of integer lifts: the
     subgroup is the span of the generator lifts plus the relation lattice of
-    ``G``, modulo those relations, which Smith reduction turns into cyclic
-    factors with explicit coordinate maps in both directions.
+    ``G``, modulo those relations, which :func:`_cyclic_factors` turns into
+    cyclic factors with explicit coordinate maps in both directions.
     """
-    gens = [G.reduce(g) for g in gens]
-    elems = {G.zero()}
-    frontier = [G.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.add(x, g)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
     r = G.rank
-    if r == 0:
-        trivial = FiniteAbelianGroup(())
-        return SubgroupPresentation(G, trivial, ((),), (), (), (), (), ())
-    cols: list[Vec] = [h for h in sorted(elems)]
-    cols += [tuple(d * int(i == j) for i in range(r))
-             for j, d in enumerate(G.factors)]
-    stacked = [[col[i] for col in cols] for i in range(r)]
-    basis = _hermite_columns(stacked)
+    rels = [tuple(d * int(i == j) for i in range(r))
+            for j, d in enumerate(G.factors)]
+    cols = [G.reduce(g) for g in gens] + rels
+    basis = _hermite_columns([[col[i] for col in cols] for i in range(r)])
     # the relation vectors are among the spanning columns, so each solves
-    rel_cols = [_triangular_solve(basis, [d * int(i == j) for i in range(r)])
-                for j, d in enumerate(G.factors)]
-    relations = [[rel_cols[j][i] for j in range(r)] for i in range(r)]
-    D2, U2rows, _ = _smith_rows(relations)
-    factors_full = [D2[i][i] for i in range(r)]
-    kept = [i for i, d in enumerate(factors_full) if d > 1]
-    group = FiniteAbelianGroup([factors_full[i] for i in kept])
-    U2inv = _int_inverse(U2rows)
-    gens_ambient = []
-    for i in kept:
-        w = _matvec(basis, [U2inv[row][i] for row in range(r)])
-        gens_ambient.append(G.reduce(w))
-    return SubgroupPresentation(G, group, tuple(sorted(elems)),
-                                tuple(gens_ambient), basis, U2rows,
-                                factors_full, kept)
+    rel_cols = [_triangular_solve(basis, rel) for rel in rels]
+    relations = [[col[i] for col in rel_cols] for i in range(r)]
+    quotient = QuotientPresentation(SublatticeBasis(relations, G.exponent),
+                                    *_cyclic_factors(relations))
+    return SubgroupPresentation(G, basis, quotient)

@@ -256,20 +256,9 @@ def mul_W(f: QPolynomial, h: QPolynomial, lam: BilinearCocycle) -> QPolynomial:
     """
     if f.g != h.g or lam.g != f.g:
         raise ValueError("rank mismatch")
-    A = lam.antisymmetrized()
-    N = lam.N
-    zero = (0,) * f.g
-    out: dict[Key, Coeff] = {}
-    for (a, b), ca in f.terms.items():
-        if b != zero:
-            raise ValueError("mul_W is for pure t-polynomials; use mul_crossed")
-        for (a2, b2), cb in h.terms.items():
-            if b2 != zero:
-                raise ValueError("mul_W is for pure t-polynomials; use mul_crossed")
-            key = (tuple(x + y for x, y in zip(a, a2)), zero)
-            c = ca * cb * Phase(_reorder_exponent(A, a, a2), N)
-            out[key] = out[key] + c if key in out else c
-    return QPolynomial(f.g, out)
+    if any(any(b) for p in (f, h) for _, b in p.terms):
+        raise ValueError("mul_W is for pure t-polynomials; use mul_crossed")
+    return mul_crossed(f, h, lam, PeriodMatrix.ones(f.g))
 
 
 def mul_crossed(f: QPolynomial, h: QPolynomial, lam: BilinearCocycle,

@@ -20,6 +20,7 @@ from nctorus.lattice import (
     FiniteAbelianGroup,
     GroupBilinearTable,
     SublatticeBasis,
+    _smith_rows,
     compute_H_hat,
     compute_K_hat,
     descend_cocycle,
@@ -27,6 +28,21 @@ from nctorus.lattice import (
     smith_normal_form,
     subgroup_presentation,
 )
+
+
+def int_matmul(A, B):
+    """Product of two matrices given as rows of Python ints."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def assert_tracked_inverse(A):
+    """``_smith_rows`` returns ``U A V == D`` and the exact inverse of ``U``."""
+    D, U, V, Uinv = _smith_rows(A)
+    assert int_matmul(int_matmul(U, A), V) == D
+    identity = [[int(i == j) for j in range(len(U))] for i in range(len(U))]
+    assert int_matmul(U, Uinv) == identity
+    assert int_matmul(Uinv, U) == identity
 
 
 def brute_kernel_residues(Lam, N, g):
@@ -78,6 +94,7 @@ def test_snf_random_matrices_have_all_invariants():
         A = rng.integers(-9, 10, size=(m, n))
         D, U, V = smith_normal_form(A)
         assert (U @ A @ V == D).all()
+        assert_tracked_inverse(A.tolist())
         assert abs(round(float(np.linalg.det(U)))) == 1
         assert abs(round(float(np.linalg.det(V)))) == 1
         diag = [int(D[i, i]) for i in range(min(m, n))]
@@ -418,6 +435,9 @@ def test_H_hat_and_K_hat_beyond_int64(M, m):
     The commutant is ``m Z^2`` with ``m = N / gcd(M_01, N)``."""
     N = 2 ** 64
     lam = BilinearCocycle(M, N)
+    for A in (lam.antisymmetrized(), [[N, 3], [2 * N + 1, N - 5]],
+              [[m, 0, 1], [N, 2 * m, 7]]):
+        assert_tracked_inverse(A)
     sub = compute_H_hat(lam.antisymmetrized(), N)
     assert sub.index == m * m
     assert sub.rows == ((m, 0), (0, m))
@@ -569,6 +589,8 @@ def test_subgroup_restrict_matches_enumeration():
                     x = G.add(x, G.scale(c, gen))
                 span.add(x)
             sub = subgroup_presentation(G, gens)
+            assert set(sub.elements) == span
+            assert len(sub.elements) == len(span)
             for x in G.elements():
                 if x in span:
                     k = sub.restrict(x)
