@@ -147,11 +147,6 @@ class GroupCocycleTable:
                                  {(g2, g1): v
                                   for (g1, g2), v in self.table.items()})
 
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
-        return all(abs(self(g1, g2) - self(g2, g1)) <= tol
-                   for g1 in self.group.elements()
-                   for g2 in self.group.elements())
-
 
 class EquivariantObject:
     """Graded vector spaces over a G-set with twisted transport maps.
@@ -312,30 +307,39 @@ def free(dims: Mapping, phi: GroupCocycleTable,
     return EquivariantObject(gset, total, rho)
 
 
-def _null_space_rows(blocks: list, nvars: int, tol: float) -> list:
-    """Orthonormal null-space vectors of a stacked linear system; an empty
-    system means every vector qualifies."""
-    if not blocks:
-        return [row for row in np.eye(nvars, dtype=complex)]
-    system = np.vstack(blocks)
-    wide = system.shape[0] < system.shape[1]
+def _projector_images(P: np.ndarray, where: Sequence, tol: float) -> list:
+    """Orthonormal bases of the images of a stack of projectors ``P``.
+
+    Each rank ``r`` is the trace of its projector, which must be integral,
+    and the basis is the leading ``r`` left singular vectors.  Raises
+    ``ValueError`` naming ``where[i]`` unless ``P[i]`` is a projector of
+    rank ``r``: exactly ``r`` singular values above the cut, and ``P[i]``
+    fixing the columns returned.
+    """
     try:
-        _, svals, vh = np.linalg.svd(system, full_matrices=wide)
+        U, svals, _ = np.linalg.svd(P)
+        floor = 0.0
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge on tall stacked systems;
-        # fall back to the Hermitian spectrum of the Gram matrix.  Squaring
-        # costs half the precision, so zero eigenvalues only come out at
-        # the eigh noise floor and the cut must sit above it.
-        gram = system.conj().T @ system
-        evals, evecs = np.linalg.eigh(gram)
-        lmax = max(float(evals[-1]), 1.0)
-        floor = np.finfo(float).eps * max(gram.shape) * lmax
-        cut = max((tol ** 2) * lmax, floor)
-        return [evecs[:, i] for i in range(evecs.shape[1])
-                if evals[i] <= cut]
-    scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
-    return [vh[i].conj() for i in range(vh.shape[0])
-            if i >= len(svals) or svals[i] <= tol * scale]
+        # gesdd occasionally fails to converge; fall back to the Hermitian
+        # spectrum of P P^H.  Squaring costs half the precision, so zero
+        # singular values only come out at the root of the eigh noise floor
+        # and the cut must sit above it.
+        evals, U = np.linalg.eigh(P @ P.conj().swapaxes(-1, -2))
+        U, svals = U[..., ::-1], np.sqrt(np.clip(evals[..., ::-1], 0, None))
+        floor = float(np.sqrt(np.finfo(float).eps * P.shape[-1]))
+    out = []
+    for w, p, trace, u, s in zip(where, P, np.trace(P, axis1=1, axis2=2),
+                                 U, svals):
+        r = round(trace.real)
+        if abs(trace - r) > 1e-6:
+            raise ValueError(f"non-integral rank {trace:.6g} at {w}")
+        cut = max(tol, floor) * max(1.0, s[0] if len(s) else 1.0)
+        basis = u[:, :r]
+        if (np.count_nonzero(s > cut) != r
+                or np.max(np.abs(p @ basis - basis), initial=0.0) > cut):
+            raise ValueError(f"averaging at {w} is no projector of rank {r}")
+        out.append(basis)
+    return out
 
 
 def _inverse(mats: list, what: str) -> np.ndarray:
@@ -356,11 +360,13 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
     cancels between the two sides, so this is meaningful whenever ``a`` and
     ``b`` satisfy the same law.  A solution is fixed on each orbit by its
     value at one point ``s``, which need only commute with the transports
-    of the stabilizer of ``s``; transport gives the rest, ``chi[s.g] =
-    rho^b_g[s] chi[s] rho^a_g[s]^-1`` (Frobenius reciprocity).  Returns
-    Frobenius-orthonormal basis families, one QR per orbit.  Raises
-    ``ValueError`` when a transport out of an orbit representative is
-    singular.
+    of the stabilizer of ``s``: it lies in the image of the projector that
+    averages ``chi -> rho^b_h[s] chi rho^a_h[s]^-1`` over the stabilizer.
+    Transport gives the rest, ``chi[s.g] = rho^b_g[s] chi[s]
+    rho^a_g[s]^-1`` (Frobenius reciprocity).  Returns Frobenius-orthonormal
+    basis families, one QR per orbit.  Raises ``ValueError`` when a
+    transport out of an orbit representative is singular, or when the
+    average is not a projector (the laws differ on a stabilizer).
     """
     if a.gset is not b.gset and (
             a.gset.points != b.gset.points or a.group != b.group
@@ -372,14 +378,12 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
     for s in gset.points:
         if s in done:
             continue
-        # the first element reaching each point; rows follow elements(), which
-        # starts at zero, so any later element fixing s is a nontrivial one
+        # the first element reaching each point, and the stabilizer of s
         orbit = {}
         stab = []
         for g, t in gset.table[s].items():
-            if t not in orbit:
-                orbit[t] = g
-            elif t == s:
+            orbit.setdefault(t, g)
+            if t == s:
                 stab.append(g)
         done.update(orbit)
         rho_a = [a.rho[g][s] for g in orbit.values()]
@@ -389,16 +393,20 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
         da, db = a.dims[s], b.dims[s]
         if not da * db:
             continue
-        # chi @ ra - rb @ chi  ->  (I kron ra^T - rb kron I) vec(chi) for the
-        # stabilizer transports ra, rb, with chi vectorized row-major
-        rep = _null_space_rows([np.kron(np.eye(db), a.rho[h][s].T)
-                                - np.kron(b.rho[h][s], np.eye(da))
-                                for h in stab], da * db, tol)
-        if not rep:
-            continue
-        chi = np.array(rep).reshape(-1, 1, db, da)
+        if len(stab) > 1:
+            # chi -> rb chi ra^-1 averaged over the stabilizer projects onto
+            # the solutions when a and b satisfy one law, whose scalars then
+            # cancel; chi is vectorized row-major
+            rb = np.array([b.rho[h][s] for h in stab])
+            ra_inv = _inverse([a.rho[h][s] for h in stab],
+                              f"a transport fixing {s}")
+            P = np.einsum("hij,hlk->ikjl", rb, ra_inv) / len(stab)
+            sol = _projector_images(P.reshape(1, db * da, -1), [s], tol)[0].T
+        else:
+            sol = np.eye(db * da)
+        chi = sol.reshape(-1, 1, db, da)
         moved = np.array(rho_b) @ chi @ rho_a_inv
-        q, _ = np.linalg.qr(moved.reshape(len(rep), -1).T)
+        q, _ = np.linalg.qr(moved.reshape(len(sol), len(orbit) * db * da).T)
         for fam in q.T.reshape(-1, len(orbit), db, da):
             full = {p: np.zeros((b.dims[p], a.dims[p]), dtype=complex)
                     for p in gset.points}
@@ -438,6 +446,8 @@ class TwistedAlgebra:
 
     With the trivial twist this is the commutative algebra of functions on
     ``S x G``; a nondegenerate twist at a point gives a matrix algebra.
+    ``phi`` must be a 2-cocycle, which makes the product associative and
+    lets the invariants below be read off the twist.
     """
 
     __slots__ = ("points", "group", "phi", "basis", "_index")
@@ -446,6 +456,9 @@ class TwistedAlgebra:
                  phi: GroupCocycleTable):
         if phi.group != group:
             raise ValueError("twist lives on a different group")
+        ok, witness = phi.check()
+        if not ok:
+            raise ValueError(f"twist is not a 2-cocycle at {witness}")
         self.points = tuple(points)
         self.group = group
         self.phi = phi
@@ -485,37 +498,31 @@ class TwistedAlgebra:
             m[self._index[target], self._index[k2]] = coeff
         return m
 
+    def _radical_size(self, tol: float) -> int:
+        """Number of ``g`` with ``phi(g, h) = phi(h, g)`` for every ``h``.
+        The commutator ``phi(g, h) / phi(h, g)`` of a 2-cocycle is a
+        bicharacter, so its values are roots of unity of order dividing the
+        group exponent ``L``, at least ``2 sin(pi/L)`` apart from 1."""
+        elts = list(self.group.elements())
+        phi = np.array([[self.phi.table[(g, h)] for h in elts] for g in elts])
+        return int(np.count_nonzero(
+            np.all(np.abs(phi / phi.T - 1) <= tol, axis=1)))
+
     def is_commutative(self, tol: float = 1e-9) -> bool:
-        return self.phi.is_symmetric(tol)
+        return self._radical_size(tol) == self.group.size
 
     def center_dim(self, tol: float = 1e-9) -> int:
-        """Dimension of the center.
+        """Dimension of the center: ``sum_g c_g e_(s,g)`` commutes with
+        ``e_(s,h)`` exactly when ``c_g (phi(g, h) - phi(h, g)) = 0``, so the
+        center is spanned by the ``e_(s,g)`` with ``g`` in the radical of
+        the commutator, at every point."""
+        return len(self.points) * self._radical_size(tol)
 
-        An element written in coordinates over the basis is central exactly
-        when its left regular matrix commutes with every basis one (the
-        representation is faithful, the algebra being unital), so the count
-        is the null-space dimension of the stacked commutator system.
-        """
-        mats = [self.left_regular_matrix(k) for k in self.basis]
-        stacked = np.stack([m.reshape(-1) for m in mats], axis=1)
-        comm = []
-        for m in mats:
-            comm.append((np.kron(np.eye(self.dim), m.T)
-                         - np.kron(m, np.eye(self.dim))) @ stacked)
-        total = np.vstack(comm)
-        svals = np.linalg.svd(total, compute_uv=False)
-        scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
-        return sum(1 for i in range(total.shape[1])
-                   if i >= len(svals) or svals[i] <= tol * scale)
-
-    def trace_form_rank(self, tol: float = 1e-9) -> int:
-        """Rank of the trace form of the left regular representation; the
-        algebra is semisimple exactly when this is the full dimension."""
-        mats = [self.left_regular_matrix(k) for k in self.basis]
-        gram = np.array([[np.trace(m1 @ m2) for m2 in mats] for m1 in mats])
-        svals = np.linalg.svd(gram, compute_uv=False)
-        scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
-        return int(sum(sv > tol * scale for sv in svals))
+    def trace_form_rank(self) -> int:
+        """Rank of the trace form of the left regular representation: the
+        full dimension, since a twisted group algebra over the complex
+        numbers is semisimple."""
+        return self.dim
 
     def __repr__(self) -> str:
         return (f"TwistedAlgebra({len(self.points)} points, "

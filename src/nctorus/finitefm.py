@@ -39,6 +39,7 @@ from .equivariant import (
     GSet,
     LinearizationReport,
     _inverse,
+    _projector_images,
     check_linearization,
     free,
 )
@@ -145,38 +146,38 @@ def fm_ab(dims: Mapping, B: FiniteAbelianGroup) -> BRepresentation:
     return BRepresentation(B, pi)
 
 
-def character_projector(rep: BRepresentation, beta) -> np.ndarray:
-    """Averaged projector onto the ``<beta, .>``-eigenspace."""
+def character_projectors(rep: BRepresentation) -> np.ndarray:
+    """Averaged projectors onto the character eigenspaces, stacked in
+    element order: ``P[beta] = (1/|B|) sum_a <beta, a>^-1 pi(a)``."""
     B = rep.group
-    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for a in B.elements():
-        acc += (-B.pairing(beta, a)).embed() * rep.matrix(a)
-    return acc / B.size
+    elts = list(B.elements())
+    chars = np.array([[(-B.pairing(beta, a)).embed() for a in elts]
+                      for beta in elts])
+    pi = np.array([rep.pi[a] for a in elts])
+    return np.einsum("ba,aij->bij", chars, pi) / B.size
+
+
+def _eigenspace_bases(rep: BRepresentation, tol: float) -> dict:
+    """Character projector and an orthonormal basis of its image, per
+    character; ``ValueError`` unless the images exhaust ``rep``."""
+    elts = list(rep.group.elements())
+    projs = character_projectors(rep)
+    bases = _projector_images(projs, elts, tol)
+    if sum(W.shape[1] for W in bases) != rep.dim:
+        raise ValueError("character eigenspaces do not exhaust the "
+                         "representation")
+    return dict(zip(elts, zip(projs, bases)))
 
 
 def fm_ab_inverse(rep: BRepresentation, tol: float = 1e-9) -> dict:
     """Recover the graded dimensions from character eigenspaces.
 
-    Raises ``ValueError`` when the eigenspace ranks do not exhaust the
-    representation (it was not a true character decomposition).
+    Raises ``ValueError`` unless the averaged character projectors are
+    projectors whose ranks exhaust the representation (it was not a true
+    character decomposition).
     """
-    B = rep.group
-    dims = {}
-    total = 0
-    for beta in B.elements():
-        proj = character_projector(rep, beta)
-        if rep.dim and float(np.max(np.abs(proj @ proj - proj))) > tol * 10:
-            raise ValueError(f"averaging at {beta} is not a projector; "
-                             "input is not a representation")
-        r = int(round(float(np.trace(proj).real)))
-        if abs(np.trace(proj).real - r) > 1e-6 or abs(np.trace(proj).imag) > 1e-6:
-            raise ValueError(f"non-integral eigenspace rank at {beta}")
-        dims[beta] = r
-        total += r
-    if total != rep.dim:
-        raise ValueError("character eigenspaces do not span; "
-                         "input is not a representation by characters")
-    return {b: d for b, d in dims.items() if d}
+    return {beta: W.shape[1] for beta, (_, W)
+            in _eigenspace_bases(rep, tol).items() if W.shape[1]}
 
 
 def dft_matrix(B: FiniteAbelianGroup) -> np.ndarray:
@@ -526,32 +527,14 @@ def fm_lambda_inverse(model: TorusModel, module: ModuleOnXLambda,
     """Recover a twisted-equivariant object from a module: fibers are the
     character eigenspaces of the ``B``-action and the transports are the
     translation operators compressed between them."""
-    bases = {beta: W for beta, (_, W) in _eigenspace_bases(module, tol).items()}
+    bases = {beta: W for beta, (_, W)
+             in _eigenspace_bases(module.rep(), tol).items()}
     rho = {k: {beta: bases[model.gset.table[beta][k]].conj().T
                @ module.n[k] @ bases[beta]
                for beta in model.gset.points}
            for k in model.Khat.elements()}
     dims = {beta: W.shape[1] for beta, W in bases.items()}
     return EquivariantObject(model.gset, dims, rho)
-
-
-def _eigenspace_bases(module: ModuleOnXLambda, tol: float) -> dict:
-    """Character projector and an orthonormal basis of its image, per
-    character of the ``B``-action."""
-    rep = module.rep()
-    out = {}
-    total = 0
-    for beta in module.model.B.elements():
-        proj = character_projector(rep, beta)
-        r = int(round(float(np.trace(proj).real)))
-        U, svals, _ = np.linalg.svd(proj)
-        if r < len(svals) and svals[r] > tol * max(1.0, svals[0] if len(svals) else 1.0):
-            raise ValueError(f"ambiguous eigenspace at {beta}")
-        out[beta] = (proj, U[:, :r])
-        total += r
-    if total != module.dim:
-        raise ValueError("character eigenspaces do not exhaust the module")
-    return out
 
 
 def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
@@ -582,8 +565,8 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
     _inverse(list(m2.n.values()), "a translation operator")
     n2 = np.array(list(m2.n.values()))
     shifts = [model.iota(k) for k in m1.n]
-    blocks1 = _eigenspace_bases(m1, tol)
-    blocks2 = _eigenspace_bases(m2, tol)
+    blocks1 = _eigenspace_bases(m1.rep(), tol)
+    blocks2 = _eigenspace_bases(m2.rep(), tol)
     maps = []
     done = set()
     for beta in B.elements():

@@ -139,9 +139,12 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
 
     Returns ``(D, U, V)`` as int64 arrays with ``U @ A @ V == D``, ``U`` and
     ``V`` unimodular, and ``D`` diagonal with nonnegative entries each
-    dividing the next.
+    dividing the next.  Raises ``ValueError`` when an entry leaves int64.
     """
-    return tuple(np.array(X, dtype=np.int64) for X in _smith_rows(A)[:3])
+    try:
+        return tuple(np.array(X, dtype=np.int64) for X in _smith_rows(A)[:3])
+    except OverflowError:
+        raise ValueError("Smith form has an entry outside int64") from None
 
 
 def _hermite_columns(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -107,7 +107,10 @@ class PeriodMatrix:
 
     @classmethod
     def ones(cls, g: int) -> "PeriodMatrix":
-        return cls([[1.0] * g for _ in range(g)])
+        """The all-ones matrix, built without per-entry validation."""
+        m = cls.__new__(cls)
+        m.g, m.q = g, ((1 + 0j,) * g,) * g
+        return m
 
     def entry(self, i: int, j: int) -> complex:
         return self.q[i][j]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from nctorus.equivariant import (
     EquivariantObject,
     GroupCocycleTable,
     GSet,
-    _null_space_rows,
     check_linearization,
     forget,
     free,
@@ -362,6 +363,32 @@ def test_hom_space_rejects_mismatched_gsets():
         hom_space(a, b)
 
 
+def _null_space_rows(blocks: list, nvars: int, tol: float) -> list:
+    """Orthonormal null-space vectors of a stacked linear system; an empty
+    system means every vector qualifies."""
+    if not blocks:
+        return [row for row in np.eye(nvars, dtype=complex)]
+    system = np.vstack(blocks)
+    wide = system.shape[0] < system.shape[1]
+    try:
+        _, svals, vh = np.linalg.svd(system, full_matrices=wide)
+    except np.linalg.LinAlgError:
+        # gesdd occasionally fails to converge on tall stacked systems;
+        # fall back to the Hermitian spectrum of the Gram matrix.  Squaring
+        # costs half the precision, so zero eigenvalues only come out at
+        # the eigh noise floor and the cut must sit above it.
+        gram = system.conj().T @ system
+        evals, evecs = np.linalg.eigh(gram)
+        lmax = max(float(evals[-1]), 1.0)
+        floor = np.finfo(float).eps * max(gram.shape) * lmax
+        cut = max((tol ** 2) * lmax, floor)
+        return [evecs[:, i] for i in range(evecs.shape[1])
+                if evals[i] <= cut]
+    scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
+    return [vh[i].conj() for i in range(vh.shape[0])
+            if i >= len(svals) or svals[i] <= tol * scale]
+
+
 def stacked_hom_dim(a, b, tol=1e-9):
     """Oracle: the hom dimension as the null space of one stacked system
     over every point, with the constraints of each group generator."""
@@ -432,16 +459,22 @@ def orbit_representatives(gset):
 
 
 def test_hom_dim_matches_the_stacked_oracle_on_gsets():
+    """Graded dims 0-2, except 0-1 on the quotient G-sets: there every
+    fiber of a free object sums the graded dims over eight points, and the
+    dense oracle grows with the square of the fibers."""
     rng = np.random.default_rng(67)
-    gsets = [quotient_gset((4,)), quotient_gset((2, 4))]
+    gsets = [(quotient_gset(factors), 1)
+             for factors in [(4,), (2, 4), (4, 4), (2, 2, 4)]]
     for factors in [(2,), (4,), (2, 2)]:
         G = FiniteAbelianGroup(factors)
-        gsets += [GSet.regular(G), GSet.trivial(G, ("p", "q"))]
-    for gset in gsets:
+        gsets += [(GSet.regular(G), 2), (GSet.trivial(G, ("p", "q")), 2)]
+    gsets += [(GSet.trivial(FiniteAbelianGroup(factors), ("p", "q")), 2)
+              for factors in [(3, 3), (2, 4)]]
+    for gset, top in gsets:
         for _ in range(2):
             phi = random_bilinear_phi(gset.group, rng)
             a, b = (conjugated_free(
-                {s: int(rng.integers(0, 2)) for s in gset.points},
+                {s: int(rng.integers(0, top + 1)) for s in gset.points},
                 phi, gset, rng) for _ in range(2))
             assert hom_dim(a, b) == stacked_hom_dim(a, b), gset
 
@@ -492,6 +525,19 @@ def test_hom_space_rejects_singular_transports():
     for a, b in ((zero, obj), (obj, zero)):
         with pytest.raises(ValueError, match="not invertible"):
             hom_space(a, b)
+
+
+def test_hom_space_rejects_objects_of_different_twists():
+    """On a trivial G-set the stabilizer is the whole group, and the
+    stabilizer average of two objects whose laws differ is no projector."""
+    G = klein()
+    gset = GSet.trivial(G, ("p", "q"))
+    dims = {"p": 1, "q": 0}
+    a = free(dims, pauli_phi(), gset)
+    b = free(dims, GroupCocycleTable.trivial(G), gset)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="averaging at p"):
+            hom_space(x, y)
 
 
 def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):
@@ -562,6 +608,82 @@ def test_algebra_nondegenerate_point_twist_is_matrix_algebra():
     assert not alg.is_commutative()
     assert alg.center_dim() == 1
     assert alg.trace_form_rank() == 4
+
+
+def kron_center_dim(alg, tol=1e-9):
+    """Oracle: an element is central exactly when its left regular matrix
+    commutes with every basis one (the representation is faithful, the
+    algebra being unital), so the center is the null space of the stacked
+    commutator system."""
+    mats = [alg.left_regular_matrix(k) for k in alg.basis]
+    stacked = np.stack([m.reshape(-1) for m in mats], axis=1)
+    eye = np.eye(alg.dim)
+    total = np.vstack([(np.kron(eye, m.T) - np.kron(m, eye)) @ stacked
+                       for m in mats])
+    svals = np.linalg.svd(total, compute_uv=False)
+    scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
+    return sum(1 for i in range(total.shape[1])
+               if i >= len(svals) or svals[i] <= tol * scale)
+
+
+def gram_trace_form_rank(alg, tol=1e-9):
+    """Oracle: the rank of the Gram matrix of the left regular trace form."""
+    mats = [alg.left_regular_matrix(k) for k in alg.basis]
+    gram = np.array([[np.trace(m1 @ m2) for m2 in mats] for m1 in mats])
+    svals = np.linalg.svd(gram, compute_uv=False)
+    scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
+    return int(sum(sv > tol * scale for sv in svals))
+
+
+SMALL_ABELIAN = [(), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,),
+                 (2, 4), (2, 2, 2), (9,), (3, 3), (10,), (11,), (12,),
+                 (2, 6)]
+
+
+@pytest.mark.parametrize("factors", SMALL_ABELIAN)
+def test_algebra_invariants_match_the_regular_oracles(factors):
+    """Every abelian group of order at most 12, a random bilinear twist and
+    a retwist of it by a 1-cochain of moduli in [0.5, 2], on one point and
+    on two."""
+    rng = np.random.default_rng(89 + len(factors) + sum(factors))
+    G = FiniteAbelianGroup(factors)
+    phi = random_bilinear_phi(G, rng)
+    alpha = {g: rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
+             for g in G.elements()}
+    for twist in (phi, phi.twisted_by(alpha)):
+        for points in (("*",), ("p", "q")):
+            alg = twisted_algebra(points, twist)
+            center = kron_center_dim(alg)
+            assert alg.center_dim() == center
+            assert alg.is_commutative() == (center == alg.dim)
+            assert alg.trace_form_rank() == gram_trace_form_rank(alg) \
+                == alg.dim
+
+
+def test_algebra_rejects_a_non_cocycle():
+    rng = np.random.default_rng(97)
+    G = FiniteAbelianGroup((2, 2))
+    table = GroupCocycleTable(
+        G, {(g1, g2): complex(*rng.uniform(0.5, 2.0, size=2))
+            for g1 in G.elements() for g2 in G.elements()})
+    assert not table.check()[0]
+    with pytest.raises(ValueError, match="not a 2-cocycle"):
+        twisted_algebra(("*",), table)
+
+
+def test_algebra_invariants_at_order_36_are_fast():
+    rng = np.random.default_rng(101)
+    phi = random_bilinear_phi(FiniteAbelianGroup((6, 6)), rng)
+    start = time.perf_counter()
+    alg = twisted_algebra(("p", "q"), phi)
+    center = alg.center_dim()
+    commutative = alg.is_commutative()
+    assert alg.trace_form_rank() == alg.dim == 72
+    assert time.perf_counter() - start < 1.0
+    assert center == 2 * sum(
+        all(phi(g, h) == phi(h, g) for h in alg.group.elements())
+        for g in alg.group.elements())
+    assert commutative == (center == alg.dim)
 
 
 def test_left_regular_is_a_homomorphism():

@@ -16,6 +16,7 @@ from nctorus.finitefm import (
     DeformedKernel,
     ModuleOnXLambda,
     TorusModel,
+    character_projectors,
     character_twist,
     check_fm_ab_equivariance,
     dft_matrix,
@@ -95,6 +96,26 @@ def test_fm_ab_inverse_roundtrip():
     dims = random_dims(B, rng)
     back = fm_ab_inverse(fm_ab(dims, B))
     assert back == {b: d for b, d in dims.items() if d}
+
+
+def test_character_projectors_match_the_per_character_loop():
+    """Oracle: one averaged projector per character, summed term by term."""
+    rng = np.random.default_rng(9)
+    for factors in [(4,), (2, 2), (2, 3)]:
+        B = FiniteAbelianGroup(factors)
+        dims = random_dims(B, rng)
+        T = rng.normal(size=(sum(dims.values()),) * 2)
+        rep = fm_ab(dims, B).conjugate(T)
+        stacked = character_projectors(rep)
+        assert stacked.shape == (B.size, rep.dim, rep.dim)
+        # both sum |B| terms, in different orders
+        tol = 4 * B.size * np.finfo(float).eps * max(
+            np.max(np.abs(m)) for m in rep.pi.values())
+        for P, beta in zip(stacked, B.elements()):
+            loop = sum((-B.pairing(beta, a)).embed() * rep.matrix(a)
+                       for a in B.elements()) / B.size
+            assert np.max(np.abs(P - loop)) <= tol
+            assert abs(np.trace(P) - dims[beta]) < 1e-9
 
 
 def test_fm_ab_inverse_rejects_non_representation():

@@ -129,6 +129,14 @@ def test_snf_zero_and_identity():
     assert D.tolist() == [[1, 0], [0, 1]]
 
 
+def test_snf_outside_int64_is_a_value_error():
+    """The second invariant of ``diag(2**62, 3)`` is ``3 * 2**62``."""
+    with pytest.raises(ValueError, match="int64"):
+        smith_normal_form([[2 ** 62, 0], [0, 3]])
+    with pytest.raises(ValueError, match="int64"):
+        smith_normal_form([[2 ** 64, 1], [0, 1]])
+
+
 # ---------------------------------------------------------------------------
 # FiniteAbelianGroup
 

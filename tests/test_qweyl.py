@@ -80,6 +80,9 @@ def test_period_matrix_validation():
     with pytest.raises(ValueError):
         PeriodMatrix([[1.0, 2.0]])
     assert PeriodMatrix.ones(2).entry(0, 1) == 1.0
+    for g in (1, 3):
+        ones = PeriodMatrix.ones(g)
+        assert ones == PeriodMatrix([[1.0] * g] * g) and ones.g == g
 
 
 def test_qpolynomial_merges_and_drops():
