@@ -267,26 +267,6 @@ class BoundedCochain:
         return CochainTable.from_function(self.window, self.fn, self.arity)
 
 
-class _RootTable(dict):
-    """``zeta_N ** k`` indexed by ``k`` in ``range(N)``, like the list
-    ``[zeta_N ** k for k in range(N)]`` but with each entry computed on
-    first use, so a huge ``N`` costs only the entries actually read."""
-
-    __slots__ = ("N",)
-
-    def __init__(self, N: int):
-        self.N = N
-
-    def __len__(self) -> int:
-        return self.N
-
-    def __missing__(self, k: int) -> complex:
-        if not 0 <= k < self.N:
-            raise KeyError(k)
-        root = self[k] = cmath.exp(2j * math.pi * k / self.N)
-        return root
-
-
 class BilinearCocycle:
     """Bilinear 2-cocycle ``lambda(s, t) = zeta_N ** (s . M t)`` on Z^g.
 
@@ -311,7 +291,7 @@ class BilinearCocycle:
         self.g = g
         self.N = N
         self.M = tuple(rows)
-        self._roots = _RootTable(N)
+        self._roots = {}
 
     @classmethod
     def trivial(cls, g: int, N: int) -> "BilinearCocycle":
@@ -334,9 +314,9 @@ class BilinearCocycle:
     def __call__(self, s: Sequence[int], t: Sequence[int]) -> Phase:
         return Phase(self.exponent(s, t), self.N)
 
-    def roots(self) -> _RootTable:
-        """Cached table of ``zeta_N^k`` for ``k`` in ``range(N)``, filled
-        lazily."""
+    def roots(self) -> dict:
+        """Cache of ``zeta_N^k`` by exponent ``k`` in ``range(N)``, filled
+        by :func:`~nctorus.laurent.star_mul` with the entries it reads."""
         return self._roots
 
     def antisymmetrized(self) -> tuple[tuple[int, ...], ...]:

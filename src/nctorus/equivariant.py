@@ -21,6 +21,7 @@ functions whose modules these objects are.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,9 @@ import numpy as np
 from .lattice import FiniteAbelianGroup, GroupBilinearTable
 
 Elt = tuple[int, ...]
+
+# the largest deviation any numerical check in the package accepts
+TOL = 1e-9
 
 
 class GSet:
@@ -115,8 +119,8 @@ class GroupCocycleTable:
     def __call__(self, g1, g2) -> complex:
         return self.table[(self.group.reduce(g1), self.group.reduce(g2))]
 
-    def check(self, tol: float = 1e-9):
-        """Test the 2-cocycle identity on every triple.
+    def check(self):
+        """Test the 2-cocycle identity on every triple, within ``TOL``.
 
         Returns ``(True, None)`` or ``(False, (g1, g2, g3))`` for the first
         violating triple.
@@ -125,7 +129,7 @@ class GroupCocycleTable:
         for g1, g2, g3 in itertools.product(G.elements(), repeat=3):
             lhs = self(g1, g2) * self(G.add(g1, g2), g3)
             rhs = self(g1, G.add(g2, g3)) * self(g2, g3)
-            if abs(lhs - rhs) > tol:
+            if abs(lhs - rhs) > TOL:
                 return False, (g1, g2, g3)
         return True, None
 
@@ -213,15 +217,29 @@ class EquivariantObject:
 
 
 class LinearizationReport:
-    """Outcome of a transport-law check: overall verdict, worst deviation,
-    and the first violating ``(g1, g2, s)`` triple if any."""
+    """Outcome of a numerical check: the worst deviation seen and the first
+    place it exceeded ``TOL``, if any.  Starts empty; unpacks as
+    ``(ok, max_dev, witness)``."""
 
-    __slots__ = ("ok", "max_dev", "witness")
+    __slots__ = ("max_dev", "witness")
 
-    def __init__(self, ok: bool, max_dev: float, witness):
-        self.ok = ok
-        self.max_dev = max_dev
-        self.witness = witness
+    def __init__(self):
+        self.max_dev = 0.0
+        self.witness = None
+
+    def note(self, dev: float, where) -> None:
+        """Record the deviation ``dev`` observed at ``where``; a NaN counts
+        as an infinite deviation."""
+        if math.isnan(dev):
+            dev = math.inf
+        if dev > self.max_dev:
+            self.max_dev = dev
+            if dev > TOL and self.witness is None:
+                self.witness = where
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
     def __iter__(self):
         return iter((self.ok, self.max_dev, self.witness))
@@ -231,15 +249,15 @@ class LinearizationReport:
                 f" witness={self.witness})")
 
 
-def check_linearization(obj: EquivariantObject, phi: GroupCocycleTable,
-                        tol: float = 1e-9) -> LinearizationReport:
+def check_linearization(obj: EquivariantObject,
+                        phi: GroupCocycleTable) -> LinearizationReport:
     """Verify ``rho_{g2}[s.g1] rho_{g1}[s] == phi(g1,g2) rho_{g1+g2}[s]``
-    entrywise within ``tol`` for all group pairs and points."""
+    entrywise within ``TOL`` for all group pairs and points; the witness is
+    the first violating ``(g1, g2, s)``."""
     G = obj.group
     table = obj.gset.table
     rho = obj.rho
-    worst = 0.0
-    witness = None
+    report = LinearizationReport()
     for g1 in G.elements():
         for g2 in G.elements():
             rho1, rho2, rho12 = rho[g1], rho[g2], rho[G.add(g1, g2)]
@@ -247,12 +265,9 @@ def check_linearization(obj: EquivariantObject, phi: GroupCocycleTable,
             for s in obj.gset.points:
                 lhs = rho2[table[s][g1]] @ rho1[s]
                 rhs = scale * rho12[s]
-                dev = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-                if dev > worst:
-                    worst = dev
-                    if dev > tol and witness is None:
-                        witness = (g1, g2, s)
-    return LinearizationReport(witness is None and worst <= tol, worst, witness)
+                report.note(float(np.max(np.abs(lhs - rhs)))
+                            if lhs.size else 0.0, (g1, g2, s))
+    return report
 
 
 def forget(obj: EquivariantObject) -> dict:
@@ -307,7 +322,7 @@ def free(dims: Mapping, phi: GroupCocycleTable,
     return EquivariantObject(gset, total, rho)
 
 
-def _projector_images(P: np.ndarray, where: Sequence, tol: float) -> list:
+def _projector_images(P: np.ndarray, where: Sequence) -> list:
     """Orthonormal bases of the images of a stack of projectors ``P``.
 
     Each rank ``r`` is the trace of its projector, which must be integral,
@@ -333,7 +348,7 @@ def _projector_images(P: np.ndarray, where: Sequence, tol: float) -> list:
         r = round(trace.real)
         if abs(trace - r) > 1e-6:
             raise ValueError(f"non-integral rank {trace:.6g} at {w}")
-        cut = max(tol, floor) * max(1.0, s[0] if len(s) else 1.0)
+        cut = max(TOL, floor) * max(1.0, s[0] if len(s) else 1.0)
         basis = u[:, :r]
         if (np.count_nonzero(s > cut) != r
                 or np.max(np.abs(p @ basis - basis), initial=0.0) > cut):
@@ -351,8 +366,7 @@ def _inverse(mats: list, what: str) -> np.ndarray:
         raise ValueError(f"{what} is not invertible") from None
 
 
-def hom_space(a: EquivariantObject, b: EquivariantObject,
-              tol: float = 1e-9) -> list[dict]:
+def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
     """Basis of the maps commuting with the twisted transports.
 
     Solves ``chi[s.g] rho^a_g[s] == rho^b_g[s] chi[s]`` for families of
@@ -401,7 +415,7 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
             ra_inv = _inverse([a.rho[h][s] for h in stab],
                               f"a transport fixing {s}")
             P = np.einsum("hij,hlk->ikjl", rb, ra_inv) / len(stab)
-            sol = _projector_images(P.reshape(1, db * da, -1), [s], tol)[0].T
+            sol = _projector_images(P.reshape(1, db * da, -1), [s])[0].T
         else:
             sol = np.eye(db * da)
         chi = sol.reshape(-1, 1, db, da)
@@ -415,9 +429,8 @@ def hom_space(a: EquivariantObject, b: EquivariantObject,
     return out
 
 
-def hom_dim(a: EquivariantObject, b: EquivariantObject,
-            tol: float = 1e-9) -> int:
-    return len(hom_space(a, b, tol))
+def hom_dim(a: EquivariantObject, b: EquivariantObject) -> int:
+    return len(hom_space(a, b))
 
 
 def retwist(obj: EquivariantObject, alpha: Mapping) -> EquivariantObject:
@@ -498,7 +511,7 @@ class TwistedAlgebra:
             m[self._index[target], self._index[k2]] = coeff
         return m
 
-    def _radical_size(self, tol: float) -> int:
+    def _radical_size(self) -> int:
         """Number of ``g`` with ``phi(g, h) = phi(h, g)`` for every ``h``.
         The commutator ``phi(g, h) / phi(h, g)`` of a 2-cocycle is a
         bicharacter, so its values are roots of unity of order dividing the
@@ -506,17 +519,17 @@ class TwistedAlgebra:
         elts = list(self.group.elements())
         phi = np.array([[self.phi.table[(g, h)] for h in elts] for g in elts])
         return int(np.count_nonzero(
-            np.all(np.abs(phi / phi.T - 1) <= tol, axis=1)))
+            np.all(np.abs(phi / phi.T - 1) <= TOL, axis=1)))
 
-    def is_commutative(self, tol: float = 1e-9) -> bool:
-        return self._radical_size(tol) == self.group.size
+    def is_commutative(self) -> bool:
+        return self._radical_size() == self.group.size
 
-    def center_dim(self, tol: float = 1e-9) -> int:
+    def center_dim(self) -> int:
         """Dimension of the center: ``sum_g c_g e_(s,g)`` commutes with
         ``e_(s,h)`` exactly when ``c_g (phi(g, h) - phi(h, g)) = 0``, so the
         center is spanned by the ``e_(s,g)`` with ``g`` in the radical of
         the commutator, at every point."""
-        return len(self.points) * self._radical_size(tol)
+        return len(self.points) * self._radical_size()
 
     def trace_form_rank(self) -> int:
         """Rank of the trace form of the left regular representation: the

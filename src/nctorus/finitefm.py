@@ -81,22 +81,20 @@ class BRepresentation:
     def matrix(self, a) -> np.ndarray:
         return self.pi[self.group.reduce(a)]
 
-    def check(self, tol: float = 1e-9):
-        """``(ok, max_dev, witness)`` for the homomorphism property and the
-        identity at zero."""
-        worst = float(np.max(np.abs(self.matrix(self.group.zero())
-                                    - np.eye(self.dim)))) if self.dim else 0.0
-        witness = None if worst <= tol else ("zero",)
+    def check(self) -> LinearizationReport:
+        """The identity at zero, then the homomorphism property; the
+        witness is ``("zero",)`` or the first failing pair ``(a, b)``."""
+        report = LinearizationReport()
+        report.note(float(np.max(np.abs(self.matrix(self.group.zero())
+                                        - np.eye(self.dim))))
+                    if self.dim else 0.0, ("zero",))
         for a in self.group.elements():
             for b in self.group.elements():
-                dev = float(np.max(np.abs(
+                report.note(float(np.max(np.abs(
                     self.matrix(a) @ self.matrix(b)
-                    - self.matrix(self.group.add(a, b))))) if self.dim else 0.0
-                if dev > worst:
-                    worst = dev
-                    if dev > tol and witness is None:
-                        witness = (a, b)
-        return witness is None and worst <= tol, worst, witness
+                    - self.matrix(self.group.add(a, b)))))
+                    if self.dim else 0.0, (a, b))
+        return report
 
     def conjugate(self, T) -> "BRepresentation":
         T = np.asarray(T, dtype=complex)
@@ -157,19 +155,19 @@ def character_projectors(rep: BRepresentation) -> np.ndarray:
     return np.einsum("ba,aij->bij", chars, pi) / B.size
 
 
-def _eigenspace_bases(rep: BRepresentation, tol: float) -> dict:
+def _eigenspace_bases(rep: BRepresentation) -> dict:
     """Character projector and an orthonormal basis of its image, per
     character; ``ValueError`` unless the images exhaust ``rep``."""
     elts = list(rep.group.elements())
     projs = character_projectors(rep)
-    bases = _projector_images(projs, elts, tol)
+    bases = _projector_images(projs, elts)
     if sum(W.shape[1] for W in bases) != rep.dim:
         raise ValueError("character eigenspaces do not exhaust the "
                          "representation")
     return dict(zip(elts, zip(projs, bases)))
 
 
-def fm_ab_inverse(rep: BRepresentation, tol: float = 1e-9) -> dict:
+def fm_ab_inverse(rep: BRepresentation) -> dict:
     """Recover the graded dimensions from character eigenspaces.
 
     Raises ``ValueError`` unless the averaged character projectors are
@@ -177,7 +175,7 @@ def fm_ab_inverse(rep: BRepresentation, tol: float = 1e-9) -> dict:
     character decomposition).
     """
     return {beta: W.shape[1] for beta, (_, W)
-            in _eigenspace_bases(rep, tol).items() if W.shape[1]}
+            in _eigenspace_bases(rep).items() if W.shape[1]}
 
 
 def dft_matrix(B: FiniteAbelianGroup) -> np.ndarray:
@@ -314,10 +312,11 @@ def free_sheaf(model: TorusModel, base_dims: Mapping) -> EquivariantObject:
     return free(base_dims, model.phi, model.gset)
 
 
-def random_sheaf(model: TorusModel, rng, max_dim: int = 2) -> EquivariantObject:
-    """Free object on a random grading, conjugated by random invertible
-    fiberwise maps: a generic object satisfying the transport law."""
-    dims = {s: int(rng.integers(0, max_dim + 1)) for s in model.gset.points}
+def random_sheaf(model: TorusModel, rng) -> EquivariantObject:
+    """Free object on a random grading of dimensions 0 to 2, conjugated by
+    random invertible fiberwise maps: a generic object satisfying the
+    transport law."""
+    dims = {s: int(rng.integers(0, 3)) for s in model.gset.points}
     if not any(dims.values()):
         dims[model.gset.points[0]] = 1
     obj = free_sheaf(model, dims)
@@ -435,38 +434,29 @@ class ModuleOnXLambda:
     def n_matrix(self, k) -> np.ndarray:
         return self.n[self.model.Khat.reduce(k)]
 
-    def check(self, tol: float = 1e-9) -> LinearizationReport:
+    def check(self) -> LinearizationReport:
         """Verify all three families of relations; the witness labels which
         one broke first."""
         model = self.model
-        worst = 0.0
-        witness = None
-
-        def note(dev, tag):
-            nonlocal worst, witness
-            if dev > worst:
-                worst = dev
-                if dev > tol and witness is None:
-                    witness = tag
-
-        ok_rep, dev_rep, wit_rep = self.rep().check(tol)
-        note(dev_rep, ("representation", wit_rep))
+        report = LinearizationReport()
+        rep = self.rep().check()
+        report.note(rep.max_dev, ("representation", rep.witness))
         for k1 in model.Khat.elements():
             for k2 in model.Khat.elements():
                 lhs = self.n_matrix(k2) @ self.n_matrix(k1)
                 rhs = model.lam(k1, k2).embed() \
                     * self.n_matrix(model.Khat.add(k1, k2))
-                note(float(np.max(np.abs(lhs - rhs))) if self.dim else 0.0,
-                     ("twisted composition", k1, k2))
+                report.note(float(np.max(np.abs(lhs - rhs)))
+                            if self.dim else 0.0,
+                            ("twisted composition", k1, k2))
         for k in model.Khat.elements():
             for a in model.B.elements():
                 lhs = self.n_matrix(k) @ self.pi_matrix(a)
                 rhs = (-model.character(k, a)).embed() \
                     * self.pi_matrix(a) @ self.n_matrix(k)
-                note(float(np.max(np.abs(lhs - rhs))) if self.dim else 0.0,
-                     ("exchange", k, a))
-        return LinearizationReport(witness is None and worst <= tol,
-                                   worst, witness)
+                report.note(float(np.max(np.abs(lhs - rhs)))
+                            if self.dim else 0.0, ("exchange", k, a))
+        return report
 
     def conjugate(self, T) -> "ModuleOnXLambda":
         T = np.asarray(T, dtype=complex)
@@ -490,7 +480,7 @@ def _sheaf_layout(model: TorusModel, sheaf: EquivariantObject):
 
 
 def fm_lambda(model: TorusModel, sheaf: EquivariantObject,
-              tol: float = 1e-9, validate: bool = True) -> ModuleOnXLambda:
+              validate: bool = True) -> ModuleOnXLambda:
     """Transform a twisted-equivariant object on the dual points into a
     module with twisted translations, through the factorization.
 
@@ -500,7 +490,7 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject,
     comparison permutation back (:func:`fm_ab_equivariance_iso`).
     """
     if validate:
-        report = check_linearization(sheaf, model.phi, tol)
+        report = check_linearization(sheaf, model.phi)
         if not report.ok:
             raise ValueError(
                 f"object violates the transport law at {report.witness} "
@@ -522,13 +512,13 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject,
     return ModuleOnXLambda(model, fm_ab(dims, model.B).pi, n)
 
 
-def fm_lambda_inverse(model: TorusModel, module: ModuleOnXLambda,
-                      tol: float = 1e-9) -> EquivariantObject:
+def fm_lambda_inverse(model: TorusModel,
+                      module: ModuleOnXLambda) -> EquivariantObject:
     """Recover a twisted-equivariant object from a module: fibers are the
     character eigenspaces of the ``B``-action and the transports are the
     translation operators compressed between them."""
     bases = {beta: W for beta, (_, W)
-             in _eigenspace_bases(module.rep(), tol).items()}
+             in _eigenspace_bases(module.rep()).items()}
     rho = {k: {beta: bases[model.gset.table[beta][k]].conj().T
                @ module.n[k] @ bases[beta]
                for beta in model.gset.points}
@@ -537,8 +527,7 @@ def fm_lambda_inverse(model: TorusModel, module: ModuleOnXLambda,
     return EquivariantObject(model.gset, dims, rho)
 
 
-def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
-                     tol: float = 1e-9) -> list:
+def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     """Orthonormal basis of maps intertwining both the ``B``-action and
     the twisted translations.
 
@@ -565,8 +554,8 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
     _inverse(list(m2.n.values()), "a translation operator")
     n2 = np.array(list(m2.n.values()))
     shifts = [model.iota(k) for k in m1.n]
-    blocks1 = _eigenspace_bases(m1.rep(), tol)
-    blocks2 = _eigenspace_bases(m2.rep(), tol)
+    blocks1 = _eigenspace_bases(m1.rep())
+    blocks2 = _eigenspace_bases(m2.rep())
     maps = []
     done = set()
     for beta in B.elements():
@@ -585,13 +574,12 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
     return [q[:, i].reshape(d2, d1) for i in range(q.shape[1])]
 
 
-def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda,
-                   tol: float = 1e-9) -> int:
-    return len(module_hom_space(m1, m2, tol))
+def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> int:
+    return len(module_hom_space(m1, m2))
 
 
-def verify_factorization(model: TorusModel, sheaf: EquivariantObject,
-                         tol: float = 1e-9) -> LinearizationReport:
+def verify_factorization(model: TorusModel,
+                         sheaf: EquivariantObject) -> LinearizationReport:
     """Check the deformed transform against the kernel construction.
 
     Tensoring with the :class:`DeformedKernel` makes the left action
@@ -616,29 +604,23 @@ def verify_factorization(model: TorusModel, sheaf: EquivariantObject,
             t0 = offset[table[beta][k]]
             emb[t0 * nK:(t0 + u.shape[0]) * nK, off:off + d] += np.kron(u, tau)
     emb /= nK
-    module = fm_lambda(model, sheaf, tol, validate=False)
-    worst = 0.0
-    witness = None
+    module = fm_lambda(model, sheaf, validate=False)
+    report = LinearizationReport()
 
-    def note(big_op, op, tag):
-        nonlocal worst, witness
-        dev = float(np.max(np.abs(big_op @ emb - emb @ op))) if big else 0.0
-        if dev > worst:
-            worst = dev
-            if dev > tol and witness is None:
-                witness = tag
+    def dev(big_op, op) -> float:
+        return float(np.max(np.abs(big_op @ emb - emb @ op))) if big else 0.0
 
     for k in model.Khat.elements():
-        note(np.kron(np.eye(total), kernel.right_matrix(k)), module.n[k],
-             ("translation", k))
+        report.note(dev(np.kron(np.eye(total), kernel.right_matrix(k)),
+                        module.n[k]), ("translation", k))
     for a in model.B.elements():
         diag = np.zeros(big, dtype=complex)
         for beta, off, d in layout:
             for j_pos, j in enumerate(kernel.order):
                 diag[off * nK + j_pos:(off + d) * nK:nK] = \
                     model.B.pairing(table[beta][j], a).embed()
-        note(np.diag(diag), module.pi[a], ("character", a))
-    return LinearizationReport(witness is None and worst <= tol, worst, witness)
+        report.note(dev(np.diag(diag), module.pi[a]), ("character", a))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ choice of cocycle, since all twisting phases have modulus one.
 
 from __future__ import annotations
 
+import cmath
+import math
 from operator import add, mul
 from typing import Mapping, Sequence
 
@@ -117,7 +119,8 @@ def star_mul(f: LaurentPoly, h: LaurentPoly, lam) -> LaurentPoly:
     if a needed pair leaves its window.  For a bilinear cocycle the row
     ``u = t1 . M`` is formed once per term ``t1`` of ``f``; each pair's
     phase is then ``zeta_N ** (u . t2 mod N)``, read from the cocycle's root
-    table.  Exponents stay Python ints, so the phase is exact for exponent
+    cache and computed on a miss, so a huge ``N`` costs only the roots
+    used.  Exponents stay Python ints, so the phase is exact for exponent
     vectors of any size.
     """
     if f.g != h.g:
@@ -131,7 +134,12 @@ def star_mul(f: LaurentPoly, h: LaurentPoly, lam) -> LaurentPoly:
             u = [sum(map(mul, t1, col)) for col in cols]
             for t2, b in h.coeffs.items():
                 t = tuple(map(add, t1, t2))
-                out[t] = out.get(t, 0j) + roots[sum(map(mul, u, t2)) % N] * a * b
+                k = sum(map(mul, u, t2)) % N
+                try:
+                    root = roots[k]
+                except KeyError:
+                    root = roots[k] = cmath.exp(2j * math.pi * k / N)
+                out[t] = out.get(t, 0j) + root * a * b
         # keys are sums of validated length-g keys; only exact zeros go
         result = LaurentPoly.__new__(LaurentPoly)
         result.g, result.coeffs = f.g, {t: c for t, c in out.items() if c != 0}

@@ -132,9 +132,11 @@ def _as_coeff(c) -> Coeff:
     return Coeff(c)
 
 
-class QPolynomial:
-    """Finite sum of monomials ``t^a gamma^b`` with :class:`Coeff`
-    coefficients; keys are ``(a, b)`` pairs of integer exponent tuples."""
+class _Terms:
+    """Finite sum of basis vectors keyed by ``(x, y)`` pairs of integer
+    exponent tuples of length ``g``, with :class:`Coeff` coefficients.
+    Repeated keys merge and zero coefficients drop out.  Sums, negation,
+    scalar multiples and ``==`` stay within one subclass."""
 
     __slots__ = ("g", "terms")
 
@@ -144,20 +146,64 @@ class QPolynomial:
             raise ValueError("g must be at least 1")
         cleaned: dict[Key, Coeff] = {}
         for key, c in (terms or {}).items():
-            a, b = key
-            a = tuple(int(x) for x in a)
-            b = tuple(int(x) for x in b)
-            if len(a) != g or len(b) != g:
+            x, y = key
+            x = tuple(int(v) for v in x)
+            y = tuple(int(v) for v in y)
+            if len(x) != g or len(y) != g:
                 raise ValueError(f"exponents {key} do not have length {g}")
             c = _as_coeff(c)
-            prev = cleaned.get((a, b))
+            prev = cleaned.get((x, y))
             c = c if prev is None else prev + c
             if c.is_zero:
-                cleaned.pop((a, b), None)
+                cleaned.pop((x, y), None)
             else:
-                cleaned[(a, b)] = c
+                cleaned[(x, y)] = c
         self.g = g
         self.terms = cleaned
+
+    def value_dict(self) -> dict[Key, complex]:
+        return {k: c.value() for k, c in self.terms.items()}
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.g != self.g:
+            raise ValueError("rank mismatch")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(self.g, out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.g, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, _Terms):
+            raise TypeError("use mul_W or mul_crossed to multiply polynomials")
+        s = _as_coeff(scalar)
+        return type(self)(self.g, {k: c * s for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.g == other.g and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class QPolynomial(_Terms):
+    """Finite sum of monomials ``t^a gamma^b`` with :class:`Coeff`
+    coefficients; keys are ``(a, b)`` pairs of integer exponent tuples."""
+
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, g: int, a: Sequence[int], b: Sequence[int] | None = None,
@@ -183,43 +229,6 @@ class QPolynomial:
     def support(self) -> list[Key]:
         return sorted(self.terms)
 
-    def value_dict(self) -> dict[Key, complex]:
-        return {k: c.value() for k, c in self.terms.items()}
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        if other.g != self.g:
-            raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return QPolynomial(self.g, out)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(self.g, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar) -> "QPolynomial":
-        if isinstance(scalar, QPolynomial):
-            raise TypeError("use mul_W or mul_crossed to multiply polynomials")
-        s = _as_coeff(scalar)
-        return QPolynomial(self.g, {k: c * s for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self.g == other.g and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"QPolynomial({self.g}, 0)"
@@ -228,8 +237,9 @@ class QPolynomial:
         return f"QPolynomial({self.g}, {' + '.join(bits)})"
 
 
-def max_value_diff(f: QPolynomial, h: QPolynomial) -> float:
-    """Largest embedded-coefficient difference between two polynomials."""
+def max_value_diff(f: _Terms, h: _Terms) -> float:
+    """Largest embedded-coefficient difference between two polynomials, or
+    between two module elements."""
     if f.g != h.g:
         raise ValueError("rank mismatch")
     fv, hv = f.value_dict(), h.value_dict()
@@ -333,7 +343,7 @@ def gamma_action(f: QPolynomial, j: int, Q: PeriodMatrix) -> QPolynomial:
     return QPolynomial(f.g, out)
 
 
-class PModuleElement:
+class PModuleElement(_Terms):
     """Element of the standard bimodule: basis indexed by pairs
     ``(ahat, a)`` of dual-shift and torus exponents, :class:`Coeff` values.
 
@@ -342,68 +352,17 @@ class PModuleElement:
     (:func:`pmodule_act_gamma`).
     """
 
-    __slots__ = ("g", "terms")
-
-    def __init__(self, g: int, terms: Mapping[Key, Coeff] | None = None):
-        g = int(g)
-        if g < 1:
-            raise ValueError("g must be at least 1")
-        cleaned: dict[Key, Coeff] = {}
-        for key, c in (terms or {}).items():
-            ahat, a = key
-            ahat = tuple(int(x) for x in ahat)
-            a = tuple(int(x) for x in a)
-            if len(ahat) != g or len(a) != g:
-                raise ValueError(f"indices {key} do not have length {g}")
-            c = _as_coeff(c)
-            prev = cleaned.get((ahat, a))
-            c = c if prev is None else prev + c
-            if c.is_zero:
-                cleaned.pop((ahat, a), None)
-            else:
-                cleaned[(ahat, a)] = c
-        self.g = g
-        self.terms = cleaned
+    __slots__ = ()
 
     @classmethod
     def basis(cls, g: int, ahat: Sequence[int], a: Sequence[int],
               coeff=1.0) -> "PModuleElement":
         return cls(g, {(tuple(ahat), tuple(a)): _as_coeff(coeff)})
 
-    def value_dict(self) -> dict[Key, complex]:
-        return {k: c.value() for k, c in self.terms.items()}
-
-    def __add__(self, other: "PModuleElement") -> "PModuleElement":
-        if not isinstance(other, PModuleElement):
-            return NotImplemented
-        if other.g != self.g:
-            raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return PModuleElement(self.g, out)
-
-    def __mul__(self, scalar) -> "PModuleElement":
-        s = _as_coeff(scalar)
-        return PModuleElement(self.g, {k: c * s for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PModuleElement):
-            return NotImplemented
-        return self.g == other.g and self.terms == other.terms
-
     def __repr__(self) -> str:
         bits = [f"{self.terms[k]!r}*e{list(k[0])},{list(k[1])}"
                 for k in sorted(self.terms)]
         return f"PModuleElement({self.g}, {' + '.join(bits) or '0'})"
-
-
-def pmodule_max_diff(v: PModuleElement, w: PModuleElement) -> float:
-    vv, wv = v.value_dict(), w.value_dict()
-    keys = set(vv) | set(wv)
-    return max((abs(vv.get(k, 0j) - wv.get(k, 0j)) for k in keys), default=0.0)
 
 
 def pmodule_act_gamma(v: PModuleElement, i: int, Q: PeriodMatrix) -> PModuleElement:

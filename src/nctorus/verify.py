@@ -25,6 +25,7 @@ from .cocycle import (
     normal_order_representative,
 )
 from .equivariant import (
+    TOL,
     GroupCocycleTable,
     GSet,
     check_linearization,
@@ -77,10 +78,7 @@ from .qweyl import (
     mul_W,
     pmodule_act_gamma,
     pmodule_act_gammahat,
-    pmodule_max_diff,
 )
-
-TOL = 1e-9
 
 
 class PropertyResult:
@@ -282,7 +280,7 @@ def battery_weyl(seed: int = 0, grid: str = "small",
                     pmodule_act_gammahat(v, j, lam, Q), i, lam, Q)
                 rhs = pmodule_act_gammahat(
                     pmodule_act_gammahat(v, i, lam, Q), j, lam, Q)
-                dev = max(dev, pmodule_max_diff(
+                dev = max(dev, max_value_diff(
                     lhs, Phase(A[i][j], lam.N) * rhs))
         for i in range(g):
             for j in range(g):
@@ -290,7 +288,7 @@ def battery_weyl(seed: int = 0, grid: str = "small",
                     pmodule_act_gammahat(v, j, lam, Q), i, Q)
                 right = pmodule_act_gammahat(
                     pmodule_act_gamma(v, i, Q), j, lam, Q)
-                dev = max(dev, pmodule_max_diff(left, right))
+                dev = max(dev, max_value_diff(left, right))
     out.append(PropertyResult("pmodule-exchange-relations", dev <= TOL, dev))
     return out
 

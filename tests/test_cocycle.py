@@ -26,6 +26,7 @@ from nctorus.cocycle import (
     eval_cocycle,
     normal_order_representative,
 )
+from nctorus.laurent import LaurentPoly, star_mul
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=24)
 phases_st = fractions_st.map(Phase)
@@ -260,21 +261,26 @@ def test_every_bilinear_table_is_a_cocycle(M, N):
 
 def test_bilinear_roots_table():
     lam = BilinearCocycle([[1]], 6)
+    assert lam.roots() == {}
+    star_mul(LaurentPoly(1, {(k,): 1.0 for k in range(6)}),
+             LaurentPoly(1, {(1,): 1.0}), lam)
     roots = lam.roots()
-    assert len(roots) == 6
-    for k in range(6):
-        assert roots[k] == pytest.approx(Phase(k, 6).embed())
+    assert sorted(roots) == list(range(6))
+    for k, root in roots.items():
+        assert root == pytest.approx(Phase(k, 6).embed())
 
 
 def test_bilinear_roots_table_is_lazy():
     N = 2 ** 64
-    roots = BilinearCocycle([[1]], N).roots()
+    lam = BilinearCocycle([[1]], N)
+    prod = star_mul(LaurentPoly(1, {(1,): 1.0}),
+                    LaurentPoly(1, {(N // 4,): 1.0, (-1,): 1.0}), lam)
+    roots = lam.roots()
+    assert roots.keys() == {N // 4, N - 1}
     assert roots[N // 4] == pytest.approx(1j)
     assert roots[N - 1] == pytest.approx(Phase(N - 1, N).embed())
-    assert dict(roots).keys() == {N // 4, N - 1}
-    for k in (-1, N):
-        with pytest.raises(KeyError):
-            roots[k]
+    assert prod.coeff((N // 4 + 1,)) == roots[N // 4]
+    assert prod.coeff((0,)) == roots[N - 1]
 
 
 def test_bilinear_json_round_trip():

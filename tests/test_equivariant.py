@@ -5,9 +5,11 @@ import pytest
 
 from nctorus.cocycle import Phase
 from nctorus.equivariant import (
+    TOL,
     EquivariantObject,
     GroupCocycleTable,
     GSet,
+    LinearizationReport,
     check_linearization,
     forget,
     free,
@@ -214,6 +216,31 @@ def test_pauli_triple_fails_trivial_twist():
     assert not report.ok
     assert report.witness is not None
     assert report.max_dev > 1.0
+
+
+def test_report_keeps_the_worst_deviation_and_the_first_witness():
+    report = LinearizationReport()
+    assert tuple(report) == (True, 0.0, None)
+    report.note(TOL, "at tolerance")
+    assert report.ok and report.max_dev == TOL
+    report.note(0.5, "first")
+    report.note(0.25, "smaller")
+    report.note(2.0, "worst")
+    assert tuple(report) == (False, 2.0, "first")
+    report.note(float("nan"), "nan")
+    assert report.max_dev == float("inf") and report.witness == "first"
+
+
+def test_nan_transport_fails_the_law():
+    G = klein()
+    phi = GroupCocycleTable.trivial(G)
+    obj = free({s: 1 for s in G.elements()}, phi, GSet.regular(G))
+    assert check_linearization(obj, phi).ok
+    obj.rho[(1, 0)][(0, 1)][0, 0] = np.nan
+    report = check_linearization(obj, phi)
+    assert not report.ok
+    assert report.max_dev == float("inf")
+    assert report.witness == ((0, 0), (1, 0), (0, 1))
 
 
 def test_shape_validation():

@@ -307,6 +307,16 @@ def test_fm_lambda_rejects_wrong_twist():
         fm_lambda(model, wrong)
 
 
+def test_fm_lambda_rejects_a_nan_transport():
+    rng = np.random.default_rng(29)
+    model = model_halved(True)
+    sheaf = random_sheaf(model, rng)
+    s = next(p for p in model.gset.points if sheaf.dims[p])
+    sheaf.rho[(1,)][s] = np.nan * sheaf.rho[(1,)][s]
+    with pytest.raises(ValueError, match="transport law"):
+        fm_lambda(model, sheaf)
+
+
 def test_roundtrip_recovers_the_sheaf():
     rng = np.random.default_rng(31)
     for model in ALL_MODELS:
@@ -417,6 +427,26 @@ def test_module_check_flags_corruption():
     report = bad.check()
     assert not report.ok
     assert report.witness is not None
+
+
+def test_module_check_flags_a_nan_operator():
+    rng = np.random.default_rng(53)
+    model = model_halved(True)
+    mod = fm_lambda(model, random_sheaf(model, rng))
+    bad_n = dict(mod.n)
+    bad_n[(1,)] = np.nan * bad_n[(1,)]
+    report = ModuleOnXLambda(model, mod.pi, bad_n).check()
+    assert not report.ok
+    assert report.max_dev == float("inf")
+    assert report.witness == ("twisted composition", (0,), (1,))
+
+
+def test_representation_check_names_a_wrong_identity():
+    B = FiniteAbelianGroup((2,))
+    rep = BRepresentation(B, {(0,): 2 * np.eye(2), (1,): np.eye(2)})
+    ok, dev, witness = rep.check()
+    assert not ok and dev == pytest.approx(2.0)
+    assert witness == ("zero",)
 
 
 # ---------------------------------------------------------------------------

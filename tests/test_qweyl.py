@@ -17,7 +17,6 @@ from nctorus.qweyl import (
     mul_crossed,
     pmodule_act_gamma,
     pmodule_act_gammahat,
-    pmodule_max_diff,
 )
 
 
@@ -307,7 +306,7 @@ def test_pmodule_dual_shifts_q_commute_exactly():
         v = PModuleElement.basis(2, ahat, a)
         lhs = pmodule_act_gammahat(pmodule_act_gammahat(v, 1, lam, Q), 0, lam, Q)
         rhs = pmodule_act_gammahat(pmodule_act_gammahat(v, 0, lam, Q), 1, lam, Q)
-        assert pmodule_max_diff(lhs, rhs * Phase(A[0][1], lam.N)) < 1e-12
+        assert max_value_diff(lhs, rhs * Phase(A[0][1], lam.N)) < 1e-12
 
 
 def test_pmodule_left_right_actions_commute():
@@ -323,7 +322,7 @@ def test_pmodule_left_right_actions_commute():
                                          Coeff(complex(rng.normal(), rng.normal())))
                 one_way = pmodule_act_gamma(pmodule_act_gammahat(v, i, lam, Q), j, Q)
                 other = pmodule_act_gammahat(pmodule_act_gamma(v, j, Q), i, lam, Q)
-                assert pmodule_max_diff(one_way, other) < 1e-12
+                assert max_value_diff(one_way, other) < 1e-12
 
 
 def test_pmodule_linearity_and_validation():
@@ -331,5 +330,20 @@ def test_pmodule_linearity_and_validation():
     assert v.terms[((0,), (1,))] == Coeff(2.0)
     with pytest.raises(ValueError):
         pmodule_act_gamma(v, 5, PeriodMatrix.ones(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not have length 1"):
         PModuleElement(1, {((0, 0), (1,)): Coeff(1.0)})
+
+
+def test_polynomials_and_module_elements_do_not_mix():
+    key = ((1,), (0,))
+    p = QPolynomial(1, {key: Coeff(2.0)})
+    v = PModuleElement(1, {key: Coeff(2.0)})
+    assert p.terms == v.terms
+    assert p != v and v != p
+    for x, y in ((p, v), (v, p)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+    assert max_value_diff(v - v, PModuleElement(1)) == 0.0
+    assert not (v - v) and v
