@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
 import operator
 from fractions import Fraction
@@ -263,9 +262,6 @@ class BoundedCochain:
                 f"{_vadd(*vecs)} (argument sum) outside window {self.window!r}")
         return self.fn(*vecs)
 
-    def materialize(self) -> CochainTable:
-        return CochainTable.from_function(self.window, self.fn, self.arity)
-
 
 class BilinearCocycle:
     """Bilinear 2-cocycle ``lambda(s, t) = zeta_N ** (s . M t)`` on Z^g.
@@ -325,19 +321,6 @@ class BilinearCocycle:
         return tuple(tuple((self.M[i][j] - self.M[j][i]) % N for j in range(g))
                      for i in range(g))
 
-    def to_json(self) -> str:
-        return json.dumps({"M": [list(r) for r in self.M],
-                           "N": self.N, "g": self.g}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, data: str | Mapping) -> "BilinearCocycle":
-        if isinstance(data, str):
-            data = json.loads(data)
-        lam = cls(data["M"], data["N"])
-        if "g" in data and int(data["g"]) != lam.g:
-            raise ValueError("declared g does not match the shape of M")
-        return lam
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BilinearCocycle):
             return NotImplemented
@@ -345,14 +328,6 @@ class BilinearCocycle:
 
     def __repr__(self) -> str:
         return f"BilinearCocycle(M={[list(r) for r in self.M]}, N={self.N})"
-
-
-def eval_cocycle(M: Sequence[Sequence[int]], N: int,
-                 s: Sequence[int], t: Sequence[int]) -> Phase:
-    """One-shot ``zeta_N ** (s . M t)`` without building a cocycle object."""
-    total = sum(int(si) * int(m) * int(tj)
-                for si, row in zip(s, M) for m, tj in zip(row, t))
-    return Phase(total, N)
 
 
 def check_cocycle(lam, window: ExponentWindow | None = None,

@@ -20,7 +20,7 @@ functions whose modules these objects are.
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
 from typing import Callable, Mapping, Sequence
 
@@ -101,6 +101,8 @@ class GroupCocycleTable:
                         from None
                 if v == 0:
                     raise ValueError(f"table vanishes at ({g1}, {g2})")
+                if not cmath.isfinite(v):
+                    raise ValueError(f"table is not finite at ({g1}, {g2})")
                 full[(g1, g2)] = v
         self.table = full
 
@@ -120,17 +122,24 @@ class GroupCocycleTable:
         return self.table[(self.group.reduce(g1), self.group.reduce(g2))]
 
     def check(self):
-        """Test the 2-cocycle identity on every triple, within ``TOL``.
+        """Test the 2-cocycle identity on every triple, within ``TOL``,
+        one row of triples ``(g1, *, *)`` at a time.
 
         Returns ``(True, None)`` or ``(False, (g1, g2, g3))`` for the first
-        violating triple.
+        violating triple in ``itertools.product`` order.
         """
         G = self.group
-        for g1, g2, g3 in itertools.product(G.elements(), repeat=3):
-            lhs = self(g1, g2) * self(G.add(g1, g2), g3)
-            rhs = self(g1, G.add(g2, g3)) * self(g2, g3)
-            if abs(lhs - rhs) > TOL:
-                return False, (g1, g2, g3)
+        elts = list(G.elements())
+        index = {g: i for i, g in enumerate(elts)}
+        phi = np.array([[self.table[(g1, g2)] for g2 in elts] for g1 in elts])
+        add = np.array([[index[G.add(g1, g2)] for g2 in elts] for g1 in elts])
+        for i, g1 in enumerate(elts):
+            # [j, l]: phi(g1, g2) phi(g1+g2, g3) - phi(g1, g2+g3) phi(g2, g3)
+            bad = np.abs(phi[i][:, None] * phi[add[i]]
+                         - phi[i][add] * phi) > TOL
+            if bad.any():
+                j, l = divmod(int(np.argmax(bad)), len(elts))
+                return False, (g1, elts[j], elts[l])
         return True, None
 
     def twisted_by(self, alpha: Mapping) -> "GroupCocycleTable":
@@ -145,11 +154,6 @@ class GroupCocycleTable:
     def inverse(self) -> "GroupCocycleTable":
         return GroupCocycleTable(self.group,
                                  {k: 1.0 / v for k, v in self.table.items()})
-
-    def opposite(self) -> "GroupCocycleTable":
-        return GroupCocycleTable(self.group,
-                                 {(g2, g1): v
-                                  for (g1, g2), v in self.table.items()})
 
 
 class EquivariantObject:

@@ -14,11 +14,12 @@ a bilinear twist ``lam`` on it.  Twisted-equivariant objects on the dual
 G-set, transport law ``lam``) correspond to representations of ``B``
 equipped with twisted translation operators (:class:`ModuleOnXLambda`).
 :func:`fm_lambda` computes the correspondence through its factorization:
-the plain transform, with each translation acting as the object's own
-transport followed by the comparison permutation.  :func:`fm_lambda_inverse`
-goes back through character eigenblocks.  Tensoring with a
-:class:`DeformedKernel` and passing to invariants is the independent
-oracle that :func:`verify_factorization` checks the transform against.
+the plain transform, with each translation placing the object's transport
+blocks at ``beta + iota(k)``, the index map of the comparison permutation.
+:func:`fm_lambda_inverse` goes back through character eigenblocks.
+Tensoring with a :class:`DeformedKernel` and passing to invariants is the
+independent oracle that :func:`verify_factorization` checks the transform
+against.
 
 :func:`star_on_points` is the function-algebra shadow of the same twist: a
 double sum over translates weighted by the inverse of a nondegenerate
@@ -176,14 +177,6 @@ def fm_ab_inverse(rep: BRepresentation) -> dict:
     """
     return {beta: W.shape[1] for beta, (_, W)
             in _eigenspace_bases(rep).items() if W.shape[1]}
-
-
-def dft_matrix(B: FiniteAbelianGroup) -> np.ndarray:
-    """Unitary character table of ``B`` in element order."""
-    elts = list(B.elements())
-    n = len(elts)
-    F = np.array([[B.pairing(b, a).embed() for a in elts] for b in elts])
-    return F / np.sqrt(n)
 
 
 def translate_graded(dims: Mapping, yhat, B: FiniteAbelianGroup) -> dict:
@@ -479,37 +472,34 @@ def _sheaf_layout(model: TorusModel, sheaf: EquivariantObject):
     return _graded_layout(sheaf.dims, model.B)
 
 
-def fm_lambda(model: TorusModel, sheaf: EquivariantObject,
-              validate: bool = True) -> ModuleOnXLambda:
+def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
     """Transform a twisted-equivariant object on the dual points into a
     module with twisted translations, through the factorization.
 
     The ``B``-action is the plain transform of the graded dimensions.  The
-    operator of ``k`` applies the object's transport blockwise, a
-    degree-zero map into the grading translated by ``-iota(k)``, then the
-    comparison permutation back (:func:`fm_ab_equivariance_iso`).
+    operator of ``k`` is the object's transport placed blockwise: the
+    block ``rho[k][beta]`` goes from the block of ``beta`` to that of
+    ``beta + iota(k)``, which is the comparison permutation
+    (:func:`fm_ab_equivariance_iso`) applied by its index map.  Raises
+    ``ValueError`` when the object violates the transport law.
     """
-    if validate:
-        report = check_linearization(sheaf, model.phi)
-        if not report.ok:
-            raise ValueError(
-                f"object violates the transport law at {report.witness} "
-                f"(deviation {report.max_dev:.3g})")
+    report = check_linearization(sheaf, model.phi)
+    if not report.ok:
+        raise ValueError(
+            f"object violates the transport law at {report.witness} "
+            f"(deviation {report.max_dev:.3g})")
     layout, total = _sheaf_layout(model, sheaf)
-    dims = sheaf.dims
+    offset = {beta: off for beta, off, _ in layout}
+    table = model.gset.table
     n = {}
     for k, rho in sheaf.rho.items():
-        yhat = model.B.neg(model._iota[k])
-        shifted = translate_graded(dims, yhat, model.B)
-        mid_layout, mid_total = _graded_layout(shifted, model.B)
-        mid_offset = {beta: off for beta, off, _ in mid_layout}
-        blockwise = np.zeros((mid_total, total), dtype=complex)
+        m = np.zeros((total, total), dtype=complex)
         for beta, off, d in layout:
             u = rho[beta]
-            r0 = mid_offset[beta]
-            blockwise[r0:r0 + u.shape[0], off:off + d] = u
-        n[k] = fm_ab_equivariance_iso(dims, yhat, model.B) @ blockwise
-    return ModuleOnXLambda(model, fm_ab(dims, model.B).pi, n)
+            t0 = offset[table[beta][k]]
+            m[t0:t0 + u.shape[0], off:off + d] = u
+        n[k] = m
+    return ModuleOnXLambda(model, fm_ab(sheaf.dims, model.B).pi, n)
 
 
 def fm_lambda_inverse(model: TorusModel,
@@ -584,42 +574,47 @@ def verify_factorization(model: TorusModel,
 
     Tensoring with the :class:`DeformedKernel` makes the left action
     honest; averaging it over the vectors ``e_i (x) e_0`` embeds the graded
-    space as its invariants.  There the right kernel operators and the
-    ``B``-action graded by the sum of the two gradings must equal those of
-    :func:`fm_lambda` on the nose.  The witness names the first failing
-    translation, then the first failing character.
+    space as its invariants.  There the right kernel operators, acting on
+    the kernel factor alone, and the ``B``-action graded by the sum of the
+    two gradings must equal those of :func:`fm_lambda` on the nose.  The
+    witness names the first failing translation, then the first failing
+    character.  Raises ``ValueError``, as :func:`fm_lambda` does, when the
+    object violates the transport law.
     """
+    module = fm_lambda(model, sheaf)
     kernel = DeformedKernel(model)
     layout, total = _sheaf_layout(model, sheaf)
     nK = kernel.size
-    big = total * nK
     offset = {beta: off for beta, off, _ in layout}
     zero = kernel.index[model.Khat.zero()]
     table = model.gset.table
-    emb = np.zeros((big, total), dtype=complex)
+    # rows indexed by (graded basis vector, kernel basis vector)
+    emb = np.zeros((total, nK, total), dtype=complex)
     for k, rho in sheaf.rho.items():
-        tau = kernel.left_matrix(k)[:, zero:zero + 1]
+        tau = kernel.left_matrix(k)[:, zero]
         for beta, off, d in layout:
             u = rho[beta]
             t0 = offset[table[beta][k]]
-            emb[t0 * nK:(t0 + u.shape[0]) * nK, off:off + d] += np.kron(u, tau)
+            emb[t0:t0 + u.shape[0], :, off:off + d] += \
+                u[:, None, :] * tau[:, None]
     emb /= nK
-    module = fm_lambda(model, sheaf, validate=False)
+    flat = emb.reshape(total * nK, total)
     report = LinearizationReport()
 
-    def dev(big_op, op) -> float:
-        return float(np.max(np.abs(big_op @ emb - emb @ op))) if big else 0.0
+    def dev(moved, op) -> float:
+        return float(np.max(np.abs(moved.reshape(flat.shape) - flat @ op))) \
+            if total else 0.0
 
     for k in model.Khat.elements():
-        report.note(dev(np.kron(np.eye(total), kernel.right_matrix(k)),
-                        module.n[k]), ("translation", k))
+        moved = np.einsum("ij,tjc->tic", kernel.right_matrix(k), emb)
+        report.note(dev(moved, module.n[k]), ("translation", k))
     for a in model.B.elements():
-        diag = np.zeros(big, dtype=complex)
+        chars = np.zeros((total, nK), dtype=complex)
         for beta, off, d in layout:
-            for j_pos, j in enumerate(kernel.order):
-                diag[off * nK + j_pos:(off + d) * nK:nK] = \
-                    model.B.pairing(table[beta][j], a).embed()
-        report.note(dev(np.diag(diag), module.pi[a]), ("character", a))
+            chars[off:off + d] = [model.B.pairing(table[beta][j], a).embed()
+                                  for j in kernel.order]
+        report.note(dev(chars[:, :, None] * emb, module.pi[a]),
+                    ("character", a))
     return report
 
 

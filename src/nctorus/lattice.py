@@ -362,12 +362,6 @@ class GroupBilinearTable:
         return {"factors": list(self.group.factors),
                 "omega": [[str(w) for w in row] for row in self.omega]}
 
-    @classmethod
-    def from_dict(cls, data) -> "GroupBilinearTable":
-        group = FiniteAbelianGroup(data["factors"])
-        omega = [[Phase.parse(w) for w in row] for row in data["omega"]]
-        return cls(group, omega)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupBilinearTable):
             return NotImplemented

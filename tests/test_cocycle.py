@@ -6,6 +6,7 @@ to the library's own checker, before the checker's verdict is asserted.
 """
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -23,10 +24,10 @@ from nctorus.cocycle import (
     bounding_cochain,
     check_cocycle,
     coboundary,
-    eval_cocycle,
     normal_order_representative,
 )
 from nctorus.laurent import LaurentPoly, star_mul
+from nctorus.verify import params_from_dict
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=24)
 phases_st = fractions_st.map(Phase)
@@ -284,12 +285,20 @@ def test_bilinear_roots_table_is_lazy():
 
 
 def test_bilinear_json_round_trip():
+    """The CLI's parameter parser reads back what ``json`` wrote."""
     lam = BilinearCocycle([[0, 2], [1, 3]], 4)
-    again = BilinearCocycle.from_json(lam.to_json())
-    assert again == lam
-    assert BilinearCocycle.from_json({"M": [[1]], "N": 2}) == BilinearCocycle([[1]], 2)
+    text = json.dumps({"M": [list(r) for r in lam.M], "N": lam.N, "g": lam.g})
+    assert params_from_dict(json.loads(text)) == lam
+    assert params_from_dict({"M": [[1]], "N": 2}) == BilinearCocycle([[1]], 2)
     with pytest.raises(ValueError):
-        BilinearCocycle.from_json({"M": [[1]], "N": 2, "g": 5})
+        params_from_dict({"M": [[1]], "N": 2, "g": 5})
+
+
+def eval_cocycle(M, N, s, t):
+    """One-shot ``zeta_N ** (s . M t)`` summed term by term (the oracle)."""
+    total = sum(int(si) * int(m) * int(tj)
+                for si, row in zip(s, M) for m, tj in zip(row, t))
+    return Phase(total, N)
 
 
 def test_eval_cocycle_matches_class():
@@ -413,7 +422,7 @@ def test_bounding_cochain_validates_symmetry():
 def test_materialized_coboundary_matches_lazy():
     alpha = bounding_cochain([[1]], 3, window=ExponentWindow.centered(1, 2))
     lazy = coboundary(alpha)
-    table = lazy.materialize()
+    table = CochainTable.from_function(lazy.window, lazy.fn, lazy.arity)
     assert table((1,), (1,)) == lazy((1,), (1,))
     with pytest.raises(WindowError):
         lazy((2,), (2,))

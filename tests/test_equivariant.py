@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -182,7 +183,8 @@ def test_inverse_and_opposite():
     inv = phi.inverse()
     for key, value in phi.table.items():
         assert abs(value * inv.table[key] - 1) < 1e-12
-    opp = phi.opposite()
+    opp = GroupCocycleTable(phi.group, {(g2, g1): v
+                                        for (g1, g2), v in phi.table.items()})
     assert opp((1, 0), (0, 1)) == phi((0, 1), (1, 0))
     assert abs(phi((1, 0), (0, 1)) - opp((1, 0), (0, 1))) > 1
 
@@ -198,6 +200,45 @@ def test_table_rejects_missing_and_zero_entries():
     zeroed[((1, 0), (1, 0))] = 0.0
     with pytest.raises(ValueError):
         GroupCocycleTable(G, zeroed)
+
+
+def test_table_rejects_non_finite_entries():
+    """A NaN entry would pass every ``> TOL`` comparison of ``check``."""
+    G = klein()
+    for value in (float("nan"), complex(1, float("nan")), float("inf")):
+        table = dict(GroupCocycleTable.trivial(G).table)
+        table[((1, 0), (0, 1))] = value
+        with pytest.raises(ValueError, match="not finite"):
+            GroupCocycleTable(G, table)
+
+
+def loop_check(phi):
+    """The cocycle identity triple by triple (the oracle)."""
+    G = phi.group
+    for g1, g2, g3 in itertools.product(G.elements(), repeat=3):
+        lhs = phi(g1, g2) * phi(G.add(g1, g2), g3)
+        rhs = phi(g1, G.add(g2, g3)) * phi(g2, g3)
+        if abs(lhs - rhs) > TOL:
+            return False, (g1, g2, g3)
+    return True, None
+
+
+def test_check_witness_matches_the_triple_loop():
+    rng = np.random.default_rng(101)
+    for factors in [(2, 2), (4,), (2, 3), (3, 3), (2, 4), (2, 2, 2)]:
+        G = FiniteAbelianGroup(factors)
+        phi = random_bilinear_phi(G, rng)
+        assert phi.check() == loop_check(phi) == (True, None)
+        keys = list(phi.table)
+        for _ in range(4):
+            table = dict(phi.table)
+            for i in rng.choice(len(keys), size=int(rng.integers(1, 4)),
+                                replace=False):
+                table[keys[i]] *= np.exp(2j * np.pi * rng.uniform(0.1, 0.9))
+            bad = GroupCocycleTable(G, table)
+            ok, witness = bad.check()
+            assert not ok
+            assert (ok, witness) == loop_check(bad)
 
 
 # ---------------------------------------------------------------------------

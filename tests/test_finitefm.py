@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nctorus.finitefm as finitefm
-from nctorus.cocycle import Phase
+from nctorus.cocycle import BilinearCocycle, Phase
 from nctorus.equivariant import (
     GroupCocycleTable,
+    LinearizationReport,
     check_linearization,
     free,
     hom_dim,
@@ -19,7 +21,6 @@ from nctorus.finitefm import (
     character_projectors,
     character_twist,
     check_fm_ab_equivariance,
-    dft_matrix,
     dual_side_product,
     fm_ab,
     fm_ab_equivariance_iso,
@@ -35,7 +36,9 @@ from nctorus.finitefm import (
     translate_graded,
     verify_factorization,
 )
-from nctorus.lattice import FiniteAbelianGroup, GroupBilinearTable, lambda_sharp
+from nctorus.lattice import (FiniteAbelianGroup, GroupBilinearTable,
+                             compute_H_hat, compute_K_hat, descend_cocycle,
+                             lambda_sharp)
 
 
 def random_dims(B, rng, max_dim=2, ensure=True):
@@ -74,6 +77,16 @@ def model_klein():
 
 ALL_MODELS = [model_halved(False), model_halved(True),
               model_full_z4(), model_klein()]
+
+
+def model_regular(n):
+    """``K̂ = B``, twisted by the form that ``[[0, 1], [0, 0]]`` at root
+    order ``n`` descends to: ``(Z/n)^2``."""
+    lam = BilinearCocycle([[0, 1], [0, 0]], n)
+    quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), n))
+    K = quo.group
+    identity = [[int(i == j) for j in range(K.rank)] for i in range(K.rank)]
+    return TorusModel(K, K, identity, descend_cocycle(lam, quo))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +136,13 @@ def test_fm_ab_inverse_rejects_non_representation():
     rep = BRepresentation(B, {(0,): np.eye(2), (1,): np.array([[1, 1], [0, 1]])})
     with pytest.raises(ValueError):
         fm_ab_inverse(rep)
+
+
+def dft_matrix(B):
+    """Unitary character table of ``B`` in element order."""
+    elts = list(B.elements())
+    F = np.array([[B.pairing(b, a).embed() for a in elts] for b in elts])
+    return F / np.sqrt(len(elts))
 
 
 def test_dft_matrix_is_unitary_with_character_entries():
@@ -364,19 +384,132 @@ def test_factorization_through_plain_transform():
         assert report.max_dev < 1e-9
 
 
+def flipped(module):
+    """The module with every translation's rows reversed: a wrong
+    comparison permutation."""
+    return ModuleOnXLambda(module.model, module.pi,
+                           {k: np.flipud(m) for k, m in module.n.items()})
+
+
 def test_factorization_flags_a_wrong_comparison_permutation(monkeypatch):
     rng = np.random.default_rng(59)
     model = model_full_z4()
     sheaf = random_sheaf(model, rng)
     assert sheaf.total_dim() >= 2
     assert verify_factorization(model, sheaf).ok
-    right = finitefm.fm_ab_equivariance_iso
-    monkeypatch.setattr(finitefm, "fm_ab_equivariance_iso",
-                        lambda dims, yhat, B: np.flipud(right(dims, yhat, B)))
+    right = finitefm.fm_lambda
+    monkeypatch.setattr(finitefm, "fm_lambda",
+                        lambda model, sheaf: flipped(right(model, sheaf)))
     report = verify_factorization(model, sheaf)
     assert not report.ok
     assert report.witness[0] == "translation"
     assert report.witness[1] in set(model.Khat.elements())
+    oracle = kron_factorization(model, sheaf, flipped(right(model, sheaf)))
+    assert report.witness == oracle.witness
+    assert abs(report.max_dev - oracle.max_dev) <= 1e-15
+
+
+def test_factorization_rejects_a_sheaf_breaking_the_transport_law():
+    rng = np.random.default_rng(29)
+    model = model_halved(True)
+    dims = {s: int(rng.integers(1, 3)) for s in model.gset.points}
+    wrong = free(dims, GroupCocycleTable.trivial(model.Khat), model.gset)
+    with pytest.raises(ValueError, match="transport law"):
+        verify_factorization(model, wrong)
+
+
+def permuted_fm_lambda(model, sheaf):
+    """The transform with each translation built as the comparison
+    permutation times the transport placed into the grading translated by
+    ``-iota(k)`` (the oracle)."""
+    B = model.B
+    dims = sheaf.dims
+    layout, total = finitefm._graded_layout(dims, B)
+    n = {}
+    for k, rho in sheaf.rho.items():
+        yhat = B.neg(model.iota(k))
+        mid_layout, mid_total = finitefm._graded_layout(
+            translate_graded(dims, yhat, B), B)
+        mid_offset = {beta: off for beta, off, _ in mid_layout}
+        blockwise = np.zeros((mid_total, total), dtype=complex)
+        for beta, off, d in layout:
+            u = rho[beta]
+            r0 = mid_offset[beta]
+            blockwise[r0:r0 + u.shape[0], off:off + d] = u
+        n[k] = fm_ab_equivariance_iso(dims, yhat, B) @ blockwise
+    return ModuleOnXLambda(model, fm_ab(dims, B).pi, n)
+
+
+def kron_factorization(model, sheaf, module):
+    """The kernel check of ``module`` with dense operators on the whole
+    tensor space: ``kron(I, R_k)`` and the character diagonal (the
+    oracle)."""
+    kernel = DeformedKernel(model)
+    layout, total = finitefm._graded_layout(sheaf.dims, model.B)
+    nK = kernel.size
+    big = total * nK
+    offset = {beta: off for beta, off, _ in layout}
+    zero = kernel.index[model.Khat.zero()]
+    table = model.gset.table
+    emb = np.zeros((big, total), dtype=complex)
+    for k, rho in sheaf.rho.items():
+        tau = kernel.left_matrix(k)[:, zero:zero + 1]
+        for beta, off, d in layout:
+            u = rho[beta]
+            t0 = offset[table[beta][k]]
+            emb[t0 * nK:(t0 + u.shape[0]) * nK, off:off + d] += np.kron(u, tau)
+    emb /= nK
+    report = LinearizationReport()
+
+    def dev(big_op, op) -> float:
+        return float(np.max(np.abs(big_op @ emb - emb @ op))) if big else 0.0
+
+    for k in model.Khat.elements():
+        report.note(dev(np.kron(np.eye(total), kernel.right_matrix(k)),
+                        module.n[k]), ("translation", k))
+    for a in model.B.elements():
+        diag = np.zeros(big, dtype=complex)
+        for beta, off, d in layout:
+            for j_pos, j in enumerate(kernel.order):
+                diag[off * nK + j_pos:(off + d) * nK:nK] = \
+                    model.B.pairing(table[beta][j], a).embed()
+        report.note(dev(np.diag(diag), module.pi[a]), ("character", a))
+    return report
+
+
+def test_transform_and_factorization_match_the_dense_oracles():
+    rng = np.random.default_rng(67)
+    for model in ALL_MODELS + [model_regular(3)]:
+        for _ in range(3):
+            sheaf = random_sheaf(model, rng)
+            module = fm_lambda(model, sheaf)
+            oracle = permuted_fm_lambda(model, sheaf)
+            assert module.n.keys() == oracle.n.keys()
+            assert all(np.array_equal(module.n[k], oracle.n[k])
+                       for k in oracle.n)
+            assert module.pi.keys() == oracle.pi.keys()
+            assert all(np.array_equal(module.pi[a], oracle.pi[a])
+                       for a in oracle.pi)
+            report = verify_factorization(model, sheaf)
+            dense = kron_factorization(model, sheaf, oracle)
+            assert report.ok and dense.ok
+            assert report.witness == dense.witness
+            assert abs(report.max_dev - dense.max_dev) <= 1e-15
+
+
+def test_factorization_memory_on_the_order_16_regular_model():
+    """One dense `kron(I, R_k)` alone would take 225 MiB here."""
+    model = model_regular(4)
+    sheaf = random_sheaf(model, np.random.default_rng(0))
+    assert model.Khat.size == 16 and sheaf.total_dim() == 240
+    tracemalloc.start()
+    try:
+        report = verify_factorization(model, sheaf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 150 * 2**20
 
 
 def test_module_hom_space_is_frobenius_orthonormal():
