@@ -575,11 +575,12 @@ def verify_factorization(model: TorusModel,
     Tensoring with the :class:`DeformedKernel` makes the left action
     honest; averaging it over the vectors ``e_i (x) e_0`` embeds the graded
     space as its invariants.  There the right kernel operators, acting on
-    the kernel factor alone, and the ``B``-action graded by the sum of the
-    two gradings must equal those of :func:`fm_lambda` on the nose.  The
-    witness names the first failing translation, then the first failing
-    character.  Raises ``ValueError``, as :func:`fm_lambda` does, when the
-    object violates the transport law.
+    the kernel factor alone (a matmul broadcast over the graded basis),
+    and the ``B``-action graded by the sum of the two gradings must equal
+    those of :func:`fm_lambda` on the nose.  The witness names the first
+    failing translation, then the first failing character.  Raises
+    ``ValueError``, as :func:`fm_lambda` does, when the object violates
+    the transport law.
     """
     module = fm_lambda(model, sheaf)
     kernel = DeformedKernel(model)
@@ -606,8 +607,8 @@ def verify_factorization(model: TorusModel,
             if total else 0.0
 
     for k in model.Khat.elements():
-        moved = np.einsum("ij,tjc->tic", kernel.right_matrix(k), emb)
-        report.note(dev(moved, module.n[k]), ("translation", k))
+        report.note(dev(kernel.right_matrix(k) @ emb, module.n[k]),
+                    ("translation", k))
     for a in model.B.elements():
         chars = np.zeros((total, nK), dtype=complex)
         for beta, off, d in layout:

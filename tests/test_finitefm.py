@@ -80,7 +80,7 @@ ALL_MODELS = [model_halved(False), model_halved(True),
 
 
 def model_regular(n):
-    """``K̂ = B``, twisted by the form that ``[[0, 1], [0, 0]]`` at root
+    """``Khat = B``, twisted by the form that ``[[0, 1], [0, 0]]`` at root
     order ``n`` descends to: ``(Z/n)^2``."""
     lam = BilinearCocycle([[0, 1], [0, 0]], n)
     quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), n))
