@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -197,12 +198,16 @@ class FiniteAbelianGroup:
     which sends ``(x, chi)`` to the phase ``sum_i x_i chi_i / d_i``.  It is
     evaluated in integer exponents over the group exponent
     ``L = lcm(d_1, ..., d_r)``: the phase is ``(sum_i x_i chi_i L/d_i) / L``.
-    The first :meth:`elements` call caches the elements and their index, from
-    which :meth:`reduce` then returns canonical tuples; a group that is never
-    enumerated (such as a quotient of order ``2**64``) builds neither.
+    The first :meth:`elements` call caches the elements, their index and the
+    ``L`` phases ``n / L``: :meth:`reduce` then returns canonical tuples, and
+    :meth:`pairing` and :class:`GroupBilinearTable` index their values (``L``
+    divides the order, so the phases never outnumber the elements).  A group
+    never enumerated (such as a quotient of order ``2**64``) builds none of
+    the three and reduces each exponent into a new ``Phase`` instead.
     """
 
-    __slots__ = ("factors", "exponent", "_weights", "_elements", "_index")
+    __slots__ = ("factors", "exponent", "_weights", "_elements", "_index",
+                 "_roots")
 
     def __init__(self, factors: Sequence[int]):
         fs = tuple(int(d) for d in factors)
@@ -213,6 +218,7 @@ class FiniteAbelianGroup:
         self._weights = tuple(self.exponent // d for d in fs)
         self._elements = None
         self._index = None
+        self._roots = None
 
     @property
     def rank(self) -> int:
@@ -249,6 +255,8 @@ class FiniteAbelianGroup:
             self._elements = tuple(
                 itertools.product(*(range(d) for d in self.factors)))
             self._index = {x: i for i, x in enumerate(self._elements)}
+            L = self.exponent
+            self._roots = tuple(Phase._reduced(n, L) for n in range(L))
         return iter(self._elements)
 
     def generators(self) -> list[Vec]:
@@ -261,8 +269,13 @@ class FiniteAbelianGroup:
         if len(x) != r or len(chi) != r:
             raise ValueError(f"expected {r} coordinates")
         # unreduced is fine: x_i -> x_i + d_i adds chi_i * L to the sum
-        return Phase(sum(int(a) * int(c) * w for a, c, w
-                         in zip(x, chi, self._weights)), self.exponent)
+        return self._root(sum(map(operator.mul, map(int, x), map(
+            operator.mul, map(int, chi), self._weights))))
+
+    def _root(self, e: int) -> Phase:
+        """The phase ``e / L``, from the roots table once enumerated."""
+        return (Phase._reduced(e, self.exponent) if self._roots is None
+                else self._roots[e % self.exponent])
 
     def random_element(self, rng: np.random.Generator) -> Vec:
         return tuple(int(rng.integers(0, d)) for d in self.factors)
@@ -339,9 +352,11 @@ class GroupBilinearTable:
             raise ValueError(f"expected {r} coordinates")
         # unreduced is fine: d_i * E[i][j] and d_j * E[i][j] are 0 mod L
         y = list(map(int, y))
-        total = sum(int(xi) * sum(e * yj for e, yj in zip(row, y))
-                    for xi, row in zip(x, self._E) if xi)
-        return Phase(total, self.group.exponent)
+        total = 0
+        for xi, row in zip(x, self._E):
+            if xi:
+                total += int(xi) * sum(map(operator.mul, row, y))
+        return self.group._root(total)
 
     def antisymmetrized(self) -> "GroupBilinearTable":
         r = self.group.rank
@@ -465,7 +480,8 @@ class QuotientPresentation:
     are those of :func:`_cyclic_factors`.
     """
 
-    __slots__ = ("sublattice", "group", "U", "diagonal", "kept", "lifts")
+    __slots__ = ("sublattice", "group", "U", "diagonal", "kept", "lifts",
+                 "_kept_rows", "_lift_rows")
 
     def __init__(self, sublattice, group, U, diagonal, kept, lifts):
         self.sublattice = sublattice
@@ -474,21 +490,19 @@ class QuotientPresentation:
         self.diagonal = diagonal
         self.kept = kept
         self.lifts = lifts
+        self._kept_rows = [(U[i], diagonal[i]) for i in kept]
+        self._lift_rows = list(zip(*lifts)) if lifts else [()] * sublattice.g
 
     def project(self, t: Sequence[int]) -> Vec:
         if len(t) != self.sublattice.g:
             raise ValueError(f"expected a length-{self.sublattice.g} vector")
-        y = _matvec(self.U, [int(x) for x in t])
-        return tuple(y[i] % self.diagonal[i] for i in self.kept)
+        t = list(map(int, t))
+        return tuple(sum(map(operator.mul, row, t)) % d
+                     for row, d in self._kept_rows)
 
     def lift(self, k: Sequence[int]) -> Vec:
         k = self.group.reduce(k)
-        g = self.sublattice.g
-        out = [0] * g
-        for coeff, col in zip(k, self.lifts):
-            if coeff:
-                out = [o + coeff * c for o, c in zip(out, col)]
-        return tuple(out)
+        return tuple(sum(map(operator.mul, row, k)) for row in self._lift_rows)
 
     def __repr__(self) -> str:
         return (f"QuotientPresentation(factors={list(self.group.factors)}, "

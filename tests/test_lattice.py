@@ -289,6 +289,68 @@ def test_table_and_pairing_reject_wrong_length():
             G.pairing(x, y)
 
 
+def factor_tuples(limit):
+    """Every tuple of cyclic factors ``>= 2`` whose product is at most
+    ``limit``, the empty tuple included."""
+    out = [()]
+    for d in range(2, limit + 1):
+        out += [(d,) + rest for rest in factor_tuples(limit // d)]
+    return out
+
+
+def coordinate_variant(x, factors, i):
+    """``x`` as given, unreduced, negative or as an ``np.int64`` array, in
+    turn with ``i``."""
+    shift = (0, 3, -5, -2)[i % 4]
+    v = tuple(a + shift * d for a, d in zip(x, factors))
+    return np.array(v, dtype=np.int64) if i % 4 == 3 else v
+
+
+def test_enumerated_and_fresh_groups_agree_on_every_pair():
+    """An enumerated group answers from its roots table, a fresh one reduces
+    each exponent: both give equal phases, for every factor tuple of order
+    at most 36, on every element pair and on coordinate variants."""
+    rng = np.random.default_rng(36)
+    tuples = factor_tuples(36) + [(1,), (1, 3), (2, 1, 2)]
+    for factors in tuples:
+        fresh, enumerated = (FiniteAbelianGroup(factors) for _ in range(2))
+        elems = list(enumerated.elements())
+        L = enumerated.exponent
+        assert len(enumerated._roots) == L <= enumerated.size
+        assert enumerated._roots == tuple(Phase(n, L) for n in range(L))
+        omega = [[Phase(int(rng.integers(0, 60)), math.gcd(a, b))
+                  for b in factors] for a in factors]
+        tables = [GroupBilinearTable(G, omega) for G in (fresh, enumerated)]
+        i = 0
+        for x in elems:
+            for y in elems:
+                xv = coordinate_variant(x, factors, i)
+                yv = coordinate_variant(y, factors, i + 1)
+                i += 1
+                p0, p1 = fresh.pairing(xv, yv), enumerated.pairing(xv, yv)
+                t0, t1 = (table(xv, yv) for table in tables)
+                assert type(p0) is type(p1) is Phase, factors
+                assert (p0.n, p0.d) == (p1.n, p1.d), (factors, x, y)
+                assert (t0.n, t0.d) == (t1.n, t1.d), (factors, x, y)
+                assert p1 == enumerated.pairing(x, y)
+                assert t1 == tables[1](x, y)
+        assert fresh._roots is None and fresh._elements is None, factors
+
+
+def test_huge_group_pairs_without_a_roots_table():
+    m = 2 ** 32
+    G = FiniteAbelianGroup([m, m])
+    for x, chi in [((m - 1, 3), (5, m - 7)), ((-1, 2 * m + 1), (m + 1, -3))]:
+        want = Phase(fraction_pairing(G.factors, x, chi))
+        assert G.pairing(x, chi) == want
+        assert G.pairing(np.array(x, dtype=np.int64),
+                         np.array(chi, dtype=np.int64)) == want
+    table = GroupBilinearTable(G, [[Phase(1, m), Phase(3, m)],
+                                   [Phase.zero(), Phase(1, 2)]])
+    assert table((m - 1, 1), (1, 1)) == Phase(-1 + 3 * (m - 1), m) + Phase(1, 2)
+    assert G._roots is None and G._elements is None
+
+
 def test_group_rejects_bad_factors():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((0, 2))
@@ -463,6 +525,7 @@ def test_H_hat_and_K_hat_beyond_int64(M, m):
     assert table((1, 0), (0, 1)) == Phase(M[0][1], N)
     # nothing above enumerated the quotient, so it built no element index
     assert quo.group._elements is None and quo.group._index is None
+    assert quo.group._roots is None
 
 
 def test_K_hat_surjective_small():
@@ -478,6 +541,50 @@ def test_K_hat_trivial_when_everything_commutes():
     assert quo.group.size == 1
     assert quo.group.factors == ()
     assert quo.project((2, 3)) == ()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_quotient_maps_against_the_commutant_oracle(g):
+    """Every upper-triangular form with N <= 4 (N = 1 and the zero form give
+    the trivial quotient, with no lifts): ``project`` kills exactly the
+    residues the enumeration oracle puts in the commutant, ``lift`` is a
+    section of it on reduced and unreduced coordinates, both maps take
+    numpy ints and both reject a wrong length."""
+    for N in range(1, 5):
+        for upper in itertools.product(range(N), repeat=g * (g - 1) // 2):
+            it = iter(upper)
+            M = [[next(it) if j > i else 0 for j in range(g)]
+                 for i in range(g)]
+            A = BilinearCocycle(M, N).antisymmetrized()
+            quo = compute_K_hat(compute_H_hat(A, N))
+            K = quo.group
+            if K.size == 1:
+                assert quo.lifts == [] and K.factors == ()
+            kernel = brute_kernel_residues(A, N, g)
+
+            def in_commutant(t):
+                return tuple(a % N for a in t) in kernel
+
+            for k in itertools.product(*(range(d) for d in K.factors)):
+                assert quo.project(quo.lift(k)) == k
+                for shift in (1, -2):
+                    odd = tuple(a + shift * d for a, d in zip(k, K.factors))
+                    assert quo.lift(odd) == quo.lift(k)
+                    assert quo.project(quo.lift(np.array(odd))) == k
+            for t in itertools.product(range(-1, N + 1), repeat=g):
+                k = quo.project(t)
+                assert (k == K.zero()) == in_commutant(t), (M, N, t)
+                back = quo.lift(k)
+                assert in_commutant([b - a for a, b in zip(t, back)])
+                assert quo.project(np.array(t, dtype=np.int64)) == k
+                assert quo.lift(np.array(k, dtype=np.int64)) == back
+            for bad in [(0,) * (g + 1), (0,) * (g - 1)]:
+                with pytest.raises(ValueError):
+                    quo.project(bad)
+            for bad in [(0,) * (K.rank + 1)] + (
+                    [(0,) * (K.rank - 1)] if K.rank else []):
+                with pytest.raises(ValueError):
+                    quo.lift(bad)
 
 
 # ---------------------------------------------------------------------------
