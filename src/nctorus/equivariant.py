@@ -326,15 +326,39 @@ def free(dims: Mapping, phi: GroupCocycleTable,
     return EquivariantObject(gset, total, rho)
 
 
-def _projector_images(P: np.ndarray, where: Sequence) -> list:
+def _projector_ranks(P: np.ndarray, where: Sequence,
+                     total: int = None) -> list:
+    """Ranks of a stack of projectors ``P``, each its trace (an idempotent's
+    rank).  Raises ``ValueError`` naming ``where[i]`` unless the trace of
+    ``P[i]`` is integral and ``max|P^2 - P| <= TOL * max(1, max|P|)``, and,
+    given ``total``, unless the ranks sum to it."""
+    traces = np.trace(P, axis1=1, axis2=2)
+    ranks = np.rint(traces.real)
+    idempotent = (np.max(np.abs(P @ P - P), axis=(1, 2), initial=0.0)
+                  <= TOL * np.max(np.abs(P), axis=(1, 2), initial=1.0))
+    for w, trace, r, ok in zip(where, traces, ranks, idempotent):
+        if not abs(trace - r) <= 1e-6:
+            raise ValueError(f"non-integral rank {trace:.6g} at {w}")
+        if not ok:
+            raise ValueError(f"averaging at {w} is no projector")
+    ranks = [int(r) for r in ranks]
+    if total is not None and sum(ranks) != total:
+        raise ValueError(f"projector ranks sum to {sum(ranks)}, not to the "
+                         f"dimension {total}")
+    return ranks
+
+
+def _projector_images(P: np.ndarray, where: Sequence,
+                      total: int = None) -> list:
     """Orthonormal bases of the images of a stack of projectors ``P``.
 
-    Each rank ``r`` is the trace of its projector, which must be integral,
-    and the basis is the leading ``r`` left singular vectors.  Raises
-    ``ValueError`` naming ``where[i]`` unless ``P[i]`` is a projector of
-    rank ``r``: exactly ``r`` singular values above the cut, and ``P[i]``
-    fixing the columns returned.
+    Each rank ``r`` comes from :func:`_projector_ranks`, and the basis is
+    the leading ``r`` left singular vectors.  Raises ``ValueError`` as
+    :func:`_projector_ranks` does, or naming ``where[i]`` unless ``P[i]``
+    has exactly ``r`` singular values above the cut and fixes the columns
+    returned.
     """
+    ranks = _projector_ranks(P, where, total)
     try:
         U, svals, _ = np.linalg.svd(P)
         floor = 0.0
@@ -347,11 +371,7 @@ def _projector_images(P: np.ndarray, where: Sequence) -> list:
         U, svals = U[..., ::-1], np.sqrt(np.clip(evals[..., ::-1], 0, None))
         floor = float(np.sqrt(np.finfo(float).eps * P.shape[-1]))
     out = []
-    for w, p, trace, u, s in zip(where, P, np.trace(P, axis1=1, axis2=2),
-                                 U, svals):
-        r = round(trace.real)
-        if abs(trace - r) > 1e-6:
-            raise ValueError(f"non-integral rank {trace:.6g} at {w}")
+    for w, p, r, u, s in zip(where, P, ranks, U, svals):
         cut = max(TOL, floor) * max(1.0, s[0] if len(s) else 1.0)
         basis = u[:, :r]
         if (np.count_nonzero(s > cut) != r

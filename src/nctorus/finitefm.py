@@ -41,6 +41,7 @@ from .equivariant import (
     LinearizationReport,
     _inverse,
     _projector_images,
+    _projector_ranks,
     check_linearization,
     free,
 )
@@ -134,26 +135,42 @@ def fm_ab_phase_table(dims: Mapping, B: FiniteAbelianGroup):
     return layout, table
 
 
+def _character_table(B: FiniteAbelianGroup, inverse: bool = False):
+    """Character values ``<beta, a>`` (or their inverses), rows ``beta`` and
+    columns ``a`` in element order: the roots ``n / L`` indexed by the
+    exponents ``(X w) X^T mod L`` of the element array ``X`` and weights
+    ``w = L / d_i``, bit-identical to ``B.pairing(beta, a).embed()``."""
+    X = np.array(list(B.elements()), dtype=np.int64).reshape(B.size, B.rank)
+    E = (X * np.array(B._weights, dtype=np.int64)) @ X.T
+    roots = np.array([p.embed() for p in B._roots])
+    return roots[(-E if inverse else E) % B.exponent]
+
+
 def fm_ab(dims: Mapping, B: FiniteAbelianGroup) -> BRepresentation:
     """Send a space graded by dual points to the representation of ``B``
     where ``a`` acts on the block of ``beta`` by the character value
-    ``<beta, a>``."""
-    _, table = fm_ab_phase_table(dims, B)
-    pi = {a: np.diag([p.embed() for p in diag]).astype(complex)
-          if diag else np.zeros((0, 0), dtype=complex)
-          for a, diag in table.items()}
-    return BRepresentation(B, pi)
+    ``<beta, a>``: the rows of the character table repeated down the
+    graded layout."""
+    layout, _ = _graded_layout(dims, B)
+    diag = np.repeat(_character_table(B), [d for _, _, d in layout], axis=0)
+    return BRepresentation(B, {a: np.diag(col)
+                               for a, col in zip(B.elements(), diag.T)})
 
 
 def character_projectors(rep: BRepresentation) -> np.ndarray:
     """Averaged projectors onto the character eigenspaces, stacked in
     element order: ``P[beta] = (1/|B|) sum_a <beta, a>^-1 pi(a)``."""
     B = rep.group
-    elts = list(B.elements())
-    chars = np.array([[(-B.pairing(beta, a)).embed() for a in elts]
-                      for beta in elts])
-    pi = np.array([rep.pi[a] for a in elts])
-    return np.einsum("ba,aij->bij", chars, pi) / B.size
+    pi = np.array([rep.pi[a] for a in B.elements()])
+    return np.einsum("ba,aij->bij", _character_table(B, inverse=True),
+                     pi) / B.size
+
+
+def _character_ranks(rep: BRepresentation) -> dict:
+    """Rank of each character eigenspace, the trace of its projector."""
+    elts = list(rep.group.elements())
+    return dict(zip(elts, _projector_ranks(character_projectors(rep), elts,
+                                           rep.dim)))
 
 
 def _eigenspace_bases(rep: BRepresentation) -> dict:
@@ -161,22 +178,18 @@ def _eigenspace_bases(rep: BRepresentation) -> dict:
     character; ``ValueError`` unless the images exhaust ``rep``."""
     elts = list(rep.group.elements())
     projs = character_projectors(rep)
-    bases = _projector_images(projs, elts)
-    if sum(W.shape[1] for W in bases) != rep.dim:
-        raise ValueError("character eigenspaces do not exhaust the "
-                         "representation")
-    return dict(zip(elts, zip(projs, bases)))
+    return dict(zip(elts, zip(projs, _projector_images(projs, elts,
+                                                       rep.dim))))
 
 
 def fm_ab_inverse(rep: BRepresentation) -> dict:
-    """Recover the graded dimensions from character eigenspaces.
+    """Recover the graded dimensions from character ranks.
 
     Raises ``ValueError`` unless the averaged character projectors are
     projectors whose ranks exhaust the representation (it was not a true
     character decomposition).
     """
-    return {beta: W.shape[1] for beta, (_, W)
-            in _eigenspace_bases(rep).items() if W.shape[1]}
+    return {beta: r for beta, r in _character_ranks(rep).items() if r}
 
 
 def translate_graded(dims: Mapping, yhat, B: FiniteAbelianGroup) -> dict:
@@ -517,6 +530,21 @@ def fm_lambda_inverse(model: TorusModel,
     return EquivariantObject(model.gset, dims, rho)
 
 
+def _common_model(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> TorusModel:
+    if m1.model is not m2.model and (
+            m1.model.B != m2.model.B or m1.model.Khat != m2.model.Khat
+            or m1.model.embed != m2.model.embed
+            or m1.model.lam.omega != m2.model.lam.omega):
+        raise ValueError("modules live over different models")
+    return m1.model
+
+
+def _orbit_representatives(model: TorusModel) -> list:
+    """The least character of each translation orbit, in element order."""
+    return [beta for beta, row in model.gset.table.items()
+            if beta == min(row.values())]
+
+
 def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     """Orthonormal basis of maps intertwining both the ``B``-action and
     the twisted translations.
@@ -530,28 +558,17 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     makes the result Frobenius-orthonormal.  Raises ``ValueError`` when a
     translation operator is singular.
     """
-    if m1.model is not m2.model and (
-            m1.model.B != m2.model.B or m1.model.Khat != m2.model.Khat
-            or m1.model.embed != m2.model.embed
-            or m1.model.lam.omega != m2.model.lam.omega):
-        raise ValueError("modules live over different models")
+    model = _common_model(m1, m2)
     d1, d2 = m1.dim, m2.dim
     if d1 == 0 or d2 == 0:
         return []
-    model = m1.model
-    B = model.B
     n1_inv = _inverse(list(m1.n.values()), "a translation operator")
     _inverse(list(m2.n.values()), "a translation operator")
     n2 = np.array(list(m2.n.values()))
-    shifts = [model.iota(k) for k in m1.n]
     blocks1 = _eigenspace_bases(m1.rep())
     blocks2 = _eigenspace_bases(m2.rep())
     maps = []
-    done = set()
-    for beta in B.elements():
-        if beta in done:
-            continue
-        done.update(B.add(beta, y) for y in shifts)
+    for beta in _orbit_representatives(model):
         proj1, W1 = blocks1[beta]
         W2 = blocks2[beta][1]
         # X_ij = W2[:, i] (x) (W1^H proj1)[j], moved by every translation
@@ -565,7 +582,17 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
 
 
 def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> int:
-    return len(module_hom_space(m1, m2))
+    """Dimension of :func:`module_hom_space` from exact data: the sum over
+    translation orbits of ``rank1(beta) * rank2(beta)``, each rank the
+    trace of a character projector.  Raises ``ValueError`` where
+    :func:`module_hom_space` does."""
+    model = _common_model(m1, m2)
+    if m1.dim == 0 or m2.dim == 0:
+        return 0
+    for m in (m1, m2):
+        _inverse(list(m.n.values()), "a translation operator")
+    r1, r2 = (_character_ranks(m.rep()) for m in (m1, m2))
+    return sum(r1[beta] * r2[beta] for beta in _orbit_representatives(model))
 
 
 def verify_factorization(model: TorusModel,

@@ -204,6 +204,8 @@ class FiniteAbelianGroup:
     divides the order, so the phases never outnumber the elements).  A group
     never enumerated (such as a quotient of order ``2**64``) builds none of
     the three and reduces each exponent into a new ``Phase`` instead.
+    Coordinates pass ``operator.index``, so a float raises ``TypeError``
+    (unless an enumerated group's :meth:`reduce` finds it in the index).
     """
 
     __slots__ = ("factors", "exponent", "_weights", "_elements", "_index",
@@ -238,7 +240,7 @@ class FiniteAbelianGroup:
                 return self._elements[i]
         if len(x) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates")
-        return tuple(int(a) % d for a, d in zip(x, self.factors))
+        return tuple(operator.index(a) % d for a, d in zip(x, self.factors))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> Vec:
         return tuple((a + b) % d for a, b, d
@@ -269,8 +271,8 @@ class FiniteAbelianGroup:
         if len(x) != r or len(chi) != r:
             raise ValueError(f"expected {r} coordinates")
         # unreduced is fine: x_i -> x_i + d_i adds chi_i * L to the sum
-        return self._root(sum(map(operator.mul, map(int, x), map(
-            operator.mul, map(int, chi), self._weights))))
+        return self._root(sum(map(operator.mul, map(operator.index, x), map(
+            operator.mul, map(operator.index, chi), self._weights))))
 
     def _root(self, e: int) -> Phase:
         """The phase ``e / L``, from the roots table once enumerated."""
@@ -288,11 +290,11 @@ class FiniteAbelianGroup:
 
     def __contains__(self, x) -> bool:
         try:
-            seq = tuple(x)
+            seq = tuple(map(operator.index, x))
         except TypeError:
             return False
         return len(seq) == len(self.factors) and all(
-            0 <= int(a) < d for a, d in zip(seq, self.factors))
+            0 <= a < d for a, d in zip(seq, self.factors))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteAbelianGroup):
@@ -351,11 +353,11 @@ class GroupBilinearTable:
         if len(x) != r or len(y) != r:
             raise ValueError(f"expected {r} coordinates")
         # unreduced is fine: d_i * E[i][j] and d_j * E[i][j] are 0 mod L
-        y = list(map(int, y))
+        y = list(map(operator.index, y))
         total = 0
-        for xi, row in zip(x, self._E):
+        for xi, row in zip(map(operator.index, x), self._E):
             if xi:
-                total += int(xi) * sum(map(operator.mul, row, y))
+                total += xi * sum(map(operator.mul, row, y))
         return self.group._root(total)
 
     def antisymmetrized(self) -> "GroupBilinearTable":
@@ -457,18 +459,17 @@ def compute_H_hat(Lam: Sequence[Sequence[int]], N: int) -> SublatticeBasis:
 
 def _cyclic_factors(relations: Sequence[Sequence[int]]):
     """Smith-reduce a square relation matrix whose columns span a full-rank
-    lattice.  ``Z^g`` modulo that span is the sum of ``Z/d`` over the
-    ``kept`` diagonal entries ``d > 1``: ``U . t`` gives the coordinates of
-    ``t``, and the kept columns of ``U``'s inverse lift the generators.
+    lattice.  ``Z^g`` modulo that span is the sum of ``Z/d_i`` over the
+    diagonal entries ``d_i > 1``: row ``U[i] . t`` gives coordinate ``i``
+    of ``t``, and column ``i`` of ``U``'s inverse lifts generator ``i``.
 
-    Returns ``(group, U, diagonal, kept, lifts)``.
+    Returns ``(group, kept_rows, lifts)``; ``kept_rows`` pairs ``(U[i], d_i)``.
     """
     D, U, _, Uinv = _smith_rows(relations)
-    diagonal = [D[i][i] for i in range(len(D))]
-    kept = [i for i, d in enumerate(diagonal) if d > 1]
+    kept = [i for i in range(len(D)) if D[i][i] > 1]
     lifts = [tuple(row[i] for row in Uinv) for i in kept]
-    return (FiniteAbelianGroup([diagonal[i] for i in kept]), U, diagonal,
-            kept, lifts)
+    return (FiniteAbelianGroup([D[i][i] for i in kept]),
+            [(U[i], D[i][i]) for i in kept], lifts)
 
 
 class QuotientPresentation:
@@ -476,27 +477,23 @@ class QuotientPresentation:
 
     ``project`` maps exponent vectors onto quotient coordinates and
     ``lift`` is an explicit section of it; the lifts of the quotient
-    generators are stored in ``lifts``.  The fields after ``sublattice``
-    are those of :func:`_cyclic_factors`.
+    generators are stored in ``lifts``.  The arguments after
+    ``sublattice`` are those :func:`_cyclic_factors` returns.
     """
 
-    __slots__ = ("sublattice", "group", "U", "diagonal", "kept", "lifts",
-                 "_kept_rows", "_lift_rows")
+    __slots__ = ("sublattice", "group", "lifts", "_kept_rows", "_lift_rows")
 
-    def __init__(self, sublattice, group, U, diagonal, kept, lifts):
+    def __init__(self, sublattice, group, kept_rows, lifts):
         self.sublattice = sublattice
         self.group = group
-        self.U = U
-        self.diagonal = diagonal
-        self.kept = kept
         self.lifts = lifts
-        self._kept_rows = [(U[i], diagonal[i]) for i in kept]
+        self._kept_rows = kept_rows
         self._lift_rows = list(zip(*lifts)) if lifts else [()] * sublattice.g
 
     def project(self, t: Sequence[int]) -> Vec:
         if len(t) != self.sublattice.g:
             raise ValueError(f"expected a length-{self.sublattice.g} vector")
-        t = list(map(int, t))
+        t = list(map(operator.index, t))
         return tuple(sum(map(operator.mul, row, t)) % d
                      for row, d in self._kept_rows)
 

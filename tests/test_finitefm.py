@@ -25,6 +25,7 @@ from nctorus.finitefm import (
     fm_ab,
     fm_ab_equivariance_iso,
     fm_ab_inverse,
+    fm_ab_phase_table,
     fm_lambda,
     fm_lambda_inverse,
     fourier_component,
@@ -131,11 +132,46 @@ def test_character_projectors_match_the_per_character_loop():
             assert abs(np.trace(P) - dims[beta]) < 1e-9
 
 
+def factor_tuples(limit):
+    """Every tuple of cyclic factors ``>= 2`` whose product is at most
+    ``limit``, the empty tuple included."""
+    out = [()]
+    for d in range(2, limit + 1):
+        out += [(d,) + rest for rest in factor_tuples(limit // d)]
+    return out
+
+
+def test_character_table_is_the_embedded_pairing():
+    """Bit for bit, on every group of order at most 36: the table is
+    ``B.pairing(beta, a).embed()``, its inverse the embedded negation, and
+    ``fm_ab`` the embedded exact phase table."""
+    rng = np.random.default_rng(36)
+    for factors in factor_tuples(36) + [(1,), (2, 1, 2)]:
+        B = FiniteAbelianGroup(factors)
+        elts = list(B.elements())
+        table = finitefm._character_table(B)
+        inverse = finitefm._character_table(B, inverse=True)
+        assert table.shape == inverse.shape == (B.size, B.size)
+        for i, beta in enumerate(elts):
+            for j, a in enumerate(elts):
+                assert table[i, j] == B.pairing(beta, a).embed()
+                assert inverse[i, j] == (-B.pairing(beta, a)).embed()
+        dims = random_dims(B, rng)
+        _, phases = fm_ab_phase_table(dims, B)
+        rep = fm_ab(dims, B)
+        for a in elts:
+            want = np.diag([p.embed() for p in phases[a]]).astype(complex)
+            assert np.array_equal(rep.pi[a], want)
+
+
 def test_fm_ab_inverse_rejects_non_representation():
     B = FiniteAbelianGroup((2,))
     rep = BRepresentation(B, {(0,): np.eye(2), (1,): np.array([[1, 1], [0, 1]])})
     with pytest.raises(ValueError):
         fm_ab_inverse(rep)
+    for what, bad in broken_modules(model_halved(True), 2).items():
+        with pytest.raises(ValueError, match=what):
+            fm_ab_inverse(bad.rep())
 
 
 def dft_matrix(B):
@@ -534,6 +570,63 @@ def test_module_hom_space_rejects_singular_translations():
     for m1, m2 in ((zero, mod), (mod, zero)):
         with pytest.raises(ValueError, match="not invertible"):
             module_hom_space(m1, m2)
+
+
+def test_module_hom_dim_counts_the_hom_space_basis():
+    """Oracle: the dimension from character ranks is the length of the
+    intertwiner basis, on modules from the transform, on modules
+    conjugated by non-unitary maps, on the zero module, and on the derived
+    model of order 9."""
+    rng = np.random.default_rng(71)
+    for model in ALL_MODELS + [model_regular(3)]:
+        empty = fm_lambda(model, free_sheaf(model, {}))
+        for _ in range(2):
+            s1, s2 = (random_sheaf(model, rng) for _ in range(2))
+            m1, m2 = fm_lambda(model, s1), fm_lambda(model, s2)
+            d = module_hom_dim(m1, m2)
+            assert d == len(module_hom_space(m1, m2)) == hom_dim(s1, s2)
+            c1, c2 = (m.conjugate(rng.normal(size=(m.dim, m.dim))
+                                  + 1j * rng.normal(size=(m.dim, m.dim)))
+                      for m in (m1, m2))
+            assert module_hom_dim(c1, c2) == len(module_hom_space(c1, c2)) \
+                == d
+            assert module_hom_dim(c1, m2) == module_hom_dim(m1, c2) == d
+            assert module_hom_dim(empty, c2) == module_hom_dim(c1, empty) \
+                == len(module_hom_space(empty, c2)) == 0
+
+
+def broken_modules(model, dim):
+    """Modules over ``model`` whose ``B``-action is no representation,
+    labelled by the refusal they must meet: averages that are no
+    projectors, a non-integral trace, ranks that miss the dimension."""
+    B = model.B
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    one = {k: np.eye(dim) for k in model.Khat.elements()}
+    pis = {
+        "no projector": {a: np.linalg.matrix_power(J, a[0])
+                         for a in B.elements()},
+        "non-integral rank": {a: np.diag([1.0, 0.5]) for a in B.elements()},
+        "ranks sum to 0": {a: np.zeros((dim, dim)) for a in B.elements()},
+    }
+    return {what: ModuleOnXLambda(model, pi, one) for what, pi in pis.items()}
+
+
+def test_module_hom_dim_refuses_what_the_hom_space_refuses():
+    rng = np.random.default_rng(62)
+    model = model_halved(True)
+    mod = fm_lambda(model, random_sheaf(model, rng))
+    zero = ModuleOnXLambda(model, mod.pi,
+                           {k: np.zeros_like(m) for k, m in mod.n.items()})
+    other = fm_lambda(model_full_z4(),
+                      random_sheaf(model_full_z4(), rng))
+    cases = [("not invertible", zero), ("different models", other)]
+    cases += [(what, bad) for what, bad
+              in broken_modules(model, 2).items()]
+    for match, bad in cases:
+        for m1, m2 in ((bad, mod), (mod, bad)):
+            for count in (module_hom_dim, module_hom_space):
+                with pytest.raises(ValueError, match=match):
+                    count(m1, m2)
 
 
 def test_inverse_handles_conjugated_modules():

@@ -289,6 +289,41 @@ def test_table_and_pairing_reject_wrong_length():
             G.pairing(x, y)
 
 
+@pytest.mark.parametrize("enumerated", [False, True])
+def test_queries_take_integer_coordinates_only(enumerated):
+    """Coordinates pass ``operator.index``: numpy integers and ``bool``
+    are integers, a float (``np.float64`` too) is refused instead of
+    truncated, and is never a member."""
+    G = FiniteAbelianGroup((4, 6))
+    if enumerated:
+        list(G.elements())
+    table = GroupBilinearTable(G, [[Phase(1, 4), Phase(1, 2)],
+                                   [Phase.zero(), Phase(1, 6)]])
+    quo = compute_K_hat(compute_H_hat([[0, 1], [3, 0]], 4))
+    fractional = [(1.5, 0), (0, 0.5), (np.float64(1.5), 0),
+                  np.array([0.5, 1.0])]
+    integral_floats = [(1.0, 0), (0, np.float64(2.0))]
+    for bad in fractional + integral_floats:
+        assert bad not in G
+        for query in (lambda x: G.pairing(x, (1, 1)),
+                      lambda x: G.pairing((1, 1), x),
+                      lambda x: table(x, (1, 1)),
+                      lambda x: table((1, 1), x),
+                      quo.project):
+            with pytest.raises(TypeError):
+                query(bad)
+    for bad in fractional + (integral_floats if not enumerated else []):
+        with pytest.raises(TypeError):
+            G.reduce(bad)
+    for x in [(np.int64(5), True), np.array([1, 7], dtype=np.int64)]:
+        assert G.reduce(x) == (1, 1)
+        assert G.pairing(x, (1, 1)) == G.pairing((1, 1), (1, 1))
+        assert table(x, x) == table((1, 1), (1, 1))
+        assert quo.project(x) == quo.project(tuple(map(int, x)))
+    assert (np.int64(3), True) in G and (True, np.int64(6)) not in G
+    assert G.pairing((True, False), (1, 0)) == Phase(1, 4)
+
+
 def factor_tuples(limit):
     """Every tuple of cyclic factors ``>= 2`` whose product is at most
     ``limit``, the empty tuple included."""

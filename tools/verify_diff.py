@@ -1,0 +1,124 @@
+"""Compare the seeded CLI outputs of a parent and a change checkout.
+
+Usage, from anywhere::
+
+    python3 tools/verify_diff.py --parent DIR --change DIR \\
+        [--seeds 0,3,7] [--scope all]
+
+Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
+
+* ``verify --scope S --grid full --seed s``, as text and with ``--json``;
+* ``fm demo --seed s``, as text and with ``--json``;
+* ``param analyze --json`` on the default parameters and on the four of
+  ``PARAMS`` (``N = 64``, ``N = 12`` with g = 3, ``N = 6``, and the
+  ``N = 2**64`` quotient that ``param analyze`` refuses with exit 2).
+
+For every command it reports whether stdout, stderr and the exit code
+are byte-identical, shows the first differing lines of stdout, and lists
+each floating ``dev`` figure of a ``--json`` output that moved: a check's
+``max_dev`` under ``verify``, a ``*_dev`` key under ``fm demo``.  Exit
+status is 0 when every output is identical, 1 otherwise.  Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+RUN_TIMEOUT_S = 600
+PARAMS = [
+    {"M": [[0, 1], [0, 0]], "N": 64},
+    {"M": [[0, 1, 2], [0, 0, 3], [0, 0, 0]], "N": 12},
+    {"M": [[0, 2], [0, 0]], "N": 6},
+    {"M": [[0, 1], [0, 0]], "N": 2 ** 64},
+]
+
+
+def commands(seeds, scope: str) -> list[list[str]]:
+    out = []
+    for seed in seeds:
+        verify = ["verify", "--scope", scope, "--grid", "full",
+                  "--seed", str(seed)]
+        demo = ["fm", "demo", "--seed", str(seed)]
+        out += [verify, verify + ["--json"], demo, demo + ["--json"]]
+    out.append(["param", "analyze", "--json"])
+    out += [["param", "analyze", "--json", "--param", json.dumps(p)]
+            for p in PARAMS]
+    return out
+
+
+def run(checkout: str, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    proc = subprocess.run([sys.executable, "-m", "nctorus.cli", *argv],
+                          cwd=checkout, env=env, capture_output=True,
+                          text=True, timeout=RUN_TIMEOUT_S)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def dev_figures(argv: list[str], out: str) -> dict:
+    """The floating deviations of a ``--json`` output, by name."""
+    if "--json" not in argv:
+        return {}
+    try:
+        data = json.loads(out)
+    except ValueError:
+        return {}
+    if argv[0] == "verify":
+        return {r["name"]: r["max_dev"] for r in data.get("results", [])}
+    return {k: v for k, v in data.items() if k.endswith("_dev")}
+
+
+def compare(argv, parent, change) -> list[str]:
+    """Report lines for one command; empty when both sides agree."""
+    lines = []
+    if parent[0] != change[0]:
+        lines.append(f"  exit code {parent[0]} -> {change[0]}")
+    if parent[2] != change[2]:
+        lines.append(f"  stderr {parent[2]!r} -> {change[2]!r}")
+    if parent[1] != change[1]:
+        diff = difflib.unified_diff(parent[1].splitlines(),
+                                    change[1].splitlines(), "parent",
+                                    "change", n=0, lineterm="")
+        lines += [f"  {line}" for line in list(diff)[:12]]
+        before, after = dev_figures(argv, parent[1]), dev_figures(argv,
+                                                                  change[1])
+        lines += [f"  dev moved: {name} {before[name]!r} -> {after[name]!r}"
+                  for name in before
+                  if name in after and before[name] != after[name]]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", required=True,
+                        help="checkout of the change")
+    parser.add_argument("--seeds", default=[0, 3, 7],
+                        type=lambda text: [int(s) for s in text.split(",")],
+                        help="comma-separated verify and demo seeds")
+    parser.add_argument("--scope", default="all", help="verify --scope")
+    args = parser.parse_args(argv)
+    sides = [os.path.abspath(args.parent), os.path.abspath(args.change)]
+    differing = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for cmd in commands(args.seeds, args.scope):
+            parent, change = pool.map(lambda side: run(side, cmd), sides)
+            lines = compare(cmd, parent, change)
+            differing += bool(lines)
+            print(f"{'DIFFERS' if lines else 'same   '} (exit "
+                  f"{change[0]}) nctorus {' '.join(cmd)}")
+            for line in lines:
+                print(line)
+    print(f"{differing} of the outputs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
