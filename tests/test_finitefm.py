@@ -169,7 +169,7 @@ def test_fm_ab_inverse_rejects_non_representation():
     rep = BRepresentation(B, {(0,): np.eye(2), (1,): np.array([[1, 1], [0, 1]])})
     with pytest.raises(ValueError):
         fm_ab_inverse(rep)
-    for what, bad in broken_modules(model_halved(True), 2).items():
+    for what, bad in broken_modules(model_halved(True)).items():
         with pytest.raises(ValueError, match=what):
             fm_ab_inverse(bad.rep())
 
@@ -568,8 +568,9 @@ def test_module_hom_space_rejects_singular_translations():
     zero = ModuleOnXLambda(model, mod.pi,
                            {k: np.zeros_like(m) for k, m in mod.n.items()})
     for m1, m2 in ((zero, mod), (mod, zero)):
-        with pytest.raises(ValueError, match="not invertible"):
-            module_hom_space(m1, m2)
+        for count in (module_hom_space, module_hom_dim):
+            with pytest.raises(ValueError, match="not invertible"):
+                count(m1, m2)
 
 
 def test_module_hom_dim_counts_the_hom_space_basis():
@@ -595,33 +596,30 @@ def test_module_hom_dim_counts_the_hom_space_basis():
                 == len(module_hom_space(empty, c2)) == 0
 
 
-def broken_modules(model, dim):
-    """Modules over ``model`` whose ``B``-action is no representation,
-    labelled by the refusal they must meet: averages that are no
-    projectors, a non-integral trace, ranks that miss the dimension."""
+def broken_modules(model):
+    """Two-dimensional modules over ``model`` (with cyclic ``B``) whose
+    ``B``-action is no representation, labelled by the refusal they must
+    meet: averages that are no projectors, a non-integral trace, ranks
+    that miss the dimension."""
     B = model.B
     J = np.array([[1.0, 1.0], [0.0, 1.0]])
-    one = {k: np.eye(dim) for k in model.Khat.elements()}
+    one = {k: np.eye(2) for k in model.Khat.elements()}
     pis = {
         "no projector": {a: np.linalg.matrix_power(J, a[0])
                          for a in B.elements()},
         "non-integral rank": {a: np.diag([1.0, 0.5]) for a in B.elements()},
-        "ranks sum to 0": {a: np.zeros((dim, dim)) for a in B.elements()},
+        "ranks sum to 0": {a: np.zeros((2, 2)) for a in B.elements()},
     }
     return {what: ModuleOnXLambda(model, pi, one) for what, pi in pis.items()}
 
 
-def test_module_hom_dim_refuses_what_the_hom_space_refuses():
+def test_module_hom_dim_refuses_broken_actions_and_foreign_models():
     rng = np.random.default_rng(62)
     model = model_halved(True)
     mod = fm_lambda(model, random_sheaf(model, rng))
-    zero = ModuleOnXLambda(model, mod.pi,
-                           {k: np.zeros_like(m) for k, m in mod.n.items()})
-    other = fm_lambda(model_full_z4(),
-                      random_sheaf(model_full_z4(), rng))
-    cases = [("not invertible", zero), ("different models", other)]
-    cases += [(what, bad) for what, bad
-              in broken_modules(model, 2).items()]
+    other = fm_lambda(model_full_z4(), random_sheaf(model_full_z4(), rng))
+    cases = [("different models", other)]
+    cases += list(broken_modules(model).items())
     for match, bad in cases:
         for m1, m2 in ((bad, mod), (mod, bad)):
             for count in (module_hom_dim, module_hom_space):
