@@ -253,24 +253,69 @@ class LinearizationReport:
                 f" witness={self.witness})")
 
 
+def _indexed(gset: GSet, phi: GroupCocycleTable):
+    """Element order of ``gset``'s group with its tables by index: the sum
+    ``add[i, j]`` of elements ``i`` and ``j``, the twist ``ph[i, j]`` and
+    the action ``act[p, j]``, the index of point ``p`` moved by element
+    ``j``.  ``ValueError`` when ``phi`` lives on another group."""
+    G = gset.group
+    if phi.group != G:
+        raise ValueError("twist lives on a different group")
+    elts = list(G.elements())
+    # elements() runs through the coordinates in row-major order
+    X = np.array(elts, dtype=np.int64).reshape(len(elts), G.rank)
+    strides = np.array([math.prod(G.factors[i + 1:]) for i in range(G.rank)],
+                       dtype=np.int64)
+    add = (X[:, None] + X[None]) % np.array(G.factors, dtype=np.int64) \
+        @ strides
+    point = {s: p for p, s in enumerate(gset.points)}
+    ph = np.array([[phi.table[(g1, g2)] for g2 in elts] for g1 in elts])
+    act = np.array([[point[t] for t in gset.table[s].values()]
+                    for s in gset.points])
+    return elts, add, ph, act
+
+
 def check_linearization(obj: EquivariantObject,
                         phi: GroupCocycleTable) -> LinearizationReport:
     """Verify ``rho_{g2}[s.g1] rho_{g1}[s] == phi(g1,g2) rho_{g1+g2}[s]``
     entrywise within ``TOL`` for all group pairs and points; the witness is
-    the first violating ``(g1, g2, s)``."""
-    G = obj.group
-    table = obj.gset.table
-    rho = obj.rho
+    the first violating ``(g1, g2, s)``.
+
+    Every transport is padded with zeros into one stack ``P[s, g]`` of
+    square matrices of the largest fiber dimension.  Each ``g1`` takes one
+    product per target point ``t = s.g1``: ``P[t]``, all ``g2`` stacked down
+    its rows, times ``rho_{g1}[s]``.  ``ValueError`` when ``phi`` lives on
+    another group.
+    """
+    gset = obj.gset
+    elts, add, ph, act = _indexed(gset, phi)
+    points = gset.points
+    n, k, d = len(elts), len(points), max(obj.dims.values())
+    P = np.zeros((k, n, d, d), dtype=complex)
+    for i, g in enumerate(elts):
+        for p, m in enumerate(obj.rho[g].values()):
+            P[p, i, :m.shape[0], :m.shape[1]] = m
+    src = np.argsort(act, axis=0)  # [t, g]: the point that g moves onto t
+    dev = np.empty((n, k, n))
+    for i in range(n):
+        # [t, g2]: rho_{g2}[t] rho_{g1}[s] - phi(g1, g2) rho_{g1+g2}[s] for
+        # g1 = elts[i] and s = src[t, i]
+        diff = (P.reshape(k, n * d, d) @ P[src[:, i], i]).reshape(P.shape)
+        rhs = P[src[:, i, None], add[i]]
+        rhs *= ph[i][:, None, None]
+        diff -= rhs
+        np.abs(diff).max(axis=(2, 3), initial=0.0, out=dev[i])
+    # [g1, g2, s], back from the target points; an empty map deviates by
+    # nothing, even where a NaN met the padding
+    dims = np.array([obj.dims[s] for s in points])
+    empty = dims[act] * dims[:, None] == 0
+    dev = np.where(empty[:, add], 0.0,
+                   dev[np.arange(n), act]).transpose(1, 2, 0)
+    # the first deviation above TOL (or NaN) is the witness, then the largest
     report = LinearizationReport()
-    for g1 in G.elements():
-        for g2 in G.elements():
-            rho1, rho2, rho12 = rho[g1], rho[g2], rho[G.add(g1, g2)]
-            scale = phi(g1, g2)
-            for s in obj.gset.points:
-                lhs = rho2[table[s][g1]] @ rho1[s]
-                rhs = scale * rho12[s]
-                report.note(float(np.max(np.abs(lhs - rhs)))
-                            if lhs.size else 0.0, (g1, g2, s))
+    for j in (np.argmax(~(dev <= TOL)), np.argmax(dev)):
+        g1, g2, p = np.unravel_index(j, dev.shape)
+        report.note(float(dev[g1, g2, p]), (elts[g1], elts[g2], points[p]))
     return report
 
 
@@ -289,41 +334,31 @@ def free(dims: Mapping, phi: GroupCocycleTable,
     target, scaled by ``phi(g, g')``.  The transport law for the result
     holds for a given table exactly when that table is a 2-cocycle, which
     makes this both the basic supply of examples and a detector of
-    non-cocycles.
+    non-cocycles.  ``ValueError`` when ``phi`` lives on another group.
     """
-    G = gset.group
-    table = gset.table
-    order = list(G.elements())
-    pos = {g: i for i, g in enumerate(order)}
-    base = {s: int(dims.get(s, 0)) for s in gset.points}
-    offsets = {}
-    total = {}
-    for s in gset.points:
-        offs = []
-        run = 0
-        for gp in order:
-            offs.append(run)
-            run += base[table[s][gp]]
-        offsets[s] = offs
-        total[s] = run
+    elts, add, ph, act = _indexed(gset, phi)
+    base = np.array([int(dims.get(s, 0)) for s in gset.points], dtype=int)
+    size = base[act]  # [p, i]: the summand of element i in the fiber at p
+    offset = np.cumsum(size, axis=1) - size
+    total = size.sum(axis=1)
+    # per fiber and row: the summand it lies in and its rank there
+    rows = [np.arange(n) for n in total]
+    label = [np.repeat(np.arange(len(elts)), row) for row in size]
+    rank = [r - off[lab] for r, off, lab in zip(rows, offset, label)]
     rho = {}
-    for g in order:
-        # summand g' of the target comes from summand g + g' of the source
-        src = [pos[G.add(g, gp)] for gp in order]
-        scales = [phi(g, gp) for gp in order]
+    for i, g in enumerate(elts):
         mats = {}
-        for s in gset.points:
-            t = table[s][g]
-            m = np.zeros((total[t], total[s]), dtype=complex)
-            for i, gp in enumerate(order):
-                d = base[table[t][gp]]
-                if d:
-                    r0 = offsets[t][i]
-                    c0 = offsets[s][src[i]]
-                    m[r0:r0 + d, c0:c0 + d] = scales[i] * np.eye(d)
+        for p, s in enumerate(gset.points):
+            t = act[p, i]
+            lab = label[t]
+            m = np.zeros((total[t], total[p]), dtype=complex)
+            # row k of summand g' of the target is column k of summand
+            # g + g' of the source
+            m[rows[t], offset[p][add[i][lab]] + rank[t]] = ph[i][lab]
             mats[s] = m
         rho[g] = mats
-    return EquivariantObject(gset, total, rho)
+    return EquivariantObject(gset, dict(zip(gset.points, total.tolist())),
+                             rho)
 
 
 def _projector_ranks(P: np.ndarray, where: Sequence,

@@ -162,8 +162,8 @@ def character_projectors(rep: BRepresentation) -> np.ndarray:
     element order: ``P[beta] = (1/|B|) sum_a <beta, a>^-1 pi(a)``."""
     B = rep.group
     pi = np.array([rep.pi[a] for a in B.elements()])
-    return np.einsum("ba,aij->bij", _character_table(B, inverse=True),
-                     pi) / B.size
+    return np.tensordot(_character_table(B, inverse=True), pi,
+                        axes=1) / B.size
 
 
 def _character_ranks(rep: BRepresentation) -> dict:

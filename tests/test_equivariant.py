@@ -335,6 +335,219 @@ def test_forget_returns_dims():
     assert forget(obj) == {"*": 2}
 
 
+def loop_check_linearization(obj, phi):
+    """The transport law one ``(g1, g2, s)`` at a time (the oracle)."""
+    G = obj.group
+    table = obj.gset.table
+    rho = obj.rho
+    report = LinearizationReport()
+    for g1 in G.elements():
+        for g2 in G.elements():
+            rho1, rho2, rho12 = rho[g1], rho[g2], rho[G.add(g1, g2)]
+            scale = phi(g1, g2)
+            for s in obj.gset.points:
+                lhs = rho2[table[s][g1]] @ rho1[s]
+                rhs = scale * rho12[s]
+                report.note(float(np.max(np.abs(lhs - rhs)))
+                            if lhs.size else 0.0, (g1, g2, s))
+    return report
+
+
+def loop_free(dims, phi, gset):
+    """The induced object one identity block per summand (the oracle)."""
+    G = gset.group
+    table = gset.table
+    order = list(G.elements())
+    pos = {g: i for i, g in enumerate(order)}
+    base = {s: int(dims.get(s, 0)) for s in gset.points}
+    offsets, total = {}, {}
+    for s in gset.points:
+        offs, run = [], 0
+        for gp in order:
+            offs.append(run)
+            run += base[table[s][gp]]
+        offsets[s], total[s] = offs, run
+    rho = {}
+    for g in order:
+        src = [pos[G.add(g, gp)] for gp in order]
+        mats = {}
+        for s in gset.points:
+            t = table[s][g]
+            m = np.zeros((total[t], total[s]), dtype=complex)
+            for i, gp in enumerate(order):
+                d = base[table[t][gp]]
+                if d:
+                    r0, c0 = offsets[t][i], offsets[s][src[i]]
+                    m[r0:r0 + d, c0:c0 + d] = phi(g, gp) * np.eye(d)
+            mats[s] = m
+        rho[g] = mats
+    return EquivariantObject(gset, total, rho)
+
+
+def abelian_groups(limit):
+    """Invariant factors ``d1 | d2 | ...`` of every abelian group of order
+    at most ``limit``; the trivial group is ``()``."""
+    def chains(n, prev):
+        if n == 1:
+            yield ()
+        for d in range(2, n + 1):
+            if n % d == 0 and d % prev == 0:
+                for rest in chains(n // d, d):
+                    yield (d,) + rest
+    return [f for n in range(1, limit + 1) for f in chains(n, 1)]
+
+
+def assert_reports_agree(obj, phi):
+    """``ok`` and the witness exactly, ``max_dev`` within a few ulps of the
+    product entries (the batched product may sum in another order)."""
+    got, want = check_linearization(obj, phi), loop_check_linearization(obj,
+                                                                        phi)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    big = max((np.max(np.abs(m), initial=0.0)
+               for mats in obj.rho.values() for m in mats.values()),
+              default=0.0)
+    d = max(obj.dims.values())
+    slack = 4 * np.finfo(float).eps * max(1.0, big) ** 2 * max(1, d)
+    assert (got.max_dev == want.max_dev
+            or abs(got.max_dev - want.max_dev) <= slack), (got, want)
+    return got
+
+
+def transport_cases(rng):
+    """Free objects on every abelian group of order <= 16, on the regular
+    and on a three-point trivial G-set (uneven fibers, zeros among them),
+    with a conjugate and a retwist of each: ``(object, phi)`` pairs."""
+    for factors in abelian_groups(16):
+        G = FiniteAbelianGroup(factors)
+        phi = (random_bilinear_phi(G, rng) if factors
+               else GroupCocycleTable.trivial(G))
+        for gset in (GSet.regular(G), GSet.trivial(G, ("a", "b", "c"))):
+            dims = {s: int(rng.integers(0, 3)) for s in gset.points}
+            obj = free(dims, phi, gset)
+            yield obj, phi
+            yield obj.conjugate({s: rng.normal(size=(d, d))
+                                 + 1j * rng.normal(size=(d, d))
+                                 for s, d in obj.dims.items()}), phi
+            alpha = {g: np.exp(2j * np.pi * rng.random())
+                     for g in G.elements()}
+            yield retwist(obj, alpha), phi.twisted_by(alpha)
+
+
+def test_check_linearization_matches_the_loop_oracle():
+    rng = np.random.default_rng(1407)
+    calls = 0
+    for obj, phi in transport_cases(rng):
+        assert assert_reports_agree(obj, phi).ok
+        calls += 1
+    assert calls == 150
+
+
+def test_check_linearization_witness_under_a_corrupted_twist():
+    """Both the check and the oracle must name the same first triple."""
+    rng = np.random.default_rng(1409)
+    for factors in [(2, 2), (4,), (2, 3), (2, 4), (3, 3)]:
+        G = FiniteAbelianGroup(factors)
+        phi = random_bilinear_phi(G, rng)
+        keys = list(phi.table)
+        for gset in (GSet.regular(G), GSet.trivial(G, ("a", "b"))):
+            obj = free({s: 1 + int(rng.integers(0, 2)) for s in gset.points},
+                       phi, gset)
+            for _ in range(3):
+                table = dict(phi.table)
+                key = keys[int(rng.integers(len(keys)))]
+                table[key] *= np.exp(2j * np.pi * rng.uniform(0.1, 0.9))
+                report = assert_reports_agree(obj,
+                                              GroupCocycleTable(G, table))
+                assert not report.ok and report.witness[:2] == key
+
+
+def test_check_linearization_counts_nan_as_infinite_deviation():
+    """A NaN also meets the zero padding of empty maps, where it must not
+    count; the trivial G-set with a zero fiber has such maps."""
+    G = FiniteAbelianGroup((2, 2))
+    phi = pauli_phi()
+    cases = [(GSet.regular(G), {s: 1 for s in G.elements()}),
+             (GSet.trivial(G, ("a", "b", "c")), {"a": 0, "b": 1, "c": 2})]
+    for gset, dims in cases:
+        for g in G.elements():
+            for s in gset.points:
+                obj = free(dims, phi, gset)
+                m = obj.rho[g][s]
+                if not m.size:
+                    continue
+                m[-1, 0] = np.nan
+                report = assert_reports_agree(obj, phi)
+                assert not report.ok and report.max_dev == float("inf")
+
+
+def test_check_linearization_on_zero_and_uneven_fibers():
+    rng = np.random.default_rng(1411)
+    G = FiniteAbelianGroup((2, 3))
+    phi = random_bilinear_phi(G, rng)
+    points = ("a", "b", "c", "d")
+    for dims in ({s: 0 for s in points}, {"a": 0, "b": 1, "c": 0, "d": 3}):
+        gset = GSet.trivial(G, points)
+        obj = free(dims, phi, gset)
+        report = assert_reports_agree(obj, phi)
+        assert report.ok
+        if not any(dims.values()):
+            assert tuple(report) == (True, 0.0, None)
+        # a perturbed transport into the largest fiber only
+        m = obj.rho[(1, 2)]["d"]
+        m += 1e-6 * rng.normal(size=m.shape)
+        report = assert_reports_agree(obj, phi)
+        assert report.ok == (not dims["d"])
+
+
+def test_free_matches_the_loop_oracle():
+    """Bit for bit, also for a non-cocycle twist, which ``free`` detects."""
+    rng = np.random.default_rng(1413)
+    cases = []
+    for factors in abelian_groups(16):
+        G = FiniteAbelianGroup(factors)
+        phi = (random_bilinear_phi(G, rng) if factors
+               else GroupCocycleTable.trivial(G))
+        cases.append((G, phi))
+    G = klein()
+    table = dict(pauli_phi().table)
+    table[((1, 0), (0, 1))] = -table[((1, 0), (0, 1))]
+    bad = GroupCocycleTable(G, table)
+    assert not bad.check()[0]
+    cases.append((G, bad))
+    for G, phi in cases:
+        gsets = [GSet.regular(G), GSet.trivial(G, ("a", "b", "c"))]
+        if G.factors and G.factors[-1] % 2 == 0:
+            gsets.append(quotient_gset(G.factors))
+        for gset in gsets:
+            dims = {s: int(rng.integers(0, 3)) for s in gset.points}
+            got, want = free(dims, phi, gset), loop_free(dims, phi, gset)
+            assert got.dims == want.dims
+            for g in G.elements():
+                for s in gset.points:
+                    assert np.array_equal(got.rho[g][s], want.rho[g][s]), \
+                        (G, g, s)
+    obj = free({s: 1 for s in G.elements()}, bad, GSet.regular(G))
+    report = assert_reports_agree(obj, bad)
+    assert not report.ok
+
+
+def test_twist_on_another_group_is_refused():
+    """A ``Z/2`` table reduces a ``Z/4`` element mod 2, so without the check
+    it would pass; a table of another rank would fail on coordinates."""
+    G = FiniteAbelianGroup((4,))
+    gset = GSet.regular(G)
+    obj = free({s: 1 for s in gset.points}, GroupCocycleTable.trivial(G),
+               gset)
+    for other in [(2,), (2, 2)]:
+        phi = GroupCocycleTable.trivial(FiniteAbelianGroup(other))
+        with pytest.raises(ValueError,
+                           match="^twist lives on a different group$"):
+            check_linearization(obj, phi)
+        with pytest.raises(ValueError,
+                           match="^twist lives on a different group$"):
+            free({s: 1 for s in gset.points}, phi, gset)
+
+
 # ---------------------------------------------------------------------------
 # hom spaces
 

@@ -548,6 +548,23 @@ def test_factorization_memory_on_the_order_16_regular_model():
     assert peak < 150 * 2**20
 
 
+def test_transport_law_memory_on_the_order_16_regular_model():
+    """The check builds one ``g1`` slice at a time: with all slices at
+    once, the products and the twisted right-hand sides would each be a
+    ``(|G|, |G|, |S|, d, d)`` stack of 14 MiB (fibers of 15 here)."""
+    model = model_regular(4)
+    sheaf = random_sheaf(model, np.random.default_rng(0))
+    assert model.Khat.size == 16 and sheaf.total_dim() == 240
+    tracemalloc.start()
+    try:
+        report = check_linearization(sheaf, model.phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 16 * 2**20
+
+
 def test_module_hom_space_is_frobenius_orthonormal():
     rng = np.random.default_rng(61)
     for model in ALL_MODELS:
