@@ -222,8 +222,8 @@ class EquivariantObject:
 
 class LinearizationReport:
     """Outcome of a numerical check: the worst deviation seen and the first
-    place it exceeded ``TOL``, if any.  Starts empty; unpacks as
-    ``(ok, max_dev, witness)``."""
+    place it exceeded ``TOL``, if any.  The check passes while no deviation
+    exceeds ``TOL``.  Starts empty; unpacks as ``(ok, max_dev, witness)``."""
 
     __slots__ = ("max_dev", "witness")
 
@@ -243,7 +243,7 @@ class LinearizationReport:
 
     @property
     def ok(self) -> bool:
-        return self.witness is None
+        return self.max_dev <= TOL
 
     def __iter__(self):
         return iter((self.ok, self.max_dev, self.witness))

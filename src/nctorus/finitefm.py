@@ -29,6 +29,7 @@ Fourier components (:func:`dual_side_product`).
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
 import numpy as np
@@ -44,6 +45,7 @@ from .equivariant import (
     _projector_ranks,
     check_linearization,
     free,
+    from_module,
 )
 from .lattice import (DualPairData, FiniteAbelianGroup, GroupBilinearTable,
                       _matvec)
@@ -84,18 +86,17 @@ class BRepresentation:
         return self.pi[self.group.reduce(a)]
 
     def check(self) -> LinearizationReport:
-        """The identity at zero, then the homomorphism property; the
-        witness is ``("zero",)`` or the first failing pair ``(a, b)``."""
+        """The identity at zero, then the homomorphism property
+        ``pi(b) pi(a) == pi(a + b)`` as the transport law of the one-point
+        object with the trivial twist; the witness is ``("zero",)`` or the
+        first failing pair ``(a, b)``."""
         report = LinearizationReport()
-        report.note(float(np.max(np.abs(self.matrix(self.group.zero())
-                                        - np.eye(self.dim))))
-                    if self.dim else 0.0, ("zero",))
-        for a in self.group.elements():
-            for b in self.group.elements():
-                report.note(float(np.max(np.abs(
-                    self.matrix(a) @ self.matrix(b)
-                    - self.matrix(self.group.add(a, b)))))
-                    if self.dim else 0.0, (a, b))
+        report.note(float(np.abs(self.matrix(self.group.zero())
+                                 - np.eye(self.dim)).max(initial=0.0)),
+                    ("zero",))
+        law = check_linearization(from_module(self.group, {"*": self.pi}),
+                                  GroupCocycleTable.trivial(self.group))
+        report.note(law.max_dev, law.witness and law.witness[:2])
         return report
 
     def conjugate(self, T) -> "BRepresentation":
@@ -382,25 +383,18 @@ class DeformedKernel:
 
     def check(self, tol: float = 1e-12) -> bool:
         """Left action composes up to the inverse twist, right action up to
-        the twist itself, and the two commute."""
+        the twist itself (each the transport law of a one-point object),
+        and the two commute."""
         K = self.model.Khat
-        lam = self.model.lam
-        for k1 in K.elements():
-            L1, R1 = self.left_matrix(k1), self.right_matrix(k1)
-            for k2 in K.elements():
-                L2, R2 = self.left_matrix(k2), self.right_matrix(k2)
-                ksum = K.add(k1, k2)
-                lhs = L2 @ L1
-                rhs = (-lam(k1, k2)).embed() * self.left_matrix(ksum)
-                if np.max(np.abs(lhs - rhs)) > tol:
-                    return False
-                lhs = R2 @ R1
-                rhs = lam(k1, k2).embed() * self.right_matrix(ksum)
-                if np.max(np.abs(lhs - rhs)) > tol:
-                    return False
-                if np.max(np.abs(L1 @ R2 - R2 @ L1)) > tol:
-                    return False
-        return True
+        phi = self.model.phi
+        left = {k: self.left_matrix(k) for k in K.elements()}
+        right = {k: self.right_matrix(k) for k in K.elements()}
+        return (check_linearization(from_module(K, {"*": left}),
+                                    phi.inverse()).max_dev <= tol
+                and check_linearization(from_module(K, {"*": right}),
+                                        phi).max_dev <= tol
+                and all(np.max(np.abs(L @ R - R @ L)) <= tol
+                        for L in left.values() for R in right.values()))
 
 
 class ModuleOnXLambda:
@@ -447,21 +441,17 @@ class ModuleOnXLambda:
         report = LinearizationReport()
         rep = self.rep().check()
         report.note(rep.max_dev, ("representation", rep.witness))
-        for k1 in model.Khat.elements():
-            for k2 in model.Khat.elements():
-                lhs = self.n_matrix(k2) @ self.n_matrix(k1)
-                rhs = model.lam(k1, k2).embed() \
-                    * self.n_matrix(model.Khat.add(k1, k2))
-                report.note(float(np.max(np.abs(lhs - rhs)))
-                            if self.dim else 0.0,
-                            ("twisted composition", k1, k2))
-        for k in model.Khat.elements():
-            for a in model.B.elements():
-                lhs = self.n_matrix(k) @ self.pi_matrix(a)
-                rhs = (-model.character(k, a)).embed() \
-                    * self.pi_matrix(a) @ self.n_matrix(k)
-                report.note(float(np.max(np.abs(lhs - rhs)))
-                            if self.dim else 0.0, ("exchange", k, a))
+        law = check_linearization(from_module(model.Khat, {"*": self.n}),
+                                  model.phi)
+        report.note(law.max_dev, law.witness
+                    and ("twisted composition", *law.witness[:2]))
+        for k, a in itertools.product(model.Khat.elements(),
+                                      model.B.elements()):
+            lhs = self.n_matrix(k) @ self.pi_matrix(a)
+            rhs = (-model.character(k, a)).embed() \
+                * self.pi_matrix(a) @ self.n_matrix(k)
+            report.note(float(np.abs(lhs - rhs).max(initial=0.0)),
+                        ("exchange", k, a))
         return report
 
     def conjugate(self, T) -> "ModuleOnXLambda":

@@ -25,9 +25,9 @@ from .cocycle import (
     normal_order_representative,
 )
 from .equivariant import (
-    TOL,
     GroupCocycleTable,
     GSet,
+    LinearizationReport,
     check_linearization,
     free,
     hom_dim,
@@ -82,17 +82,17 @@ from .qweyl import (
 
 
 class PropertyResult:
-    """Outcome of one named check: verdict, worst deviation observed, and
-    a short witness when it failed."""
+    """Outcome of one named check, read from the report that recorded its
+    deviations: verdict, worst deviation observed, and where a deviation
+    first exceeded the tolerance."""
 
     __slots__ = ("name", "ok", "max_dev", "witness")
 
-    def __init__(self, name: str, ok: bool, max_dev: float = 0.0,
-                 witness=None):
+    def __init__(self, name: str, report: LinearizationReport):
         self.name = name
-        self.ok = bool(ok)
-        self.max_dev = float(max_dev)
-        self.witness = witness
+        self.ok = bool(report.ok)
+        self.max_dev = float(report.max_dev)
+        self.witness = report.witness
 
     def to_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok,
@@ -102,6 +102,13 @@ class PropertyResult:
     def __repr__(self) -> str:
         flag = "ok" if self.ok else "FAIL"
         return f"PropertyResult({self.name}: {flag}, dev={self.max_dev:.3g})"
+
+
+def _exact(name: str, ok: bool, witness=None) -> PropertyResult:
+    """A single exact verdict as a result: deviation 0 or 1."""
+    report = LinearizationReport()
+    report.note(float(not ok), witness)
+    return PropertyResult(name, report)
 
 
 def default_params() -> dict:
@@ -168,9 +175,8 @@ def battery_cocycle(seed: int = 0, grid: str = "small",
         samples = None if lam.g <= 2 else 2000
     else:
         samples = 300
-    ok, witness = check_cocycle(lam, samples=samples, rng=rng)
-    out.append(PropertyResult("cocycle-identity", ok, 0.0 if ok else 1.0,
-                              witness))
+    out.append(_exact("cocycle-identity",
+                      *check_cocycle(lam, samples=samples, rng=rng)))
 
     S = _random_symmetric(lam.g, lam.N, rng)
     alpha = bounding_cochain(S, lam.N)
@@ -178,28 +184,20 @@ def battery_cocycle(seed: int = 0, grid: str = "small",
     target = BilinearCocycle(
         [[lam.M[i][j] - S[i][j] for j in range(lam.g)] for i in range(lam.g)],
         lam.N)
+    report = LinearizationReport()
     window = ExponentWindow.centered(lam.g, 2)
-    bad = None
-    for s in window:
-        for t in window:
-            if shifted(s, t) != target(s, t):
-                bad = (s, t)
-                break
-        if bad:
-            break
-    out.append(PropertyResult("coboundary-shifts-matrix", bad is None,
-                              0.0 if bad is None else 1.0, bad))
+    for s, t in itertools.product(window, repeat=2):
+        report.note(float(shifted(s, t) != target(s, t)), (s, t))
+    out.append(PropertyResult("coboundary-shifts-matrix", report))
 
-    same = target.antisymmetrized() == lam.antisymmetrized()
-    out.append(PropertyResult("antisymmetrization-class-invariant", same,
-                              0.0 if same else 1.0))
+    out.append(_exact("antisymmetrization-class-invariant",
+                      target.antisymmetrized() == lam.antisymmetrized()))
 
     rep = normal_order_representative(lam)
-    ok = (rep.antisymmetrized() == lam.antisymmetrized()
-          and all(rep.M[i][j] == 0 for i in range(lam.g)
-                  for j in range(i, lam.g)))
-    out.append(PropertyResult("normal-order-representative", ok,
-                              0.0 if ok else 1.0))
+    out.append(_exact("normal-order-representative",
+                      rep.antisymmetrized() == lam.antisymmetrized()
+                      and all(rep.M[i][j] == 0 for i in range(lam.g)
+                              for j in range(i, lam.g))))
     return out
 
 
@@ -215,18 +213,18 @@ def battery_weyl(seed: int = 0, grid: str = "small",
     out = []
 
     rep = normal_order_representative(lam)
-    dev = 0.0
-    for _ in range(rounds):
+    report = LinearizationReport()
+    for r in range(rounds):
         f = _random_qpoly(g, rng)
         h = _random_qpoly(g, rng)
         k = _random_qpoly(g, rng)
         lhs = mul_W(mul_W(f, h, rep), k, rep)
         rhs = mul_W(f, mul_W(h, k, rep), rep)
-        dev = max(dev, max_value_diff(lhs, rhs))
-    out.append(PropertyResult("weyl-associative", dev <= TOL, dev))
+        report.note(max_value_diff(lhs, rhs), r)
+    out.append(PropertyResult("weyl-associative", report))
 
-    dev = 0.0
-    for _ in range(rounds):
+    report = LinearizationReport()
+    for r in range(rounds):
         f = _random_qpoly(g, rng)
         h = _random_qpoly(g, rng)
         prod = mul_W(f, h, rep)
@@ -235,29 +233,26 @@ def battery_weyl(seed: int = 0, grid: str = "small",
         sl = star_mul(fl, hl, rep)
         got = {a: c for (a, _), c in prod.value_dict().items()}
         want = {t: sl.coeff(t) for t in sl.support()}
-        keys = set(got) | set(want)
-        dev = max([dev] + [abs(got.get(t, 0) - want.get(t, 0)) for t in keys])
-    out.append(PropertyResult("weyl-matches-star-product", dev <= TOL, dev))
+        for t in set(got) | set(want):
+            report.note(abs(got.get(t, 0) - want.get(t, 0)), (r, t))
+    out.append(PropertyResult("weyl-matches-star-product", report))
 
-    dev = 0.0
-    worst = None
-    for i in range(g):
-        for j in range(g):
-            ti = QPolynomial.monomial(g, tuple(int(i == x) for x in range(g)))
-            gj = QPolynomial.monomial(
-                g, (0,) * g, tuple(int(j == x) for x in range(g)))
-            d = max_value_diff(mul_crossed(gj, ti, lam, Q),
-                               Q.entry(i, j) * mul_crossed(ti, gj, lam, Q))
-            d = max(d, max_value_diff(
-                mul_crossed(gj, ti, lam, Q, side="gerby"),
-                Q.entry(j, i) * mul_crossed(ti, gj, lam, Q, side="gerby")))
-            if d > dev:
-                dev, worst = d, (i, j)
-    out.append(PropertyResult("crossed-exchange-relation", dev <= TOL, dev,
-                              worst))
+    report = LinearizationReport()
+    for i, j in itertools.product(range(g), repeat=2):
+        ti = QPolynomial.monomial(g, tuple(int(i == x) for x in range(g)))
+        gj = QPolynomial.monomial(
+            g, (0,) * g, tuple(int(j == x) for x in range(g)))
+        report.note(max_value_diff(
+            mul_crossed(gj, ti, lam, Q),
+            Q.entry(i, j) * mul_crossed(ti, gj, lam, Q)), (i, j))
+        report.note(max_value_diff(
+            mul_crossed(gj, ti, lam, Q, side="gerby"),
+            Q.entry(j, i) * mul_crossed(ti, gj, lam, Q, side="gerby")),
+            (i, j))
+    out.append(PropertyResult("crossed-exchange-relation", report))
 
-    dev = 0.0
-    for _ in range(rounds):
+    report = LinearizationReport()
+    for r in range(rounds):
         f = _random_qpoly(g, rng, radius=1)
         for j in range(g):
             gj = QPolynomial.monomial(
@@ -265,31 +260,30 @@ def battery_weyl(seed: int = 0, grid: str = "small",
             gj_inv = QPolynomial.monomial(
                 g, (0,) * g, tuple(-int(j == x) for x in range(g)))
             sandwich = mul_crossed(mul_crossed(gj_inv, f, lam, Q), gj, lam, Q)
-            dev = max(dev, max_value_diff(sandwich, gamma_action(f, j, Q)))
-    out.append(PropertyResult("gamma-sandwich-action", dev <= TOL, dev))
+            report.note(max_value_diff(sandwich, gamma_action(f, j, Q)),
+                        (r, j))
+    out.append(PropertyResult("gamma-sandwich-action", report))
 
-    dev = 0.0
+    report = LinearizationReport()
     A = lam.antisymmetrized()
-    for _ in range(rounds):
+    for r in range(rounds):
         key = (tuple(int(rng.integers(-1, 2)) for _ in range(g)),
                tuple(int(rng.integers(-1, 2)) for _ in range(g)))
         v = PModuleElement(g, {key: complex(rng.normal(), rng.normal())})
-        for i in range(g):
-            for j in range(i + 1, g):
-                lhs = pmodule_act_gammahat(
-                    pmodule_act_gammahat(v, j, lam, Q), i, lam, Q)
-                rhs = pmodule_act_gammahat(
-                    pmodule_act_gammahat(v, i, lam, Q), j, lam, Q)
-                dev = max(dev, max_value_diff(
-                    lhs, Phase(A[i][j], lam.N) * rhs))
-        for i in range(g):
-            for j in range(g):
-                left = pmodule_act_gamma(
-                    pmodule_act_gammahat(v, j, lam, Q), i, Q)
-                right = pmodule_act_gammahat(
-                    pmodule_act_gamma(v, i, Q), j, lam, Q)
-                dev = max(dev, max_value_diff(left, right))
-    out.append(PropertyResult("pmodule-exchange-relations", dev <= TOL, dev))
+        for i, j in itertools.combinations(range(g), 2):
+            lhs = pmodule_act_gammahat(
+                pmodule_act_gammahat(v, j, lam, Q), i, lam, Q)
+            rhs = pmodule_act_gammahat(
+                pmodule_act_gammahat(v, i, lam, Q), j, lam, Q)
+            report.note(max_value_diff(lhs, Phase(A[i][j], lam.N) * rhs),
+                        (r, "gammahat", i, j))
+        for i, j in itertools.product(range(g), repeat=2):
+            left = pmodule_act_gamma(
+                pmodule_act_gammahat(v, j, lam, Q), i, Q)
+            right = pmodule_act_gammahat(
+                pmodule_act_gamma(v, i, Q), j, lam, Q)
+            report.note(max_value_diff(left, right), (r, "gamma", i, j))
+    out.append(PropertyResult("pmodule-exchange-relations", report))
     return out
 
 
@@ -299,7 +293,7 @@ def battery_lattice(seed: int = 0, grid: str = "small") -> list:
     cases = [(1, 4), (2, 3), (2, 4)] if grid == "small" \
         else [(1, 4), (2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 4)]
 
-    bad = None
+    report = LinearizationReport()
     for g, N in cases:
         raw = rng.integers(0, N, size=(g, g))
         Lam = [[int(x) for x in row] for row in (raw - raw.T) % N]
@@ -309,60 +303,40 @@ def battery_lattice(seed: int = 0, grid: str = "small") -> list:
                            for i in range(g))}
         found = {t for t in itertools.product(range(N), repeat=g)
                  if sub.contains(t)}
-        if residues != found:
-            bad = (g, N)
-            break
+        report.note(float(residues != found), (g, N))
         quo = compute_K_hat(sub)
-        if quo.group.size * len(residues) != N ** g:
-            bad = (g, N, "index")
-            break
+        report.note(float(quo.group.size * len(residues) != N ** g),
+                    (g, N, "index"))
         for _ in range(5):
             k = quo.group.random_element(rng)
-            if quo.project(quo.lift(k)) != k:
-                bad = (g, N, "roundtrip", k)
-                break
-    out.append(PropertyResult("dual-kernel-matches-enumeration", bad is None,
-                              0.0 if bad is None else 1.0, bad))
+            report.note(float(quo.project(quo.lift(k)) != k),
+                        (g, N, "roundtrip", k))
+    out.append(PropertyResult("dual-kernel-matches-enumeration", report))
 
     lam = BilinearCocycle([[0, 1, 1], [0, 0, 2], [0, 0, 0]], 4)
     quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), lam.N))
     table = descend_cocycle(lam, quo)
     K = quo.group
-    bad = None
-    for x in K.elements():
-        for y in K.elements():
-            lifted = lam(quo.lift(x), quo.lift(y)) \
-                - lam(quo.lift(y), quo.lift(x))
-            if table(x, y) - table(y, x) != lifted:
-                bad = (x, y)
-                break
-        if bad:
-            break
-    out.append(PropertyResult("descended-antisymmetrization", bad is None,
-                              0.0 if bad is None else 1.0, bad))
+    report = LinearizationReport()
+    for x, y in itertools.product(K.elements(), repeat=2):
+        lifted = lam(quo.lift(x), quo.lift(y)) - lam(quo.lift(y), quo.lift(x))
+        report.note(float(table(x, y) - table(y, x) != lifted), (x, y))
+    out.append(PropertyResult("descended-antisymmetrization", report))
 
     pair = lambda_sharp(table)
-    bad = None
-    for x in K.elements():
-        for y in K.elements():
-            if table(x, y) != K.pairing(y, pair.sharp[x]):
-                bad = (x, y)
-                break
-        if bad:
-            break
-    out.append(PropertyResult("sharp-identity", bad is None,
-                              0.0 if bad is None else 1.0, bad))
+    report = LinearizationReport()
+    for x, y in itertools.product(K.elements(), repeat=2):
+        report.note(float(table(x, y) != K.pairing(y, pair.sharp[x])),
+                    (x, y))
+    out.append(PropertyResult("sharp-identity", report))
 
     G = FiniteAbelianGroup((4, 2, 2))
     gens = [G.random_element(rng) for _ in range(2)]
     pres = subgroup_presentation(G, gens)
-    bad = None
+    report = LinearizationReport()
     for h in pres.group.elements():
-        if pres.restrict(pres.embed(h)) != h:
-            bad = h
-            break
-    out.append(PropertyResult("subgroup-roundtrip", bad is None,
-                              0.0 if bad is None else 1.0, bad))
+        report.note(float(pres.restrict(pres.embed(h)) != h), h)
+    out.append(PropertyResult("subgroup-roundtrip", report))
     return out
 
 
@@ -374,51 +348,48 @@ def battery_star(seed: int = 0, grid: str = "small",
     rounds = 8 if grid == "full" else 4
     out = []
 
-    dev = 0.0
-    for _ in range(rounds):
+    report = LinearizationReport()
+    for r in range(rounds):
         f = _random_laurent(g, rng)
         h = _random_laurent(g, rng)
         k = _random_laurent(g, rng)
         lhs = star_mul(star_mul(f, h, lam), k, lam)
         rhs = star_mul(f, star_mul(h, k, lam), lam)
-        dev = max(dev, max_coeff_diff(lhs, rhs))
-    out.append(PropertyResult("star-associative", dev <= TOL, dev))
+        report.note(max_coeff_diff(lhs, rhs), r)
+    out.append(PropertyResult("star-associative", report))
 
-    worst = 0.0
-    for _ in range(rounds):
+    report = LinearizationReport()
+    for r in range(rounds):
         f = _random_laurent(g, rng)
         h = _random_laurent(g, rng)
         w = [float(0.5 + rng.random()) for _ in range(g)]
-        slack = majorant_norm(star_mul(f, h, lam), w) \
-            - majorant_norm(f, w) * majorant_norm(h, w)
-        worst = max(worst, slack)
-    out.append(PropertyResult("majorant-submultiplicative", worst <= TOL,
-                              max(worst, 0.0)))
+        report.note(majorant_norm(star_mul(f, h, lam), w)
+                    - majorant_norm(f, w) * majorant_norm(h, w), r)
+    out.append(PropertyResult("majorant-submultiplicative", report))
 
-    dev = 0.0
-    for _ in range(rounds):
+    report = LinearizationReport()
+    for r in range(rounds):
         f = _random_laurent(g, rng)
         h = _random_laurent(g, rng)
         z = tuple(np.exp(2j * np.pi * rng.random()) for _ in range(g))
         lhs = translate(star_mul(f, h, lam), z)
         rhs = star_mul(translate(f, z), translate(h, z), lam)
-        dev = max(dev, max_coeff_diff(lhs, rhs))
-    out.append(PropertyResult("translate-intertwines-star", dev <= TOL, dev))
+        report.note(max_coeff_diff(lhs, rhs), r)
+    out.append(PropertyResult("translate-intertwines-star", report))
 
     S = _random_symmetric(g, lam.N, rng)
     alpha = bounding_cochain(S, lam.N)
     lam2 = BilinearCocycle(
         [[lam.M[i][j] + S[i][j] for j in range(g)] for i in range(g)], lam.N)
-    dev = 0.0
-    for _ in range(rounds):
+    report = LinearizationReport()
+    for r in range(rounds):
         f = _random_laurent(g, rng, radius=1)
         h = _random_laurent(g, rng, radius=1)
         lhs = coboundary_transform(star_mul(f, h, lam), alpha)
         rhs = star_mul(coboundary_transform(f, alpha),
                        coboundary_transform(h, alpha), lam2)
-        dev = max(dev, max_coeff_diff(lhs, rhs))
-    out.append(PropertyResult("coboundary-transform-intertwines",
-                              dev <= TOL, dev))
+        report.note(max_coeff_diff(lhs, rhs), r)
+    out.append(PropertyResult("coboundary-transform-intertwines", report))
     return out
 
 
@@ -440,23 +411,20 @@ def battery_equivariant(seed: int = 0, grid: str = "small",
     phi = _klein_phi(corrupt_phi)
     G = phi.group
 
-    ok, witness = phi.check()
-    out.append(PropertyResult("group-cocycle-identity", ok,
-                              0.0 if ok else 1.0, witness))
+    out.append(_exact("group-cocycle-identity", *phi.check()))
 
     gset = GSet.regular(G)
     dims = {s: int(rng.integers(1, 3)) for s in gset.points}
     obj = free(dims, phi, gset)
-    report = check_linearization(obj, phi)
-    out.append(PropertyResult("free-object-transport-law", report.ok,
-                              report.max_dev, report.witness))
+    out.append(PropertyResult("free-object-transport-law",
+                              check_linearization(obj, phi)))
 
     alpha = {h: complex(np.exp(2j * np.pi * rng.random()))
              for h in G.elements()}
     twisted = retwist(obj, alpha)
-    report = check_linearization(twisted, phi.twisted_by(alpha))
-    out.append(PropertyResult("retwist-follows-coboundary", report.ok,
-                              report.max_dev, report.witness))
+    out.append(PropertyResult("retwist-follows-coboundary",
+                              check_linearization(twisted,
+                                                  phi.twisted_by(alpha))))
 
     def unitary(n):
         q, _ = np.linalg.qr(rng.normal(size=(n, n))
@@ -466,20 +434,19 @@ def battery_equivariant(seed: int = 0, grid: str = "small",
     a = obj.conjugate({s: unitary(obj.dims[s]) for s in gset.points})
     b = free({s: int(rng.integers(1, 3)) for s in gset.points}, phi, gset)
     b = b.conjugate({s: unitary(b.dims[s]) for s in gset.points})
-    dev = 0.0
-    for fam in hom_space(a, b):
-        for h in G.elements():
-            for s in gset.points:
-                t = gset.act(s, h)
-                resid = fam[t] @ a.matrix(h, s) - b.matrix(h, s) @ fam[s]
-                dev = max(dev, float(np.max(np.abs(resid))))
-    out.append(PropertyResult("hom-space-intertwines", dev <= TOL, dev))
+    report = LinearizationReport()
+    for (i, fam), h, s in itertools.product(enumerate(hom_space(a, b)),
+                                            G.elements(), gset.points):
+        t = gset.act(s, h)
+        resid = fam[t] @ a.matrix(h, s) - b.matrix(h, s) @ fam[s]
+        report.note(float(np.max(np.abs(resid))), (i, h, s))
+    out.append(PropertyResult("hom-space-intertwines", report))
 
     alg = twisted_algebra(("*",), _klein_phi(False))
-    ok = (alg.center_dim() == 1 and alg.trace_form_rank() == alg.dim
-          and not alg.is_commutative())
-    out.append(PropertyResult("point-algebra-is-simple", ok,
-                              0.0 if ok else 1.0))
+    out.append(_exact("point-algebra-is-simple",
+                      alg.center_dim() == 1
+                      and alg.trace_form_rank() == alg.dim
+                      and not alg.is_commutative()))
     return out
 
 
@@ -506,64 +473,44 @@ def battery_fm(seed: int = 0, grid: str = "small") -> list:
     B = FiniteAbelianGroup((2, 4))
     dims = {b: int(rng.integers(0, 3)) for b in B.elements()}
     dims[B.zero()] = max(dims[B.zero()], 1)
-    back = fm_ab_inverse(fm_ab(dims, B))
-    ok = back == {b: d for b, d in dims.items() if d}
-    out.append(PropertyResult("fmab-roundtrip", ok, 0.0 if ok else 1.0))
+    out.append(_exact("fmab-roundtrip", fm_ab_inverse(fm_ab(dims, B))
+                      == {b: d for b, d in dims.items() if d}))
 
-    bad = None
+    report = LinearizationReport()
     for yhat in B.elements():
-        if not check_fm_ab_equivariance(dims, yhat, B):
-            bad = yhat
-            break
-    if bad is None:
-        some = list(B.elements())[:4]
-        for y1 in some:
-            for y2 in some:
-                lhs = fm_ab_equivariance_iso(dims, B.add(y1, y2), B)
-                rhs = fm_ab_equivariance_iso(dims, y1, B) \
-                    @ fm_ab_equivariance_iso(translate_graded(dims, y1, B),
-                                             y2, B)
-                if not np.array_equal(lhs, rhs):
-                    bad = (y1, y2)
-                    break
-            if bad:
-                break
-    out.append(PropertyResult("fmab-equivariance-exact", bad is None,
-                              0.0 if bad is None else 1.0, bad))
+        report.note(float(not check_fm_ab_equivariance(dims, yhat, B)), yhat)
+    some = list(B.elements())[:4]
+    for y1, y2 in itertools.product(some, repeat=2):
+        lhs = fm_ab_equivariance_iso(dims, B.add(y1, y2), B)
+        rhs = fm_ab_equivariance_iso(dims, y1, B) \
+            @ fm_ab_equivariance_iso(translate_graded(dims, y1, B), y2, B)
+        report.note(float(not np.array_equal(lhs, rhs)), (y1, y2))
+    out.append(PropertyResult("fmab-equivariance-exact", report))
 
     models = _fm_models()
     if grid == "small":
         models = models[:2] + models[3:]
 
-    bad = None
+    report = LinearizationReport()
     for idx, model in enumerate(models):
-        if not DeformedKernel(model).check():
-            bad = idx
-            break
-    out.append(PropertyResult("kernel-relations", bad is None,
-                              0.0 if bad is None else 1.0, bad))
+        report.note(float(not DeformedKernel(model).check()), idx)
+    out.append(PropertyResult("kernel-relations", report))
 
-    dev = 0.0
-    witness = None
+    report = LinearizationReport()
     for idx, model in enumerate(models):
         sheaf = random_sheaf(model, rng)
         mod = fm_lambda(model, sheaf)
-        report = mod.check()
-        dev = max(dev, report.max_dev)
+        law = mod.check()
+        report.note(law.max_dev, (idx, "module", law.witness))
         back = fm_lambda_inverse(model, mod)
-        if back.dims != sheaf.dims or not check_linearization(
-                back, model.phi).ok:
-            witness = (idx, "roundtrip")
-        fact = verify_factorization(model, sheaf)
-        dev = max(dev, fact.max_dev)
-        if not fact.ok and witness is None:
-            witness = (idx, "factorization")
+        report.note(float(back.dims != sheaf.dims or not check_linearization(
+            back, model.phi).ok), (idx, "roundtrip"))
+        report.note(verify_factorization(model, sheaf).max_dev,
+                    (idx, "factorization"))
         other = random_sheaf(model, rng)
-        if hom_dim(sheaf, other) != module_hom_dim(mod,
-                                                   fm_lambda(model, other)):
-            witness = (idx, "hom-dims")
-    out.append(PropertyResult("fm-roundtrip-and-factorization",
-                              witness is None and dev <= TOL, dev, witness))
+        report.note(float(hom_dim(sheaf, other) != module_hom_dim(
+            mod, fm_lambda(model, other))), (idx, "hom-dims"))
+    out.append(PropertyResult("fm-roundtrip-and-factorization", report))
 
     forms = [
         GroupBilinearTable(FiniteAbelianGroup((2,)), [[Phase(1, 2)]]),
@@ -573,7 +520,7 @@ def battery_fm(seed: int = 0, grid: str = "small") -> list:
         forms.append(GroupBilinearTable(
             FiniteAbelianGroup((3, 3)),
             [[Phase(1, 3), Phase(1, 3)], [Phase.zero(), Phase(1, 3)]]))
-    dev = 0.0
+    report = LinearizationReport()
     for omega in forms:
         K = omega.group
         pair = lambda_sharp(omega)
@@ -582,8 +529,9 @@ def battery_fm(seed: int = 0, grid: str = "small") -> list:
             h = {x: complex(rng.normal(), rng.normal()) for x in K.elements()}
             lhs = star_on_points(f, h, omega)
             rhs = dual_side_product(f, h, pair)
-            dev = max([dev] + [abs(lhs[x] - rhs[x]) for x in K.elements()])
-    out.append(PropertyResult("points-product-diagonalizes", dev <= TOL, dev))
+            for x in K.elements():
+                report.note(abs(lhs[x] - rhs[x]), (K.factors, x))
+    out.append(PropertyResult("points-product-diagonalizes", report))
     return out
 
 
@@ -621,7 +569,6 @@ def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
         try:
             results.extend(batteries[name]())
         except Exception as exc:
-            results.append(PropertyResult(
-                f"{name}-battery", False, 1.0,
-                witness=f"{type(exc).__name__}: {exc}"))
+            results.append(_exact(f"{name}-battery", False,
+                                  f"{type(exc).__name__}: {exc}"))
     return results

@@ -240,6 +240,36 @@ def test_verify_records_a_battery_exception_as_failure(capsys, monkeypatch,
         assert out.endswith(" checks, 1 failure\n")
 
 
+def by_name(results):
+    return {r.name: r for r in results}
+
+
+def test_verify_counts_a_nan_deviation_as_a_failure(monkeypatch):
+    monkeypatch.setattr(verify, "max_coeff_diff",
+                        lambda f, h: float("nan"))
+    star = by_name(verify.run_battery("star", seed=0))["star-associative"]
+    assert not star.ok and star.max_dev == float("inf")
+    assert star.witness == 0
+
+
+def test_verify_names_where_the_hom_space_fails_to_intertwine():
+    hom = by_name(verify.run_battery("equivariant", seed=7,
+                                     corrupt_phi=True))["hom-space-intertwines"]
+    assert not hom.ok and hom.max_dev > 0.1
+    assert hom.witness == (0, (0, 1), (1, 0))
+
+
+def test_verify_fm_names_the_first_failing_model(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "module_hom_dim", lambda a, b: -1)
+    fm = by_name(verify.run_battery("fm", seed=0))[
+        "fm-roundtrip-and-factorization"]
+    assert (fm.ok, fm.max_dev, fm.witness) == (False, 1.0, (0, "hom-dims"))
+    rc, out, _ = run_cli(capsys, "verify", "--scope", "fm")
+    assert rc == 1
+    assert ("[FAIL] fm-roundtrip-and-factorization       dev 1  "
+            "witness (0, 'hom-dims')") in out.splitlines()
+
+
 def test_verify_subprocess_byte_identical():
     cmd = [sys.executable, "-m", "nctorus.cli", "verify", "--scope", "all",
            "--seed", "7"]

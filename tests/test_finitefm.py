@@ -11,6 +11,7 @@ from nctorus.equivariant import (
     LinearizationReport,
     check_linearization,
     free,
+    from_module,
     hom_dim,
 )
 from nctorus.finitefm import (
@@ -314,6 +315,40 @@ def test_kernel_matrices_frozen_for_z2():
 def test_kernel_relations_hold_on_all_models():
     for model in ALL_MODELS:
         assert DeformedKernel(model).check()
+
+
+def test_kernel_check_fails_when_one_law_breaks(monkeypatch):
+    model = model_halved(True)
+    kernel = DeformedKernel(model)
+    left, right = DeformedKernel.left_matrix, DeformedKernel.right_matrix
+    rng = np.random.default_rng(23)
+    T = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    Tinv = np.linalg.inv(T)
+    phi = model.phi
+    breaks = {
+        # a scalar on one operator breaks its law and keeps the commutation
+        "left law": ("left_matrix", lambda self, k: (
+            2.0 if k != (0,) else 1.0) * left(self, k)),
+        "right law": ("right_matrix", lambda self, k: (
+            2.0 if k != (0,) else 1.0) * right(self, k)),
+        # a change of basis on one side keeps both laws, not the commutation
+        "commutation": ("right_matrix",
+                        lambda self, k: T @ right(self, k) @ Tinv),
+    }
+    for what, (name, broken) in breaks.items():
+        with monkeypatch.context() as m:
+            m.setattr(DeformedKernel, name, broken)
+            assert not kernel.check(), what
+            laws = [check_linearization(
+                from_module(model.Khat, {"*": {
+                    k: getattr(kernel, side)(k)
+                    for k in model.Khat.elements()}}), twist).ok
+                for side, twist in (("left_matrix", phi.inverse()),
+                                    ("right_matrix", phi))]
+            assert laws == {"left law": [False, True],
+                            "right law": [True, False],
+                            "commutation": [True, True]}[what]
+    assert kernel.check()
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +723,31 @@ def test_representation_check_names_a_wrong_identity():
     ok, dev, witness = rep.check()
     assert not ok and dev == pytest.approx(2.0)
     assert witness == ("zero",)
+
+
+def test_zero_dimensional_representation_and_module_check_ok():
+    model = model_full_z4()
+    empty = np.zeros((0, 0))
+    rep = BRepresentation(model.B, {a: empty for a in model.B.elements()})
+    assert rep.dim == 0 and tuple(rep.check()) == (True, 0.0, None)
+    mod = ModuleOnXLambda(model, {a: empty for a in model.B.elements()},
+                          {k: empty for k in model.Khat.elements()})
+    assert mod.dim == 0 and tuple(mod.check()) == (True, 0.0, None)
+
+
+def test_representation_check_names_a_failing_pair():
+    B = FiniteAbelianGroup((4,))
+    rng = np.random.default_rng(29)
+    T = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    Tinv = np.linalg.inv(T)
+    pi = {(a,): T @ np.diag([1j ** a, (-1) ** a]) @ Tinv for a in range(4)}
+    assert BRepresentation(B, pi).check().ok
+    pi[(1,)] = pi[(1,)] @ np.diag([1, 2])
+    ok, dev, witness = BRepresentation(B, pi).check()
+    assert not ok and dev > 0.1
+    a, b = witness
+    assert a in pi and b in pi
+    assert np.max(np.abs(pi[b] @ pi[a] - pi[B.add(a, b)])) > 0.1
 
 
 # ---------------------------------------------------------------------------

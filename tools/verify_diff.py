@@ -8,6 +8,8 @@ Usage, from anywhere::
 Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
 
 * ``verify --scope S --grid full --seed s``, as text and with ``--json``;
+* the same with ``--corrupt-phi``, so that a change to the output of a
+  failing check (its ``dev`` or witness) shows line by line;
 * ``fm demo --seed s``, as text and with ``--json``;
 * ``param analyze --json`` on the default parameters and on the four of
   ``PARAMS`` (``N = 64``, ``N = 12`` with g = 3, ``N = 6``, and the
@@ -45,8 +47,10 @@ def commands(seeds, scope: str) -> list[list[str]]:
     for seed in seeds:
         verify = ["verify", "--scope", scope, "--grid", "full",
                   "--seed", str(seed)]
+        corrupt = verify + ["--corrupt-phi"]
         demo = ["fm", "demo", "--seed", str(seed)]
-        out += [verify, verify + ["--json"], demo, demo + ["--json"]]
+        out += [verify, verify + ["--json"], corrupt, corrupt + ["--json"],
+                demo, demo + ["--json"]]
     out.append(["param", "analyze", "--json"])
     out += [["param", "analyze", "--json", "--param", json.dumps(p)]
             for p in PARAMS]
