@@ -425,6 +425,59 @@ def _inverse(mats: list, what: str) -> np.ndarray:
         raise ValueError(f"{what} is not invertible") from None
 
 
+def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
+    """Per orbit of the G-set of ``a`` and ``b``: the representative ``s``,
+    the first element reaching each orbit point, ``b``'s transports out of
+    ``s`` along these and the inverses of ``a``'s, then ``None`` for a
+    trivial stabilizer or a zero fiber at ``s``, else ``b``'s transports
+    fixing ``s`` with the inverses of ``a``'s.  Raises ``ValueError`` when
+    the objects live on different G-sets, when a transport out of ``s`` or
+    fixing it is singular, or when the two follow no common law on the
+    stabilizer: on the direct sum of their fibers each ``rho_{h2}[s]
+    rho_{h1}[s]`` must be a scalar multiple of ``rho_{h1+h2}[s]``, within
+    ``TOL`` of its largest entry.
+    """
+    if a.gset is not b.gset and (
+            a.gset.points != b.gset.points or a.group != b.group
+            or a.gset.table != b.gset.table):
+        raise ValueError("objects live on different G-sets")
+    done = set()
+    for s in a.gset.points:
+        if s in done:
+            continue
+        # the first element reaching each point, and the stabilizer of s
+        orbit = {}
+        stab = []
+        for g, t in a.gset.table[s].items():
+            orbit.setdefault(t, g)
+            if t == s:
+                stab.append(g)
+        done.update(orbit)
+        rho_b = [b.rho[g][s] for g in orbit.values()]
+        _inverse(rho_b, f"a transport out of {s}")
+        rho_a_inv = _inverse([a.rho[g][s] for g in orbit.values()],
+                             f"a transport out of {s}")
+        da, db = a.dims[s], b.dims[s]
+        fixing = None
+        if len(stab) > 1 and da * db:
+            D = np.zeros((len(stab), da + db, da + db), dtype=complex)
+            for k, h in enumerate(stab):
+                D[k, :da, :da], D[k, da:, da:] = a.rho[h][s], b.rho[h][s]
+            D_inv = _inverse(D, f"a transport fixing {s}")
+            pos = {h: k for k, h in enumerate(stab)}
+            for k, h1 in enumerate(stab):
+                prod = D @ D[k]  # [j]: rho_{h2} rho_{h1} for h2 = stab[j]
+                want = D[[pos[a.group.add(h1, h2)] for h2 in stab]]
+                c = (np.einsum("jkl,jkl->j", want.conj(), prod)
+                     / np.einsum("jkl,jkl->j", want.conj(), want))
+                if not (np.abs(prod - c[:, None, None] * want).max()
+                        <= TOL * max(1.0, np.abs(prod).max())):
+                    raise ValueError(f"averaging at {s} is no projector: "
+                                     f"the two laws differ on its stabilizer")
+            fixing = D[:, da:, da:], D_inv[:, :da, :da]
+        yield s, orbit, np.array(rho_b), rho_a_inv, fixing
+
+
 def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
     """Basis of the maps commuting with the twisted transports.
 
@@ -437,59 +490,57 @@ def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
     averages ``chi -> rho^b_h[s] chi rho^a_h[s]^-1`` over the stabilizer.
     Transport gives the rest, ``chi[s.g] = rho^b_g[s] chi[s]
     rho^a_g[s]^-1`` (Frobenius reciprocity).  Returns Frobenius-orthonormal
-    basis families, one QR per orbit.  Raises ``ValueError`` when a
-    transport out of an orbit representative is singular, or when the
-    average is not a projector (the laws differ on a stabilizer).
+    basis families, one QR per orbit.  Raises ``ValueError`` as
+    :func:`_orbit_walk` does, or when the average is not a projector.
     """
-    if a.gset is not b.gset and (
-            a.gset.points != b.gset.points or a.group != b.group
-            or a.gset.table != b.gset.table):
-        raise ValueError("objects live on different G-sets")
-    gset = a.gset
     out = []
-    done = set()
-    for s in gset.points:
-        if s in done:
-            continue
-        # the first element reaching each point, and the stabilizer of s
-        orbit = {}
-        stab = []
-        for g, t in gset.table[s].items():
-            orbit.setdefault(t, g)
-            if t == s:
-                stab.append(g)
-        done.update(orbit)
-        rho_a = [a.rho[g][s] for g in orbit.values()]
-        rho_b = [b.rho[g][s] for g in orbit.values()]
-        rho_a_inv = _inverse(rho_a, f"a transport out of {s}")
-        _inverse(rho_b, f"a transport out of {s}")
+    for s, orbit, rho_b, rho_a_inv, fixing in _orbit_walk(a, b):
         da, db = a.dims[s], b.dims[s]
         if not da * db:
             continue
-        if len(stab) > 1:
+        if fixing is not None:
+            rb, ra_inv = fixing
             # chi -> rb chi ra^-1 averaged over the stabilizer projects onto
-            # the solutions when a and b satisfy one law, whose scalars then
-            # cancel; chi is vectorized row-major
-            rb = np.array([b.rho[h][s] for h in stab])
-            ra_inv = _inverse([a.rho[h][s] for h in stab],
-                              f"a transport fixing {s}")
-            P = np.einsum("hij,hlk->ikjl", rb, ra_inv) / len(stab)
+            # the solutions, the scalars of the one law cancelling; chi is
+            # vectorized row-major
+            P = np.einsum("hij,hlk->ikjl", rb, ra_inv) / len(rb)
             sol = _projector_images(P.reshape(1, db * da, -1), [s])[0].T
         else:
             sol = np.eye(db * da)
         chi = sol.reshape(-1, 1, db, da)
-        moved = np.array(rho_b) @ chi @ rho_a_inv
+        moved = rho_b @ chi @ rho_a_inv
         q, _ = np.linalg.qr(moved.reshape(len(sol), len(orbit) * db * da).T)
         for fam in q.T.reshape(-1, len(orbit), db, da):
             full = {p: np.zeros((b.dims[p], a.dims[p]), dtype=complex)
-                    for p in gset.points}
+                    for p in a.gset.points}
             full.update(zip(orbit, fam))
             out.append(full)
     return out
 
 
 def hom_dim(a: EquivariantObject, b: EquivariantObject) -> int:
-    return len(hom_space(a, b))
+    """Dimension of :func:`hom_space`, counted without building a basis.
+
+    Each orbit adds the trace of the stabilizer average at its
+    representative ``s``, ``(1/|Stab s|) sum_h tr rho^b_h[s]
+    tr(rho^a_h[s]^-1)``; a free orbit adds the product of the two fiber
+    dimensions at ``s``.  Raises ``ValueError`` as :func:`_orbit_walk`
+    does (different G-sets, a singular transport, laws that differ on a
+    stabilizer), or when a trace is not integral.
+    """
+    total = 0
+    for s, _, _, _, fixing in _orbit_walk(a, b):
+        if fixing is None:
+            total += a.dims[s] * b.dims[s]
+            continue
+        rb, ra_inv = fixing
+        trace = (np.trace(rb, axis1=1, axis2=2)
+                 @ np.trace(ra_inv, axis1=1, axis2=2)) / len(rb)
+        rank = round(trace.real)
+        if not abs(trace - rank) <= 1e-6:
+            raise ValueError(f"non-integral hom dimension {trace:.6g} at {s}")
+        total += rank
+    return total
 
 
 def retwist(obj: EquivariantObject, alpha: Mapping) -> EquivariantObject:
@@ -589,12 +640,6 @@ class TwistedAlgebra:
         center is spanned by the ``e_(s,g)`` with ``g`` in the radical of
         the commutator, at every point."""
         return len(self.points) * self._radical_size()
-
-    def trace_form_rank(self) -> int:
-        """Rank of the trace form of the left regular representation: the
-        full dimension, since a twisted group algebra over the complex
-        numbers is semisimple."""
-        return self.dim
 
     def __repr__(self) -> str:
         return (f"TwistedAlgebra({len(self.points)} points, "

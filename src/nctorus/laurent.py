@@ -153,11 +153,13 @@ def star_mul(f: LaurentPoly, h: LaurentPoly, lam) -> LaurentPoly:
 
 
 def max_coeff_diff(f: LaurentPoly, h: LaurentPoly) -> float:
-    """Largest absolute coefficient difference (0.0 for equal polynomials)."""
+    """Largest absolute coefficient difference (0.0 for equal polynomials);
+    a NaN counts as infinite."""
     if f.g != h.g:
         raise ValueError("rank mismatch")
     keys = set(f.coeffs) | set(h.coeffs)
-    return max((abs(f.coeff(t) - h.coeff(t)) for t in keys), default=0.0)
+    diffs = (abs(f.coeff(t) - h.coeff(t)) for t in keys)
+    return max((math.inf if math.isnan(d) else d for d in diffs), default=0.0)
 
 
 def majorant_norm(f: LaurentPoly, weights: Sequence[float] | None = None) -> float:

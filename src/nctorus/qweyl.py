@@ -16,6 +16,7 @@ root-of-unity bookkeeping stays exact for as long as possible.
 
 from __future__ import annotations
 
+import math
 from numbers import Number
 from typing import Mapping, Sequence
 
@@ -239,12 +240,12 @@ class QPolynomial(_Terms):
 
 def max_value_diff(f: _Terms, h: _Terms) -> float:
     """Largest embedded-coefficient difference between two polynomials, or
-    between two module elements."""
+    between two module elements; a NaN counts as infinite."""
     if f.g != h.g:
         raise ValueError("rank mismatch")
     fv, hv = f.value_dict(), h.value_dict()
-    keys = set(fv) | set(hv)
-    return max((abs(fv.get(k, 0j) - hv.get(k, 0j)) for k in keys), default=0.0)
+    diffs = (abs(fv.get(k, 0j) - hv.get(k, 0j)) for k in set(fv) | set(hv))
+    return max((math.inf if math.isnan(d) else d for d in diffs), default=0.0)
 
 
 def _reorder_exponent(A, x: Vec, y: Vec) -> int:

@@ -445,7 +445,6 @@ def battery_equivariant(seed: int = 0, grid: str = "small",
     alg = twisted_algebra(("*",), _klein_phi(False))
     out.append(_exact("point-algebra-is-simple",
                       alg.center_dim() == 1
-                      and alg.trace_form_rank() == alg.dim
                       and not alg.is_commutative()))
     return out
 

@@ -636,13 +636,21 @@ def test_hom_dim_is_isomorphism_invariant():
     assert hom_dim(obj, twisted) == hom_dim(obj, obj) == 1
 
 
-def test_hom_space_rejects_mismatched_gsets():
+def mismatched_gset_pair():
     G = klein()
     a = free({"*": 1}, pauli_phi(), GSet.trivial(G))
     H = FiniteAbelianGroup((4,))
-    b = free({"*": 1}, GroupCocycleTable.trivial(H), GSet.trivial(H))
+    return a, free({"*": 1}, GroupCocycleTable.trivial(H), GSet.trivial(H))
+
+
+def test_hom_space_rejects_mismatched_gsets():
     with pytest.raises(ValueError):
-        hom_space(a, b)
+        hom_space(*mismatched_gset_pair())
+
+
+def test_hom_dim_rejects_mismatched_gsets():
+    with pytest.raises(ValueError, match="different G-sets"):
+        hom_dim(*mismatched_gset_pair())
 
 
 def _null_space_rows(blocks: list, nvars: int, tol: float) -> list:
@@ -758,7 +766,8 @@ def test_hom_dim_matches_the_stacked_oracle_on_gsets():
             a, b = (conjugated_free(
                 {s: int(rng.integers(0, top + 1)) for s in gset.points},
                 phi, gset, rng) for _ in range(2))
-            assert hom_dim(a, b) == stacked_hom_dim(a, b), gset
+            assert hom_dim(a, b) == len(hom_space(a, b)) \
+                == stacked_hom_dim(a, b), gset
 
 
 def test_hom_dim_on_torus_models_is_the_orbit_formula():
@@ -769,7 +778,8 @@ def test_hom_dim_on_torus_models_is_the_orbit_formula():
         for _ in range(3):
             s1, s2 = random_sheaf(model, rng), random_sheaf(model, rng)
             want = sum(s1.dims[s] * s2.dims[s] for s in reps)
-            assert hom_dim(s1, s2) == want == stacked_hom_dim(s1, s2)
+            assert hom_dim(s1, s2) == want == len(hom_space(s1, s2)) \
+                == stacked_hom_dim(s1, s2)
 
 
 def test_hom_space_is_frobenius_orthonormal():
@@ -797,29 +807,53 @@ def test_hom_space_is_frobenius_orthonormal():
                     assert np.max(np.abs(resid), initial=0.0) < 1e-9
 
 
-def test_hom_space_rejects_singular_transports():
+def singular_transport_pairs():
+    """A free sheaf on a free G-set against its copy with every transport
+    zeroed, both ways round."""
     model = torus_models()[0]
     obj = free_sheaf(model, {s: 1 for s in model.gset.points})
     zero = EquivariantObject(
         obj.gset, obj.dims,
         {g: {s: np.zeros_like(m) for s, m in per.items()}
          for g, per in obj.rho.items()})
-    for a, b in ((zero, obj), (obj, zero)):
+    return [(zero, obj), (obj, zero)]
+
+
+def test_hom_space_rejects_singular_transports():
+    for a, b in singular_transport_pairs():
         with pytest.raises(ValueError, match="not invertible"):
             hom_space(a, b)
 
 
-def test_hom_space_rejects_objects_of_different_twists():
-    """On a trivial G-set the stabilizer is the whole group, and the
-    stabilizer average of two objects whose laws differ is no projector."""
+def test_hom_dim_rejects_singular_transports():
+    """The action is free, so the count needs no numerics but the check."""
+    for a, b in singular_transport_pairs():
+        with pytest.raises(ValueError, match="not invertible"):
+            hom_dim(a, b)
+
+
+def different_twist_pairs():
+    """Pauli against trivial on the Klein trivial G-set, both ways round:
+    the stabilizer is the whole group, and the trace of the stabilizer
+    average comes out an integral 4 all the same."""
     G = klein()
     gset = GSet.trivial(G, ("p", "q"))
     dims = {"p": 1, "q": 0}
     a = free(dims, pauli_phi(), gset)
     b = free(dims, GroupCocycleTable.trivial(G), gset)
-    for x, y in ((a, b), (b, a)):
+    return [(a, b), (b, a)]
+
+
+def test_hom_space_rejects_objects_of_different_twists():
+    for x, y in different_twist_pairs():
         with pytest.raises(ValueError, match="averaging at p"):
             hom_space(x, y)
+
+
+def test_hom_dim_rejects_objects_of_different_twists():
+    for x, y in different_twist_pairs():
+        with pytest.raises(ValueError, match="averaging at p"):
+            hom_dim(x, y)
 
 
 def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):
@@ -833,7 +867,7 @@ def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):
             pairs.append(tuple(conjugated_free(
                 {s: int(rng.integers(0, 3)) for s in gset.points},
                 phi, gset, rng) for _ in range(2)))
-    expected = [hom_dim(a, b) for a, b in pairs]
+    expected = [len(hom_space(a, b)) for a, b in pairs]
     calls = []
 
     def failing_svd(*args, **kwargs):
@@ -841,7 +875,7 @@ def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    assert [hom_dim(a, b) for a, b in pairs] == expected
+    assert [len(hom_space(a, b)) for a, b in pairs] == expected
     assert calls and any(expected)
 
 
@@ -878,7 +912,7 @@ def test_algebra_trivial_twist_is_commutative_functions():
     assert alg.dim == 8
     assert alg.is_commutative()
     assert alg.center_dim() == 8
-    assert alg.trace_form_rank() == 8
+    assert gram_trace_form_rank(alg) == 8
     prod = alg.multiply({("p", (1,)): 1.0}, {("p", (2,)): 1.0})
     assert prod == {("p", (3,)): 1.0 + 0j}
     assert alg.multiply({("p", (1,)): 1.0}, {("q", (1,)): 1.0}) == {}
@@ -889,7 +923,7 @@ def test_algebra_nondegenerate_point_twist_is_matrix_algebra():
     assert alg.dim == 4
     assert not alg.is_commutative()
     assert alg.center_dim() == 1
-    assert alg.trace_form_rank() == 4
+    assert gram_trace_form_rank(alg) == 4
 
 
 def kron_center_dim(alg, tol=1e-9):
@@ -938,8 +972,7 @@ def test_algebra_invariants_match_the_regular_oracles(factors):
             center = kron_center_dim(alg)
             assert alg.center_dim() == center
             assert alg.is_commutative() == (center == alg.dim)
-            assert alg.trace_form_rank() == gram_trace_form_rank(alg) \
-                == alg.dim
+            assert gram_trace_form_rank(alg) == alg.dim
 
 
 def test_algebra_rejects_a_non_cocycle():
@@ -960,8 +993,9 @@ def test_algebra_invariants_at_order_36_are_fast():
     alg = twisted_algebra(("p", "q"), phi)
     center = alg.center_dim()
     commutative = alg.is_commutative()
-    assert alg.trace_form_rank() == alg.dim == 72
+    assert alg.dim == 72
     assert time.perf_counter() - start < 1.0
+    assert gram_trace_form_rank(alg) == 72
     assert center == 2 * sum(
         all(phi(g, h) == phi(h, g) for h in alg.group.elements())
         for g in alg.group.elements())

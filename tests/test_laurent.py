@@ -250,3 +250,12 @@ def test_max_coeff_diff_basics():
     h = LaurentPoly(1, {(0,): 1.0, (3,): 2.0})
     assert max_coeff_diff(f, f) == 0.0
     assert max_coeff_diff(f, h) == 2.0
+
+
+def test_max_coeff_diff_counts_a_nan_as_infinite():
+    """Python's ``max`` keeps a NaN only when it comes first."""
+    nan = float("nan")
+    f = LaurentPoly(1, {(0,): 1.0, (1,): nan})
+    h = LaurentPoly(1, {(0,): 1.5, (1,): 1.0})
+    assert max_coeff_diff(f, h) == max_coeff_diff(h, f) == math.inf
+    assert max_coeff_diff(f, f) == math.inf

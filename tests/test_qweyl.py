@@ -1,6 +1,8 @@
 """q-Weyl algebra tests: exact phase bookkeeping, both crossed products,
 and the bimodule actions, with hand-computed monomial relations frozen in."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -347,3 +349,14 @@ def test_polynomials_and_module_elements_do_not_mix():
             x - y
     assert max_value_diff(v - v, PModuleElement(1)) == 0.0
     assert not (v - v) and v
+
+
+def test_max_value_diff_counts_a_nan_as_infinite():
+    """Python's ``max`` keeps a NaN only when it comes first."""
+    nan = float("nan")
+    keys = [((0,), (0,)), ((1,), (0,))]
+    for cls in (QPolynomial, PModuleElement):
+        f = cls(1, {keys[0]: Coeff(1.0), keys[1]: Coeff(nan)})
+        h = cls(1, {keys[0]: Coeff(1.5), keys[1]: Coeff(1.0)})
+        assert max_value_diff(f, h) == max_value_diff(h, f) == math.inf
+        assert max_value_diff(f, f) == math.inf

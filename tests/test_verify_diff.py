@@ -44,3 +44,31 @@ def test_moved_dev_figures_are_listed_one_by_one():
                                (0, '{"law_dev": 1.0, "ok": true}', ""),
                                (0, '{"law_dev": 2.0, "ok": true}', ""))
     assert "  dev moved: law_dev 1.0 -> 2.0" in demo
+
+
+def test_a_changed_witness_shows_by_check_name():
+    argv = ["verify", "--seed", "7", "--corrupt-phi", "--json"]
+
+    def result(witness, ok, dev):
+        return json.dumps({"ok": ok, "results": [
+            {"max_dev": 0.0, "name": "a", "ok": True, "witness": None},
+            {"max_dev": dev, "name": "b", "ok": ok, "witness": witness}],
+            "seed": 7})
+
+    parent = (1, result("(0, (0, 1), (1, 0))", False, 0.5), "")
+    change = (0, result(None, True, 0.0), "")
+    assert verify_diff.compare(argv, parent, change) == [
+        "  exit code 1 -> 0",
+        "  changed: ok False -> True",
+        "  dev moved: b 0.5 -> 0.0",
+        "  changed: b ok False -> True",
+        "  changed: b witness '(0, (0, 1), (1, 0))' -> None"]
+    dropped = (1, json.dumps({"ok": False, "results": [], "seed": 7}), "")
+    assert "  changed: b max_dev 0.5 -> '<absent>'" in \
+        verify_diff.compare(argv, parent, dropped)
+    assert verify_diff.compare(["fm", "demo"], (0, "a\nb\n", ""),
+                               (0, "a\nc\n", ""))[-2:] == ["  -b", "  +c"]
+    # equal in value, not in bytes
+    assert verify_diff.compare(argv, (0, '{"ok": true}', ""),
+                               (0, '{"ok":true}', ""))[-2:] == [
+        '  -{"ok": true}', '  +{"ok":true}']

@@ -16,8 +16,11 @@ Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
   ``N = 2**64`` quotient that ``param analyze`` refuses with exit 2).
 
 For every command it reports whether stdout, stderr and the exit code
-are byte-identical, shows the first differing lines of stdout, and lists
-each floating ``dev`` figure of a ``--json`` output that moved: a check's
+are byte-identical.  A differing text output shows its first differing
+lines.  A differing ``--json`` output is compared field by field: each
+field that changed is listed by name (under ``verify``, a check's field
+under the check's name, such as ``hom-space-intertwines witness``), and
+each floating ``dev`` figure that moved is listed apart: a check's
 ``max_dev`` under ``verify``, a ``*_dev`` key under ``fm demo``.  Exit
 status is 0 when every output is identical, 1 otherwise.  Only the
 standard library is used.
@@ -34,6 +37,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 RUN_TIMEOUT_S = 600
+ABSENT = "<absent>"
 PARAMS = [
     {"M": [[0, 1], [0, 0]], "N": 64},
     {"M": [[0, 1, 2], [0, 0, 3], [0, 0, 0]], "N": 12},
@@ -65,17 +69,26 @@ def run(checkout: str, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def dev_figures(argv: list[str], out: str) -> dict:
-    """The floating deviations of a ``--json`` output, by name."""
+def json_fields(argv: list[str], out: str) -> dict | None:
+    """A ``--json`` output as ``{name: value}``: a ``verify`` check's
+    fields under ``"<check> <field>"``, every other key under its own
+    name.  ``None`` for a text output or one that is no JSON object."""
     if "--json" not in argv:
-        return {}
+        return None
     try:
         data = json.loads(out)
     except ValueError:
-        return {}
-    if argv[0] == "verify":
-        return {r["name"]: r["max_dev"] for r in data.get("results", [])}
-    return {k: v for k, v in data.items() if k.endswith("_dev")}
+        return None
+    if not isinstance(data, dict):
+        return None
+    fields = {}
+    for key, value in data.items():
+        if argv[0] == "verify" and key == "results":
+            fields.update({f"{r['name']} {field}": v for r in value
+                           for field, v in r.items() if field != "name"})
+        else:
+            fields[key] = value
+    return fields
 
 
 def compare(argv, parent, change) -> list[str]:
@@ -85,17 +98,29 @@ def compare(argv, parent, change) -> list[str]:
         lines.append(f"  exit code {parent[0]} -> {change[0]}")
     if parent[2] != change[2]:
         lines.append(f"  stderr {parent[2]!r} -> {change[2]!r}")
-    if parent[1] != change[1]:
-        diff = difflib.unified_diff(parent[1].splitlines(),
-                                    change[1].splitlines(), "parent",
-                                    "change", n=0, lineterm="")
-        lines += [f"  {line}" for line in list(diff)[:12]]
-        before, after = dev_figures(argv, parent[1]), dev_figures(argv,
-                                                                  change[1])
-        lines += [f"  dev moved: {name} {before[name]!r} -> {after[name]!r}"
-                  for name in before
-                  if name in after and before[name] != after[name]]
-    return lines
+    if parent[1] == change[1]:
+        return lines
+    before, after = json_fields(argv, parent[1]), json_fields(argv,
+                                                              change[1])
+    fields = []
+    names = [] if before is None or after is None else \
+        [*before, *(k for k in after if k not in before)]
+    for name in names:
+        old, new = before.get(name, ABSENT), after.get(name, ABSENT)
+        if old == new:
+            continue
+        if name.endswith("_dev") and ABSENT not in (old, new):
+            fields.append(f"  dev moved: {name.removesuffix(' max_dev')} "
+                          f"{old!r} -> {new!r}")
+        else:
+            fields.append(f"  changed: {name} {old!r} -> {new!r}")
+    if fields:
+        return lines + fields
+    # text, no JSON object, or JSON equal in value but not in bytes
+    diff = difflib.unified_diff(parent[1].splitlines(),
+                                change[1].splitlines(), "parent", "change",
+                                n=0, lineterm="")
+    return lines + [f"  {line}" for line in list(diff)[:12]]
 
 
 def main(argv=None) -> int:
