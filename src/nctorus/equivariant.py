@@ -20,13 +20,14 @@ functions whose modules these objects are.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import FiniteAbelianGroup, GroupBilinearTable
+from .lattice import (FiniteAbelianGroup, GroupBilinearTable, _add_index,
+                      _phase_matrix)
 
 Elt = tuple[int, ...]
 
@@ -85,41 +86,49 @@ class GSet:
 
 
 class GroupCocycleTable:
-    """Scalar-valued 2-cochain on a finite abelian group, as a full table."""
+    """Scalar-valued 2-cochain on a finite abelian group, one complex array
+    ``values[g1, g2]`` in element order.  ``table`` maps every pair ``(g1,
+    g2)`` to a number or is the array of them; ``ValueError`` names the first
+    pair in row-major order that is missing, vanishes or is not finite."""
 
-    __slots__ = ("group", "table")
+    __slots__ = ("group", "values")
 
-    def __init__(self, group: FiniteAbelianGroup, table: Mapping):
+    def __init__(self, group: FiniteAbelianGroup, table):
+        elts = list(group.elements())
+        n = len(elts)
+        if not isinstance(table, np.ndarray):
+            table = [complex(table[key]) for key in itertools.takewhile(
+                table.__contains__, itertools.product(elts, repeat=2))]
+        flat = np.array(table, dtype=complex).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(flat) | (flat == 0))
+        first = bad[0] if len(bad) else len(flat)
+        if first < n * n:
+            where = f"({elts[first // n]}, {elts[first % n]})"
+            raise ValueError(f"table is missing the pair {where}"
+                             if first == len(flat) else
+                             f"table vanishes at {where}" if flat[first] == 0
+                             else f"table is not finite at {where}")
         self.group = group
-        full = {}
-        for g1 in group.elements():
-            for g2 in group.elements():
-                try:
-                    v = complex(table[(g1, g2)])
-                except KeyError:
-                    raise ValueError(f"table is missing the pair ({g1}, {g2})") \
-                        from None
-                if v == 0:
-                    raise ValueError(f"table vanishes at ({g1}, {g2})")
-                if not cmath.isfinite(v):
-                    raise ValueError(f"table is not finite at ({g1}, {g2})")
-                full[(g1, g2)] = v
-        self.table = full
+        self.values = flat.reshape(n, n)
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "GroupCocycleTable":
-        return cls(group, {(g1, g2): 1.0 for g1 in group.elements()
-                           for g2 in group.elements()})
+        return cls(group, np.ones(group.size ** 2))
 
     @classmethod
     def from_bilinear(cls, bil: GroupBilinearTable) -> "GroupCocycleTable":
-        group = bil.group
-        return cls(group, {(g1, g2): bil(g1, g2).embed()
-                           for g1 in group.elements()
-                           for g2 in group.elements()})
+        return cls(bil.group, _phase_matrix(bil.group, bil._E))
+
+    @property
+    def table(self) -> dict:
+        """The values as a new dict ``{(g1, g2): complex}``."""
+        return dict(zip(itertools.product(self.group.elements(), repeat=2),
+                        self.values.ravel().tolist()))
 
     def __call__(self, g1, g2) -> complex:
-        return self.table[(self.group.reduce(g1), self.group.reduce(g2))]
+        G = self.group
+        return complex(self.values[G._index[G.reduce(g1)],
+                                   G._index[G.reduce(g2)]])
 
     def check(self):
         """Test the 2-cocycle identity on every triple, within ``TOL``,
@@ -128,11 +137,8 @@ class GroupCocycleTable:
         Returns ``(True, None)`` or ``(False, (g1, g2, g3))`` for the first
         violating triple in ``itertools.product`` order.
         """
-        G = self.group
-        elts = list(G.elements())
-        index = {g: i for i, g in enumerate(elts)}
-        phi = np.array([[self.table[(g1, g2)] for g2 in elts] for g1 in elts])
-        add = np.array([[index[G.add(g1, g2)] for g2 in elts] for g1 in elts])
+        elts = list(self.group.elements())
+        phi, add = self.values, _add_index(self.group)
         for i, g1 in enumerate(elts):
             # [j, l]: phi(g1, g2) phi(g1+g2, g3) - phi(g1, g2+g3) phi(g2, g3)
             bad = np.abs(phi[i][:, None] * phi[add[i]]
@@ -147,13 +153,13 @@ class GroupCocycleTable:
         ``phi'(g1, g2) = phi(g1, g2) alpha(g1) alpha(g2) / alpha(g1+g2)``."""
         G = self.group
         return GroupCocycleTable(
-            G, {(g1, g2): self(g1, g2) * alpha[g1] * alpha[g2]
-                / alpha[G.add(g1, g2)]
-                for g1 in G.elements() for g2 in G.elements()})
+            G, {(g1, g2): v * alpha[g1] * alpha[g2] / alpha[G.add(g1, g2)]
+                for (g1, g2), v in self.table.items()})
 
     def inverse(self) -> "GroupCocycleTable":
-        return GroupCocycleTable(self.group,
-                                 {k: 1.0 / v for k, v in self.table.items()})
+        # Python's complex division, as the values were always divided
+        return GroupCocycleTable(self.group, np.array(
+            [1.0 / v for v in self.values.ravel().tolist()]))
 
 
 class EquivariantObject:
@@ -261,18 +267,10 @@ def _indexed(gset: GSet, phi: GroupCocycleTable):
     G = gset.group
     if phi.group != G:
         raise ValueError("twist lives on a different group")
-    elts = list(G.elements())
-    # elements() runs through the coordinates in row-major order
-    X = np.array(elts, dtype=np.int64).reshape(len(elts), G.rank)
-    strides = np.array([math.prod(G.factors[i + 1:]) for i in range(G.rank)],
-                       dtype=np.int64)
-    add = (X[:, None] + X[None]) % np.array(G.factors, dtype=np.int64) \
-        @ strides
     point = {s: p for p, s in enumerate(gset.points)}
-    ph = np.array([[phi.table[(g1, g2)] for g2 in elts] for g1 in elts])
     act = np.array([[point[t] for t in gset.table[s].values()]
                     for s in gset.points])
-    return elts, add, ph, act
+    return list(G.elements()), _add_index(G), phi.values, act
 
 
 def check_linearization(obj: EquivariantObject,
@@ -435,7 +433,7 @@ def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
     fixing it is singular, or when the two follow no common law on the
     stabilizer: on the direct sum of their fibers each ``rho_{h2}[s]
     rho_{h1}[s]`` must be a scalar multiple of ``rho_{h1+h2}[s]``, within
-    ``TOL`` of its largest entry.
+    ``TOL`` of its largest entry (on a free orbit, ``rho_0[s] rho_0[s]``).
     """
     if a.gset is not b.gset and (
             a.gset.points != b.gset.points or a.group != b.group
@@ -459,11 +457,13 @@ def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
                              f"a transport out of {s}")
         da, db = a.dims[s], b.dims[s]
         fixing = None
-        if len(stab) > 1 and da * db:
+        if da * db:
             D = np.zeros((len(stab), da + db, da + db), dtype=complex)
             for k, h in enumerate(stab):
                 D[k, :da, :da], D[k, da:, da:] = a.rho[h][s], b.rho[h][s]
-            D_inv = _inverse(D, f"a transport fixing {s}")
+            if len(stab) > 1:
+                D_inv = _inverse(D, f"a transport fixing {s}")
+                fixing = D[:, da:, da:], D_inv[:, :da, :da]
             pos = {h: k for k, h in enumerate(stab)}
             for k, h1 in enumerate(stab):
                 prod = D @ D[k]  # [j]: rho_{h2} rho_{h1} for h2 = stab[j]
@@ -474,7 +474,6 @@ def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
                         <= TOL * max(1.0, np.abs(prod).max())):
                     raise ValueError(f"averaging at {s} is no projector: "
                                      f"the two laws differ on its stabilizer")
-            fixing = D[:, da:, da:], D_inv[:, :da, :da]
         yield s, orbit, np.array(rho_b), rho_a_inv, fixing
 
 
@@ -626,8 +625,7 @@ class TwistedAlgebra:
         The commutator ``phi(g, h) / phi(h, g)`` of a 2-cocycle is a
         bicharacter, so its values are roots of unity of order dividing the
         group exponent ``L``, at least ``2 sin(pi/L)`` apart from 1."""
-        elts = list(self.group.elements())
-        phi = np.array([[self.phi.table[(g, h)] for h in elts] for g in elts])
+        phi = self.phi.values
         return int(np.count_nonzero(
             np.all(np.abs(phi / phi.T - 1) <= TOL, axis=1)))
 

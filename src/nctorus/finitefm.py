@@ -48,7 +48,7 @@ from .equivariant import (
     from_module,
 )
 from .lattice import (DualPairData, FiniteAbelianGroup, GroupBilinearTable,
-                      _matvec)
+                      _add_index, _matvec, _phase_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +138,10 @@ def fm_ab_phase_table(dims: Mapping, B: FiniteAbelianGroup):
 
 def _character_table(B: FiniteAbelianGroup, inverse: bool = False):
     """Character values ``<beta, a>`` (or their inverses), rows ``beta`` and
-    columns ``a`` in element order: the roots ``n / L`` indexed by the
-    exponents ``(X w) X^T mod L`` of the element array ``X`` and weights
-    ``w = L / d_i``, bit-identical to ``B.pairing(beta, a).embed()``."""
-    X = np.array(list(B.elements()), dtype=np.int64).reshape(B.size, B.rank)
-    E = (X * np.array(B._weights, dtype=np.int64)) @ X.T
-    roots = np.array([p.embed() for p in B._roots])
-    return roots[(-E if inverse else E) % B.exponent]
+    columns ``a`` in element order: the standard pairing's weights
+    ``L / d_i`` on the diagonal, bit-identical to
+    ``B.pairing(beta, a).embed()``."""
+    return _phase_matrix(B, np.diag(B._weights) * (-1 if inverse else 1))
 
 
 def fm_ab(dims: Mapping, B: FiniteAbelianGroup) -> BRepresentation:
@@ -626,12 +623,13 @@ def verify_factorization(model: TorusModel,
     for k in model.Khat.elements():
         report.note(dev(kernel.right_matrix(k) @ emb, module.n[k]),
                     ("translation", k))
-    for a in model.B.elements():
-        chars = np.zeros((total, nK), dtype=complex)
-        for beta, off, d in layout:
-            chars[off:off + d] = [model.B.pairing(table[beta][j], a).embed()
-                                  for j in kernel.order]
-        report.note(dev(chars[:, :, None] * emb, module.pi[a]),
+    # [row, j, a]: <beta + iota(j), a> down the rows of the block of beta
+    moved = [[model.B._index[table[beta][j]] for j in kernel.order]
+             for beta, _, _ in layout]
+    chars = np.repeat(_character_table(model.B)[moved],
+                      [d for _, _, d in layout], axis=0)
+    for i, a in enumerate(model.B.elements()):
+        report.note(dev(chars[:, :, i, None] * emb, module.pi[a]),
                     ("character", a))
     return report
 
@@ -639,47 +637,40 @@ def verify_factorization(model: TorusModel,
 # ---------------------------------------------------------------------------
 # the function-algebra shadow
 
+def _translates(K: FiniteAbelianGroup, *funcs: Mapping) -> list:
+    """``F[x, k] = f[x + k]`` for each function ``f``, in element order."""
+    add = _add_index(K)
+    return [np.array([f[x] for x in K.elements()], dtype=complex)[add]
+            for f in funcs]
+
+
 def star_on_points(phi_vals: Mapping, psi_vals: Mapping,
                    omega: GroupBilinearTable) -> dict:
     """Twisted product of functions on the group: average over translate
-    pairs weighted by the inverse of the bilinear form."""
+    pairs weighted by the inverse of the bilinear form, one contraction."""
     K = omega.group
-    out = {}
-    for x in K.elements():
-        acc = 0j
-        for k1 in K.elements():
-            y1 = phi_vals[K.add(x, k1)]
-            for k2 in K.elements():
-                acc += (-omega(k1, k2)).embed() * y1 * psi_vals[K.add(x, k2)]
-        out[x] = acc / K.size
-    return out
+    F, H = _translates(K, phi_vals, psi_vals)
+    out = ((F @ _phase_matrix(K, -np.array(omega._E))) * H).sum(1) / K.size
+    return dict(zip(K.elements(), out.tolist()))
 
 
 def fourier_component(vals: Mapping, khat,
                       K: FiniteAbelianGroup) -> dict:
     """Isotypic piece of a function: averaging against the character of
     ``khat`` leaves the component transforming by it under translation."""
-    khat = K.reduce(khat)
-    return {x: sum((-K.pairing(k, khat)).embed() * vals[K.add(x, k)]
-                   for k in K.elements()) / K.size
-            for x in K.elements()}
+    inverse = _character_table(K, inverse=True)[:, K._index[K.reduce(khat)]]
+    comp = _translates(K, vals)[0] @ inverse / K.size
+    return dict(zip(K.elements(), comp.tolist()))
 
 
 def dual_side_product(phi_vals: Mapping, psi_vals: Mapping,
                       pair: DualPairData) -> dict:
-    """Reassemble the twisted product from Fourier components: pairs of
-    components multiply pointwise, weighted by the dual pairing."""
+    """Reassemble the twisted product from Fourier components (one product
+    with the inverse character table): pairs of components multiply
+    pointwise, weighted by the dual pairing, in one contraction."""
     K = pair.group
-    comps_phi = {kh: fourier_component(phi_vals, kh, K)
-                 for kh in K.elements()}
-    comps_psi = {kh: fourier_component(psi_vals, kh, K)
-                 for kh in K.elements()}
-    out = {x: 0j for x in K.elements()}
-    for kh1 in K.elements():
-        c1 = comps_phi[kh1]
-        for kh2 in K.elements():
-            w = pair.dual_pairing(kh1, kh2).embed()
-            c2 = comps_psi[kh2]
-            for x in K.elements():
-                out[x] += w * c1[x] * c2[x]
-    return out
+    inverse = _character_table(K, inverse=True) / K.size
+    C1, C2 = (F @ inverse for F in _translates(K, phi_vals, psi_vals))
+    flat = [K._index[pair.flat[kh]] for kh in K.elements()]
+    W = _phase_matrix(K, pair.lam._E)[np.ix_(flat, flat)]
+    return dict(zip(K.elements(), ((C1 @ W) * C2).sum(1).tolist()))

@@ -389,6 +389,26 @@ class GroupBilinearTable:
                 f"{[[str(w) for w in row] for row in self.omega]})")
 
 
+def _add_index(group: FiniteAbelianGroup) -> np.ndarray:
+    """``[i, j]``: the index of the sum of elements ``i`` and ``j``."""
+    X = np.indices(group.factors).reshape(group.rank, group.size)
+    return np.ravel_multi_index(X[:, :, None] + X[:, None], group.factors,
+                                mode="wrap").reshape(group.size, group.size)
+
+
+def _phase_matrix(group: FiniteAbelianGroup, E) -> np.ndarray:
+    """Embedded values ``x . E . y / L`` of an integer matrix ``E``, rows
+    ``x`` and columns ``y`` in element order: the ``L`` roots indexed by the
+    exponent matrix ``(X E X^T) mod L`` of the element array ``X``, reduced
+    after each product.  ``E = table._E`` embeds a
+    :class:`GroupBilinearTable` bit for bit, ``diag(L / d_i)`` the pairing."""
+    X = np.indices(group.factors).reshape(group.rank, group.size).T
+    L = group.exponent
+    roots = np.array([group._root(n).embed() for n in range(L)])
+    E = np.array(E, dtype=np.int64).reshape(group.rank, group.rank)
+    return roots[X @ E % L @ X.T % L]
+
+
 # ---------------------------------------------------------------------------
 # the commutant sublattice and its quotient
 

@@ -397,10 +397,8 @@ def _klein_phi(corrupt: bool = False) -> GroupCocycleTable:
     G = FiniteAbelianGroup((2, 2))
     omega = [[Phase.zero(), Phase(1, 2)], [Phase.zero(), Phase.zero()]]
     phi = GroupCocycleTable.from_bilinear(GroupBilinearTable(G, omega))
-    if corrupt:
-        table = dict(phi.table)
-        table[((1, 0), (0, 1))] = -table[((1, 0), (0, 1))]
-        phi = GroupCocycleTable(G, table)
+    if corrupt:  # negate the value at ((1, 0), (0, 1))
+        phi.values[2, 1] = -phi.values[2, 1]
     return phi
 
 

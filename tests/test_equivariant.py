@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -210,6 +211,98 @@ def test_table_rejects_non_finite_entries():
         table[((1, 0), (0, 1))] = value
         with pytest.raises(ValueError, match="not finite"):
             GroupCocycleTable(G, table)
+
+
+def invariant_factors(limit):
+    """Every abelian group of order at most ``limit``, up to isomorphism:
+    its invariant factors ``d_1 | d_2 | ...``, the trivial group first."""
+    out = [()]
+
+    def extend(prefix, size):
+        for d in range(2, limit // size + 1):
+            if not prefix or d % prefix[-1] == 0:
+                out.append(prefix + (d,))
+                extend(prefix + (d,), size * d)
+
+    extend((), 1)
+    return out
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).reshape(-1).view(np.uint64)
+
+
+def test_from_bilinear_is_the_embedded_per_pair_table():
+    """Bit for bit against ``bil(g1, g2).embed()`` on every abelian group of
+    order at most 16, and ``__call__`` returns that Python complex."""
+    groups = invariant_factors(16)
+    assert len(groups) == 25
+    rng = np.random.default_rng(16)
+    for factors in groups:
+        G = FiniteAbelianGroup(factors)
+        forms = [GroupBilinearTable.trivial(G)] + [
+            GroupBilinearTable(G, [[Phase(int(rng.integers(0, 16)),
+                                          int(np.gcd(di, dj)))
+                                    for dj in factors] for di in factors])
+            for _ in range(3)]
+        for bil in forms:
+            phi = GroupCocycleTable.from_bilinear(bil)
+            want = {(g1, g2): bil(g1, g2).embed()
+                    for g1 in G.elements() for g2 in G.elements()}
+            assert phi.values.shape == (G.size, G.size)
+            assert list(phi.table) == list(want)
+            assert np.array_equal(bits(list(phi.table.values())),
+                                  bits(list(want.values())))
+            for (g1, g2), v in want.items():
+                got = phi(g1, g2)
+                assert type(got) is complex
+                assert np.array_equal(bits(got), bits(v))
+
+
+def test_table_dict_rebuilds_an_equal_table():
+    rng = np.random.default_rng(17)
+    for factors in [(2, 2), (3,), (2, 4), ()]:
+        G = FiniteAbelianGroup(factors)
+        phi = random_bilinear_phi(G, rng)
+        again = GroupCocycleTable(G, dict(phi.table))
+        assert np.array_equal(bits(again.values), bits(phi.values))
+        assert again.table == phi.table
+        assert np.array_equal(
+            bits(GroupCocycleTable(G, phi.values).values), bits(phi.values))
+
+
+def test_table_refusals_name_the_first_bad_pair_in_row_major_order():
+    """A missing pair, a zero and a non-finite value planted at three
+    places: each arrangement names the earliest, with its own reason."""
+    G = FiniteAbelianGroup((2, 3))
+    keys = list(itertools.product(G.elements(), repeat=2))
+    reasons = {"missing": "is missing the pair", "zero": "vanishes at",
+               "nan": "is not finite at"}
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        places = sorted(rng.choice(len(keys), size=3, replace=False))
+        kinds = list(rng.permutation(list(reasons)))
+        table = {k: 1.0 for k in keys}
+        for i, kind in zip(places, kinds):
+            if kind == "missing":
+                del table[keys[i]]
+            else:
+                table[keys[i]] = 0.0 if kind == "zero" else float("nan")
+        g1, g2 = keys[places[0]]
+        with pytest.raises(ValueError) as err:
+            GroupCocycleTable(G, table)
+        assert str(err.value) == f"table {reasons[kinds[0]]} ({g1}, {g2})"
+        # the array form has no missing pairs
+        values = np.ones((G.size, G.size), dtype=complex)
+        present = [(i, kind) for i, kind in zip(places, kinds)
+                   if kind != "missing"]
+        for i, kind in present:
+            values.flat[i] = 0 if kind == "zero" else np.inf
+        (first, kind), = present[:1]
+        g1, g2 = keys[first]
+        with pytest.raises(ValueError, match=re.escape(
+                f"table {reasons[kind]} ({g1}, {g2})")):
+            GroupCocycleTable(G, values)
 
 
 def loop_check(phi):
@@ -854,6 +947,23 @@ def test_hom_dim_rejects_objects_of_different_twists():
     for x, y in different_twist_pairs():
         with pytest.raises(ValueError, match="averaging at p"):
             hom_dim(x, y)
+
+
+def test_hom_rejects_identity_transports_that_differ_on_a_free_orbit():
+    """The stabilizer of a free orbit is trivial, and its law ``rho_0
+    rho_0 = c rho_0`` still tells an object from its retwist by 2 at
+    zero; a retwist by 1 at zero is accepted."""
+    G = FiniteAbelianGroup((2,))
+    gset = GSet.regular(G)
+    a = free({s: 1 for s in gset.points}, GroupCocycleTable.trivial(G), gset)
+    b = retwist(a, {(0,): 2, (1,): 1})
+    for x, y in [(a, b), (b, a)]:
+        with pytest.raises(ValueError, match=r"averaging at \(0,\)"):
+            hom_dim(x, y)
+        with pytest.raises(ValueError, match=r"averaging at \(0,\)"):
+            hom_space(x, y)
+    c = retwist(a, {(0,): 1, (1,): 2})
+    assert hom_dim(a, c) == len(hom_space(a, c)) == 4
 
 
 def test_hom_dims_agree_on_the_eigh_fallback(monkeypatch):

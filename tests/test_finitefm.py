@@ -817,6 +817,110 @@ def test_star_is_associative():
                 assert abs(lhs[x] - rhs[x]) < 1e-9
 
 
+def loop_star_on_points(phi_vals, psi_vals, omega):
+    """Oracle: the double sum over translate pairs, term by term."""
+    K = omega.group
+    out = {}
+    for x in K.elements():
+        acc = 0j
+        for k1 in K.elements():
+            y1 = phi_vals[K.add(x, k1)]
+            for k2 in K.elements():
+                acc += (-omega(k1, k2)).embed() * y1 * psi_vals[K.add(x, k2)]
+        out[x] = acc / K.size
+    return out
+
+
+def loop_fourier_component(vals, khat, K):
+    """Oracle: one component, averaged term by term."""
+    khat = K.reduce(khat)
+    return {x: sum((-K.pairing(k, khat)).embed() * vals[K.add(x, k)]
+                   for k in K.elements()) / K.size
+            for x in K.elements()}
+
+
+def loop_dual_side_product(phi_vals, psi_vals, pair):
+    """Oracle: every pair of loop components, weighted point by point."""
+    K = pair.group
+    comps_phi = {kh: loop_fourier_component(phi_vals, kh, K)
+                 for kh in K.elements()}
+    comps_psi = {kh: loop_fourier_component(psi_vals, kh, K)
+                 for kh in K.elements()}
+    out = {x: 0j for x in K.elements()}
+    for kh1 in K.elements():
+        c1 = comps_phi[kh1]
+        for kh2 in K.elements():
+            w = pair.dual_pairing(kh1, kh2).embed()
+            c2 = comps_psi[kh2]
+            for x in K.elements():
+                out[x] += w * c1[x] * c2[x]
+    return out
+
+
+def triangular_form(factors):
+    """Nondegenerate form: a primitive root of each generator's order on
+    the diagonal and ``1 / gcd`` above it, as :func:`descend_cocycle`
+    builds them."""
+    K = FiniteAbelianGroup(factors)
+    return GroupBilinearTable(K, [
+        [Phase(int(i <= j), d if i == j else int(np.gcd(d, e)))
+         for j, e in enumerate(factors)] for i, d in enumerate(factors)])
+
+
+ORACLE_FACTORS = [(2,), (3,), (2, 4), (2, 6), (3, 3), (6, 6)]
+
+
+def max_gap(lhs, rhs):
+    return max(abs(lhs[x] - rhs[x]) for x in lhs)
+
+
+@pytest.mark.parametrize("factors", ORACLE_FACTORS)
+def test_point_products_match_the_loop_oracles(factors):
+    omega = triangular_form(factors)
+    K = omega.group
+    pair = lambda_sharp(omega)
+    rng = np.random.default_rng(sum(factors))
+    for _ in range(2):
+        f = random_function(K, rng)
+        h = random_function(K, rng)
+        star = star_on_points(f, h, omega)
+        assert list(star) == list(K.elements())
+        assert all(type(v) is complex for v in star.values())
+        assert max_gap(star, loop_star_on_points(f, h, omega)) < 1e-13
+        dual = dual_side_product(f, h, pair)
+        assert list(dual) == list(K.elements())
+        assert max_gap(dual, loop_dual_side_product(f, h, pair)) < 1e-13
+        for khat in K.elements():
+            assert max_gap(fourier_component(f, khat, K),
+                           loop_fourier_component(f, khat, K)) < 1e-13
+
+
+def test_star_on_points_matches_the_loop_oracle_on_degenerate_forms():
+    """``star_on_points`` takes any form, not only one ``lambda_sharp``
+    inverts."""
+    rng = np.random.default_rng(72)
+    for factors, omega in [((2, 4), [[Phase.zero(), Phase(1, 2)],
+                                     [Phase.zero(), Phase.zero()]]),
+                           ((3, 3), [[Phase.zero()] * 2] * 2)]:
+        K = FiniteAbelianGroup(factors)
+        table = GroupBilinearTable(K, omega)
+        f, h = random_function(K, rng), random_function(K, rng)
+        assert max_gap(star_on_points(f, h, table),
+                       loop_star_on_points(f, h, table)) < 1e-13
+
+
+def test_star_matches_dual_side_product_on_z12_squared():
+    """Out of the loops' reach in test time: the two contractions agree."""
+    omega = triangular_form((12, 12))
+    K = omega.group
+    pair = lambda_sharp(omega)
+    rng = np.random.default_rng(144)
+    for _ in range(3):
+        f, h = random_function(K, rng), random_function(K, rng)
+        assert max_gap(star_on_points(f, h, omega),
+                       dual_side_product(f, h, pair)) < 1e-9
+
+
 def test_fourier_components_resum():
     rng = np.random.default_rng(67)
     K = FiniteAbelianGroup((3, 3))

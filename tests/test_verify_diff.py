@@ -17,9 +17,9 @@ def test_the_repo_against_itself_differs_nowhere(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out[-1] == "0 of the outputs differ"
-    # verify, verify --corrupt-phi and fm demo, text and json, then five
-    # param analyses
-    assert len(out) == 1 + 6 + 5
+    # verify and verify --corrupt-phi on both grids, and fm demo, text and
+    # json, then five param analyses
+    assert len(out) == 1 + 10 + 5
     assert all(line.startswith("same ") for line in out[:-1])
     assert out[-2].startswith("same    (exit 2) nctorus param analyze")
 

@@ -7,7 +7,8 @@ Usage, from anywhere::
 
 Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
 
-* ``verify --scope S --grid full --seed s``, as text and with ``--json``;
+* ``verify --scope S --grid G --seed s`` for both grids, ``full`` and
+  ``small``, as text and with ``--json``;
 * the same with ``--corrupt-phi``, so that a change to the output of a
   failing check (its ``dev`` or witness) shows line by line;
 * ``fm demo --seed s``, as text and with ``--json``;
@@ -49,12 +50,14 @@ PARAMS = [
 def commands(seeds, scope: str) -> list[list[str]]:
     out = []
     for seed in seeds:
-        verify = ["verify", "--scope", scope, "--grid", "full",
-                  "--seed", str(seed)]
-        corrupt = verify + ["--corrupt-phi"]
+        for grid in ("full", "small"):
+            verify = ["verify", "--scope", scope, "--grid", grid,
+                      "--seed", str(seed)]
+            corrupt = verify + ["--corrupt-phi"]
+            out += [verify, verify + ["--json"], corrupt,
+                    corrupt + ["--json"]]
         demo = ["fm", "demo", "--seed", str(seed)]
-        out += [verify, verify + ["--json"], corrupt, corrupt + ["--json"],
-                demo, demo + ["--json"]]
+        out += [demo, demo + ["--json"]]
     out.append(["param", "analyze", "--json"])
     out += [["param", "analyze", "--json", "--param", json.dumps(p)]
             for p in PARAMS]
