@@ -32,6 +32,7 @@ from .exprs import (
     word_to_poly,
 )
 from .finitefm import (
+    ModuleOnXLambda,
     TorusModel,
     fm_lambda,
     fm_lambda_inverse,
@@ -159,7 +160,9 @@ def cmd_fm_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     model = _demo_model()
     sheaf = random_sheaf(model, rng)
+    # a dense copy, so that the dense module routines run below
     module = fm_lambda(model, sheaf)
+    module = ModuleOnXLambda(model, module.pi, module.n)
     law = module.check()
     fact = verify_factorization(model, sheaf)
     back = fm_lambda_inverse(model, module)

@@ -423,6 +423,16 @@ def _inverse(mats: list, what: str) -> np.ndarray:
         raise ValueError(f"{what} is not invertible") from None
 
 
+def _deviation(prod: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Per matrix of two stacks: how far ``prod`` is from its projection
+    onto the multiples of ``want`` (NaN for a zero ``want``)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = (np.einsum("jkl,jkl->j", want.conj(), prod)
+             / np.einsum("jkl,jkl->j", want.conj(), want))
+    return np.abs(prod - c[:, None, None] * want).max(axis=(1, 2),
+                                                      initial=0.0)
+
+
 def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
     """Per orbit of the G-set of ``a`` and ``b``: the representative ``s``,
     the first element reaching each orbit point, ``b``'s transports out of
@@ -433,47 +443,56 @@ def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
     fixing it is singular, or when the two follow no common law on the
     stabilizer: on the direct sum of their fibers each ``rho_{h2}[s]
     rho_{h1}[s]`` must be a scalar multiple of ``rho_{h1+h2}[s]``, within
-    ``TOL`` of its largest entry (on a free orbit, ``rho_0[s] rho_0[s]``).
+    ``TOL`` of its largest entry.  On the free orbits that is ``rho_0[s]
+    rho_0[s]``, checked for all of them in one zero-padded stack.
     """
     if a.gset is not b.gset and (
             a.gset.points != b.gset.points or a.group != b.group
             or a.gset.table != b.gset.table):
         raise ValueError("objects live on different G-sets")
-    done = set()
+    orbits, done = [], set()
     for s in a.gset.points:
-        if s in done:
-            continue
-        # the first element reaching each point, and the stabilizer of s
-        orbit = {}
-        stab = []
-        for g, t in a.gset.table[s].items():
-            orbit.setdefault(t, g)
-            if t == s:
-                stab.append(g)
-        done.update(orbit)
+        if s not in done:
+            # the first element reaching each point, and the stabilizer of s
+            orbit = {}
+            for g, t in a.gset.table[s].items():
+                orbit.setdefault(t, g)
+            done.update(orbit)
+            orbits.append((s, orbit, [g for g, t in a.gset.table[s].items()
+                                      if t == s]))
+    free = [s for s, _, stab in orbits if len(stab) == 1
+            and a.dims[s] * b.dims[s]]
+    size = max((a.dims[s] + b.dims[s] for s in free), default=0)
+    D = np.zeros((len(free), size, size), dtype=complex)
+    for D0, s in zip(D, free):
+        da, db = a.dims[s], b.dims[s]
+        D0[:da, :da] = a.rho[a.group.zero()][s]
+        D0[da:da + db, da:da + db] = b.rho[a.group.zero()][s]
+    prod = D @ D
+    lawful = dict(zip(free, _deviation(prod, D) <= TOL * np.fmax(
+        1.0, np.abs(prod).max(axis=(1, 2), initial=0.0))))
+    for s, orbit, stab in orbits:
         rho_b = [b.rho[g][s] for g in orbit.values()]
         _inverse(rho_b, f"a transport out of {s}")
         rho_a_inv = _inverse([a.rho[g][s] for g in orbit.values()],
                              f"a transport out of {s}")
         da, db = a.dims[s], b.dims[s]
-        fixing = None
-        if da * db:
+        fixing, ok = None, lawful.get(s, True)
+        if da * db and len(stab) > 1:
             D = np.zeros((len(stab), da + db, da + db), dtype=complex)
             for k, h in enumerate(stab):
                 D[k, :da, :da], D[k, da:, da:] = a.rho[h][s], b.rho[h][s]
-            if len(stab) > 1:
-                D_inv = _inverse(D, f"a transport fixing {s}")
-                fixing = D[:, da:, da:], D_inv[:, :da, :da]
+            D_inv = _inverse(D, f"a transport fixing {s}")
+            fixing = D[:, da:, da:], D_inv[:, :da, :da]
             pos = {h: k for k, h in enumerate(stab)}
             for k, h1 in enumerate(stab):
                 prod = D @ D[k]  # [j]: rho_{h2} rho_{h1} for h2 = stab[j]
                 want = D[[pos[a.group.add(h1, h2)] for h2 in stab]]
-                c = (np.einsum("jkl,jkl->j", want.conj(), prod)
-                     / np.einsum("jkl,jkl->j", want.conj(), want))
-                if not (np.abs(prod - c[:, None, None] * want).max()
-                        <= TOL * max(1.0, np.abs(prod).max())):
-                    raise ValueError(f"averaging at {s} is no projector: "
-                                     f"the two laws differ on its stabilizer")
+                ok = ok and (_deviation(prod, want).max()
+                             <= TOL * max(1.0, np.abs(prod).max()))
+        if not ok:
+            raise ValueError(f"averaging at {s} is no projector: "
+                             f"the two laws differ on its stabilizer")
         yield s, orbit, np.array(rho_b), rho_a_inv, fixing
 
 

@@ -16,7 +16,11 @@ equipped with twisted translation operators (:class:`ModuleOnXLambda`).
 :func:`fm_lambda` computes the correspondence through its factorization:
 the plain transform, with each translation placing the object's transport
 blocks at ``beta + iota(k)``, the index map of the comparison permutation.
-:func:`fm_lambda_inverse` goes back through character eigenblocks.
+It keeps those blocks and builds no dense operator: the module's check,
+:func:`fm_lambda_inverse` and :func:`module_hom_dim` read the blocks, and
+its dense ``pi`` and ``n`` are views built on first use.  A module made
+from dense matrices (the constructor, ``conjugate``) stays dense, and
+:func:`fm_lambda_inverse` goes back from it through character eigenblocks.
 Tensoring with a :class:`DeformedKernel` and passing to invariants is the
 independent oracle that :func:`verify_factorization` checks the transform
 against.
@@ -46,6 +50,7 @@ from .equivariant import (
     check_linearization,
     free,
     from_module,
+    hom_dim,
 )
 from .lattice import (DualPairData, FiniteAbelianGroup, GroupBilinearTable,
                       _add_index, _matvec, _phase_matrix)
@@ -324,12 +329,14 @@ def random_sheaf(model: TorusModel, rng) -> EquivariantObject:
     if not any(dims.values()):
         dims[model.gset.points[0]] = 1
     obj = free_sheaf(model, dims)
+    draws = {s: (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                 0.5 + rng.random(n)) for s, n in obj.dims.items()}
+    # one QR per fiber dimension, then each factor scales its columns
     T = {}
-    for s in model.gset.points:
-        n = obj.dims[s]
-        q, _ = np.linalg.qr(rng.normal(size=(n, n))
-                            + 1j * rng.normal(size=(n, n)))
-        T[s] = q @ np.diag(0.5 + rng.random(n))
+    for n in set(obj.dims.values()):
+        points = [s for s, d in obj.dims.items() if d == n]
+        q, _ = np.linalg.qr(np.array([draws[s][0] for s in points]))
+        T.update(zip(points, q * np.array([[draws[s][1]] for s in points])))
     return obj.conjugate(T)
 
 
@@ -400,27 +407,46 @@ class ModuleOnXLambda:
     The operators ``n[k]`` satisfy ``n[k2] n[k1] = lam(k1, k2) n[k1+k2]``
     and exchange with the ``B``-action against the character of the
     embedded element: ``n[k] pi(a) = <iota(k), a>^-1 pi(a) n[k]``.
+
+    The constructor stores dense ``pi`` and ``n``.  :func:`fm_lambda`
+    instead keeps the checked object, sharing its matrices, as ``blocks``:
+    ``rho[k][beta]`` is the block of ``n[k]`` from the character ``beta``
+    to ``beta + iota(k)``, placed by the index map of the comparison
+    permutation (:func:`fm_ab_equivariance_iso`).  There :meth:`check`,
+    :func:`fm_lambda_inverse` and :func:`module_hom_dim` read the blocks,
+    and ``pi`` and ``n`` are dense views, each built on first use.
     """
 
-    __slots__ = ("model", "dim", "pi", "n")
+    __slots__ = ("model", "dim", "blocks", "_pi", "_n")
 
     def __init__(self, model: TorusModel, pi: Mapping, n: Mapping):
-        self.model = model
-        rep = BRepresentation(model.B, pi)
-        self.pi = rep.pi
-        self.dim = rep.dim
-        mats = {}
-        for k in model.Khat.elements():
-            try:
-                m = np.asarray(n[k], dtype=complex)
-            except KeyError:
-                raise ValueError(f"translation operator missing for {k}") \
-                    from None
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("translation operators must match the "
-                                 "representation dimension")
-            mats[k] = m
-        self.n = mats
+        # the operators are one family of square matrices of one size
+        rep, ops = BRepresentation(model.B, pi), BRepresentation(model.Khat, n)
+        if ops.dim != rep.dim:
+            raise ValueError("translation operators must match the "
+                             "representation dimension")
+        self.model, self.dim, self.blocks = model, rep.dim, None
+        self._pi, self._n = rep.pi, ops.pi
+
+    @property
+    def pi(self) -> dict:
+        if self._pi is None:
+            self._pi = fm_ab(self.blocks.dims, self.model.B).pi
+        return self._pi
+
+    @property
+    def n(self) -> dict:
+        if self._n is None:
+            layout, total = _graded_layout(self.blocks.dims, self.model.B)
+            offset = {beta: off for beta, off, _ in layout}
+            table = self.model.gset.table
+            self._n = {}
+            for k, rho in self.blocks.rho.items():
+                m = self._n[k] = np.zeros((total, total), dtype=complex)
+                for beta, off, d in layout:
+                    t0 = offset[table[beta][k]]
+                    m[t0:t0 + rho[beta].shape[0], off:off + d] = rho[beta]
+        return self._n
 
     def rep(self) -> BRepresentation:
         return BRepresentation(self.model.B, self.pi)
@@ -433,17 +459,21 @@ class ModuleOnXLambda:
 
     def check(self) -> LinearizationReport:
         """Verify all three families of relations; the witness labels which
-        one broke first."""
+        one broke first.  Blocks satisfy the first and the last by
+        construction, so only their transport law is checked."""
         model = self.model
         report = LinearizationReport()
-        rep = self.rep().check()
-        report.note(rep.max_dev, ("representation", rep.witness))
-        law = check_linearization(from_module(model.Khat, {"*": self.n}),
-                                  model.phi)
+        blocks, pairs = self.blocks, ()
+        if blocks is None:
+            rep = self.rep().check()
+            report.note(rep.max_dev, ("representation", rep.witness))
+            blocks = from_module(model.Khat, {"*": self.n})
+            pairs = itertools.product(model.Khat.elements(),
+                                      model.B.elements())
+        law = check_linearization(blocks, model.phi)
         report.note(law.max_dev, law.witness
                     and ("twisted composition", *law.witness[:2]))
-        for k, a in itertools.product(model.Khat.elements(),
-                                      model.B.elements()):
+        for k, a in pairs:
             lhs = self.n_matrix(k) @ self.pi_matrix(a)
             rhs = (-model.character(k, a)).embed() \
                 * self.pi_matrix(a) @ self.n_matrix(k)
@@ -466,12 +496,6 @@ class ModuleOnXLambda:
 # ---------------------------------------------------------------------------
 # the deformed transform
 
-def _sheaf_layout(model: TorusModel, sheaf: EquivariantObject):
-    if sheaf.gset.points != model.gset.points or sheaf.group != model.Khat:
-        raise ValueError("object does not live on this model's dual points")
-    return _graded_layout(sheaf.dims, model.B)
-
-
 def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
     """Transform a twisted-equivariant object on the dual points into a
     module with twisted translations, through the factorization.
@@ -479,34 +503,31 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
     The ``B``-action is the plain transform of the graded dimensions.  The
     operator of ``k`` is the object's transport placed blockwise: the
     block ``rho[k][beta]`` goes from the block of ``beta`` to that of
-    ``beta + iota(k)``, which is the comparison permutation
-    (:func:`fm_ab_equivariance_iso`) applied by its index map.  Raises
-    ``ValueError`` when the object violates the transport law.
+    ``beta + iota(k)``.  The module keeps the object as its ``blocks`` and
+    builds no dense operator.  Raises ``ValueError`` when the object
+    violates the transport law.
     """
     report = check_linearization(sheaf, model.phi)
     if not report.ok:
         raise ValueError(
             f"object violates the transport law at {report.witness} "
             f"(deviation {report.max_dev:.3g})")
-    layout, total = _sheaf_layout(model, sheaf)
-    offset = {beta: off for beta, off, _ in layout}
-    table = model.gset.table
-    n = {}
-    for k, rho in sheaf.rho.items():
-        m = np.zeros((total, total), dtype=complex)
-        for beta, off, d in layout:
-            u = rho[beta]
-            t0 = offset[table[beta][k]]
-            m[t0:t0 + u.shape[0], off:off + d] = u
-        n[k] = m
-    return ModuleOnXLambda(model, fm_ab(sheaf.dims, model.B).pi, n)
+    if sheaf.gset.points != model.gset.points or sheaf.group != model.Khat:
+        raise ValueError("object does not live on this model's dual points")
+    module = ModuleOnXLambda.__new__(ModuleOnXLambda)
+    module.model, module.dim, module.blocks = model, sheaf.total_dim(), sheaf
+    module._pi = module._n = None
+    return module
 
 
 def fm_lambda_inverse(model: TorusModel,
                       module: ModuleOnXLambda) -> EquivariantObject:
-    """Recover a twisted-equivariant object from a module: fibers are the
-    character eigenspaces of the ``B``-action and the transports are the
-    translation operators compressed between them."""
+    """Recover a twisted-equivariant object from a module: the blocks of
+    a block module over ``model``, or else fibers the character
+    eigenspaces of the ``B``-action and transports the translation
+    operators compressed between them."""
+    if module.blocks is not None and module.model is model:
+        return module.blocks
     bases = {beta: W for beta, (_, W)
              in _eigenspace_bases(module.rep()).items()}
     rho = {k: {beta: bases[model.gset.table[beta][k]].conj().T
@@ -571,11 +592,14 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
 def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> int:
     """Dimension of :func:`module_hom_space` from exact data: the sum over
     translation orbits of ``rank1(beta) * rank2(beta)``, each rank the
-    trace of a character projector.  Raises ``ValueError`` where
-    :func:`module_hom_space` does."""
+    trace of a character projector; of two block modules, the
+    :func:`~nctorus.equivariant.hom_dim` of their blocks.  Raises
+    ``ValueError`` where :func:`module_hom_space` does."""
     model = _common_model(m1, m2)
     if m1.dim == 0 or m2.dim == 0:
         return 0
+    if m1.blocks is not None and m2.blocks is not None:
+        return hom_dim(m1.blocks, m2.blocks)
     for m in (m1, m2):
         _inverse(list(m.n.values()), "a translation operator")
     r1, r2 = (_character_ranks(m.rep()) for m in (m1, m2))
@@ -598,7 +622,7 @@ def verify_factorization(model: TorusModel,
     """
     module = fm_lambda(model, sheaf)
     kernel = DeformedKernel(model)
-    layout, total = _sheaf_layout(model, sheaf)
+    layout, total = _graded_layout(sheaf.dims, model.B)
     nK = kernel.size
     offset = {beta: off for beta, off, _ in layout}
     zero = kernel.index[model.Khat.zero()]

@@ -37,6 +37,7 @@ from .equivariant import (
 )
 from .finitefm import (
     DeformedKernel,
+    ModuleOnXLambda,
     TorusModel,
     check_fm_ab_equivariance,
     dual_side_product,
@@ -496,7 +497,9 @@ def battery_fm(seed: int = 0, grid: str = "small") -> list:
     report = LinearizationReport()
     for idx, model in enumerate(models):
         sheaf = random_sheaf(model, rng)
+        # a dense copy, so that the dense module routines run below
         mod = fm_lambda(model, sheaf)
+        mod = ModuleOnXLambda(model, mod.pi, mod.n)
         law = mod.check()
         report.note(law.max_dev, (idx, "module", law.witness))
         back = fm_lambda_inverse(model, mod)

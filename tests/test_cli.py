@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nctorus import verify
+from nctorus import finitefm, verify
 from nctorus.cli import MAX_ANALYZE_SIZE, main
 
 
@@ -268,6 +268,38 @@ def test_verify_fm_names_the_first_failing_model(monkeypatch, capsys):
     assert rc == 1
     assert ("[FAIL] fm-roundtrip-and-factorization       dev 1  "
             "witness (0, 'hom-dims')") in out.splitlines()
+
+
+def without_a_basis_vector(bases):
+    """The eigenspace bases with one vector dropped from the first
+    nonzero eigenspace."""
+    beta = next(b for b, (_, W) in bases.items() if W.shape[1])
+    proj, W = bases[beta]
+    return {**bases, beta: (proj, W[:, 1:])}
+
+
+def with_every_rank_raised(ranks):
+    return {beta: r + 1 for beta, r in ranks.items()}
+
+
+@pytest.mark.parametrize("name, spoil, witness", [
+    ("_eigenspace_bases", without_a_basis_vector, (0, "roundtrip")),
+    ("_character_ranks", with_every_rank_raised, (0, "hom-dims")),
+])
+def test_verify_fm_runs_the_dense_module_routines(monkeypatch, capsys, name,
+                                                  spoil, witness):
+    """The fm battery inverts and counts dense modules: a spoiled
+    eigenspace basis or character rank must fail it, although the block
+    modules of fm_lambda never reach these routines."""
+    right = getattr(finitefm, name)
+    monkeypatch.setattr(finitefm, name, lambda rep: spoil(right(rep)))
+    fm = by_name(verify.run_battery("fm", seed=0))[
+        "fm-roundtrip-and-factorization"]
+    assert (fm.ok, fm.max_dev, fm.witness) == (False, 1.0, witness)
+    rc, out, _ = run_cli(capsys, "verify", "--scope", "fm")
+    assert rc == 1
+    assert (f"[FAIL] fm-roundtrip-and-factorization       dev 1  "
+            f"witness {witness}") in out.splitlines()
 
 
 def test_verify_subprocess_byte_identical():

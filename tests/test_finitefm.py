@@ -7,6 +7,7 @@ import pytest
 import nctorus.finitefm as finitefm
 from nctorus.cocycle import BilinearCocycle, Phase
 from nctorus.equivariant import (
+    EquivariantObject,
     GroupCocycleTable,
     LinearizationReport,
     check_linearization,
@@ -354,6 +355,35 @@ def test_kernel_check_fails_when_one_law_breaks(monkeypatch):
 # ---------------------------------------------------------------------------
 # deformed transform
 
+def loop_random_sheaf(model, rng):
+    """The sheaf of :func:`random_sheaf` with one QR and one diagonal
+    product per point (the oracle)."""
+    dims = {s: int(rng.integers(0, 3)) for s in model.gset.points}
+    if not any(dims.values()):
+        dims[model.gset.points[0]] = 1
+    obj = free_sheaf(model, dims)
+    T = {}
+    for s in model.gset.points:
+        n = obj.dims[s]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n))
+                            + 1j * rng.normal(size=(n, n)))
+        T[s] = q @ np.diag(0.5 + rng.random(n))
+    return obj.conjugate(T)
+
+
+def test_random_sheaf_matches_the_loop_oracle_bit_for_bit():
+    for model in [model_point()] + ALL_MODELS + [model_regular(3)]:
+        for seed in range(5):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            sheaf = random_sheaf(model, rng)
+            oracle = loop_random_sheaf(model, oracle_rng)
+            assert sheaf.dims == oracle.dims
+            assert all(np.array_equal(sheaf.rho[g][s], oracle.rho[g][s])
+                       for g in oracle.rho for s in model.gset.points)
+            # the same draws, so the generators stay in step
+            assert rng.random() == oracle_rng.random()
+
+
 def test_random_sheaves_satisfy_transport_law():
     rng = np.random.default_rng(17)
     for model in ALL_MODELS:
@@ -387,6 +417,109 @@ def test_fm_lambda_produces_valid_modules():
         assert mod.dim == sheaf.total_dim()
         report = mod.check()
         assert report.ok, (model, report)
+
+
+def dense_fm_lambda(model, sheaf):
+    """The transform with every operator stored dense, each transport
+    block placed at ``beta + iota(k)`` (the oracle)."""
+    layout, total = finitefm._graded_layout(sheaf.dims, model.B)
+    offset = {beta: off for beta, off, _ in layout}
+    table = model.gset.table
+    n = {}
+    for k, rho in sheaf.rho.items():
+        m = np.zeros((total, total), dtype=complex)
+        for beta, off, d in layout:
+            u = rho[beta]
+            t0 = offset[table[beta][k]]
+            m[t0:t0 + u.shape[0], off:off + d] = u
+        n[k] = m
+    return ModuleOnXLambda(model, fm_ab(sheaf.dims, model.B).pi, n)
+
+
+def dense_copy(module):
+    return ModuleOnXLambda(module.model, module.pi, module.n)
+
+
+def test_fm_lambda_keeps_blocks_and_its_dense_views_match_the_oracle():
+    rng = np.random.default_rng(67)
+    for model in ALL_MODELS + [model_regular(3)]:
+        for _ in range(3):
+            sheaf = random_sheaf(model, rng)
+            module = fm_lambda(model, sheaf)
+            assert module.blocks is sheaf and module.dim == sheaf.total_dim()
+            # no dense operator until a view is read
+            assert module._pi is None and module._n is None
+            assert module.check().ok
+            assert fm_lambda_inverse(model, module) is sheaf
+            assert module._pi is None and module._n is None
+            oracle = dense_fm_lambda(model, sheaf)
+            for view, want in ((module.pi, oracle.pi), (module.n, oracle.n)):
+                assert list(view) == list(want)
+                assert all(np.array_equal(view[x], want[x]) for x in want)
+            assert module.pi is module.pi and module.n is module.n
+
+
+def test_inverse_over_an_equal_model_decomposes_the_dense_views():
+    rng = np.random.default_rng(79)
+    model, twin = model_klein(), model_klein()
+    sheaf = random_sheaf(model, rng)
+    back = fm_lambda_inverse(twin, fm_lambda(model, sheaf))
+    assert back is not sheaf and back.gset is twin.gset
+    assert back.dims == sheaf.dims
+    assert check_linearization(back, twin.phi).ok
+
+
+def test_block_check_names_the_pair_the_dense_check_names():
+    """A block spoiled after the transform breaks only the twisted
+    composition, at the first pair the dense check of the same operators
+    finds."""
+    rng = np.random.default_rng(53)
+    for model in (model_halved(True), model_full_z4(), model_klein()):
+        sheaf = random_sheaf(model, rng)
+        module = fm_lambda(model, sheaf)
+        k = list(model.Khat.elements())[-1]
+        s = next(p for p in model.gset.points if sheaf.dims[p])
+        sheaf.rho[k][s] = 2.0 * sheaf.rho[k][s]
+        blocks, dense = module.check(), dense_copy(module).check()
+        assert not blocks.ok and not dense.ok
+        assert blocks.witness[0] == "twisted composition"
+        assert blocks.witness == dense.witness
+
+
+def zero_transport_sheaf(model, dims):
+    """The object with every transport zero: the transport law holds, with
+    both sides zero, yet no transport is invertible."""
+    gset = model.gset
+    return EquivariantObject(
+        gset, dims, {k: {s: np.zeros((dims[gset.table[s][k]], dims[s]))
+                         for s in gset.points}
+                     for k in model.Khat.elements()})
+
+
+def test_zero_transports_pass_the_law_but_no_hom_count():
+    rng = np.random.default_rng(62)
+    for model in (model_halved(True), model_klein(), model_regular(3)):
+        mod = fm_lambda(model, random_sheaf(model, rng))
+        zero = fm_lambda(model, zero_transport_sheaf(model, mod.blocks.dims))
+        assert tuple(zero.check()) == (True, 0.0, None)
+        assert dense_copy(zero).check().ok
+        for a, b in ((zero, mod), (mod, zero), (zero, zero)):
+            for m1, m2 in ((a, b), (dense_copy(a), b), (a, dense_copy(b))):
+                for count in (module_hom_dim, module_hom_space):
+                    with pytest.raises(ValueError, match="not invertible"):
+                        count(m1, m2)
+
+
+def test_mixed_pairs_count_as_dense_pairs():
+    rng = np.random.default_rng(73)
+    for model in ALL_MODELS + [model_regular(3)]:
+        s1, s2 = (random_sheaf(model, rng) for _ in range(2))
+        m1, m2 = fm_lambda(model, s1), fm_lambda(model, s2)
+        d1, d2 = dense_copy(m1), dense_copy(m2)
+        assert d1.blocks is None and d2.blocks is None
+        assert module_hom_dim(m1, m2) == module_hom_dim(m1, d2) \
+            == module_hom_dim(d1, m2) == module_hom_dim(d1, d2) \
+            == hom_dim(s1, s2)
 
 
 def test_fm_lambda_rejects_wrong_twist():
