@@ -16,6 +16,7 @@ status is 0 on success, 1 when a verification fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,7 +229,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every ``main``
+    call; each subcommand's ``func`` default is fixed at that first build."""
     parser = argparse.ArgumentParser(
         prog="nctorus",
         description="Noncommutative-torus deformation toolkit")

@@ -176,8 +176,14 @@ class ExponentWindow:
     def __len__(self) -> int:
         return math.prod(hi - lo + 1 for lo, hi in self.bounds)
 
-    def sample(self, rng: np.random.Generator) -> Vec:
-        return tuple(int(rng.integers(lo, hi + 1)) for lo, hi in self.bounds)
+    def sample(self, rng: np.random.Generator, size: tuple | None = None):
+        """One uniform vector as a tuple, or with a ``size`` tuple an
+        ``(*size, g)`` int64 array of them, in one ``rng.integers`` call that
+        draws the same stream as one call per coordinate in row-major order."""
+        if size is None:
+            return tuple(self.sample(rng, (1,))[0].tolist())
+        lo, hi = np.array(self.bounds).T
+        return rng.integers(lo, hi, (*size, self.g), endpoint=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExponentWindow):
@@ -297,15 +303,11 @@ class BilinearCocycle:
         """``s . M t`` reduced modulo ``N``."""
         if len(s) != self.g or len(t) != self.g:
             raise ValueError(f"expected vectors of length {self.g}")
-        return self._exponent(s, t) % self.N
-
-    def _exponent(self, s: Sequence[int], t: Sequence[int]) -> int:
-        """Unreduced ``s . M t`` for vectors known to have length ``g``."""
         total = 0
         for si, row in zip(s, self.M):
             if si:
                 total += si * sum(map(operator.mul, row, t))
-        return total
+        return total % self.N
 
     def __call__(self, s: Sequence[int], t: Sequence[int]) -> Phase:
         return Phase(self.exponent(s, t), self.N)
@@ -330,6 +332,15 @@ class BilinearCocycle:
         return f"BilinearCocycle(M={[list(r) for r in self.M]}, N={self.N})"
 
 
+def _first_violation(exponent, N: int, t1, t2, t3) -> int | None:
+    """Index of the first triple, vectors down the first axis, whose
+    ``e(t1, t2) + e(t1 + t2, t3) - e(t1, t2 + t3) - e(t2, t3)`` is nonzero
+    mod ``N``, or ``None``."""
+    bad = np.flatnonzero((exponent(t1, t2) + exponent(t1 + t2, t3)
+                          - exponent(t1, t2 + t3) - exponent(t2, t3)) % N)
+    return int(bad[0]) if bad.size else None
+
+
 def check_cocycle(lam, window: ExponentWindow | None = None,
                   samples: int | None = 200,
                   rng: np.random.Generator | None = None):
@@ -339,12 +350,16 @@ def check_cocycle(lam, window: ExponentWindow | None = None,
 
         lam(t1, t2) + lam(t1 + t2, t3) == lam(t1, t2 + t3) + lam(t2, t3).
 
-    ``samples`` random triples are drawn from the window (``samples=None``
-    iterates every triple; only sensible for small windows).  Triples whose
-    evaluation leaves a bounded cochain's domain are skipped.  Returns
-    ``(True, None)`` if no violation was seen, else ``(False, (t1, t2, t3))``
-    with the first violating triple.
+    ``samples`` random triples are drawn in one call, advancing ``rng`` by
+    exactly ``samples * 3 * g`` draws whatever the outcome (``samples=None``
+    iterates every triple).  Bilinear exponents are compared modulo ``N`` on
+    integer arrays (Python ints where int64 could overflow), other cochains
+    phase by phase, skipping triples that leave a bounded cochain's domain.
+    Returns ``(True, None)`` if no violation was seen, else
+    ``(False, (t1, t2, t3))`` with the first violating triple.
     """
+    if samples is not None and samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     if window is None:
         window = getattr(lam, "window", None)
     if window is None:
@@ -353,39 +368,46 @@ def check_cocycle(lam, window: ExponentWindow | None = None,
             raise ValueError("pass a window for cochains that do not carry one")
         window = ExponentWindow.centered(g, 2)
 
+    dtype = np.int64
     if isinstance(lam, BilinearCocycle):
-        # the same identity in integer exponents modulo N, with the vector
-        # lengths checked once for the whole window
         if window.g != lam.g:
             raise ValueError(f"expected vectors of length {lam.g}")
-        e = lam._exponent
+        R = max(max(-lo, hi) for lo, hi in window.bounds)
+        if 4 * lam.g ** 2 * lam.N * (2 * R) ** 2 >= 2 ** 62:
+            dtype = object
+        M = np.array(lam.M, dtype=dtype)
 
-        def violates(t1: Vec, t2: Vec, t3: Vec) -> bool:
-            return (e(t1, t2) + e(_vadd(t1, t2), t3) - e(t1, _vadd(t2, t3))
-                    - e(t2, t3)) % lam.N != 0
+        def first(batch):
+            return _first_violation(
+                lambda a, b: np.einsum("ij,im,jm->m", M, a, b), lam.N, *batch)
     else:
-        def violates(t1: Vec, t2: Vec, t3: Vec) -> bool:
-            try:
-                lhs = lam(t1, t2) + lam(_vadd(t1, t2), t3)
-                rhs = lam(t1, _vadd(t2, t3)) + lam(t2, t3)
-            except WindowError:
-                return False
-            return lhs != rhs
+        def first(batch):
+            for row, triple in enumerate(batch.transpose(2, 0, 1).tolist()):
+                t1, t2, t3 = map(tuple, triple)
+                try:
+                    lhs = lam(t1, t2) + lam(_vadd(t1, t2), t3)
+                    rhs = lam(t1, _vadd(t2, t3)) + lam(t2, t3)
+                except WindowError:
+                    continue
+                if lhs != rhs:
+                    return row
+            return None
 
+    # batches of triples as (3, g, m) arrays: all of them for a sample, one
+    # slab per t1 for the whole window, so memory stays O(len(window)**2)
     if samples is None:
-        for t1 in window:
-            for t2 in window:
-                for t3 in window:
-                    if violates(t1, t2, t3):
-                        return False, (t1, t2, t3)
-        return True, None
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(samples):
-        t1, t2, t3 = (window.sample(rng) for _ in range(3))
-        if violates(t1, t2, t3):
-            return False, (t1, t2, t3)
+        points = np.array(list(window), dtype=dtype).T
+        n = points.shape[1]
+        pairs = [np.repeat(points, n, axis=1), np.tile(points, n)]
+        batches = (np.stack([np.repeat(t1[:, None], n * n, axis=1), *pairs])
+                   for t1 in points.T)
+    else:
+        draws = window.sample(rng or np.random.default_rng(0), (samples, 3))
+        batches = [draws.astype(dtype).transpose(1, 2, 0)]
+    for batch in batches:
+        row = first(batch)
+        if row is not None:
+            return False, tuple(map(tuple, batch[:, :, row].tolist()))
     return True, None
 
 

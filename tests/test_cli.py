@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from nctorus import finitefm, verify
-from nctorus.cli import MAX_ANALYZE_SIZE, main
+from nctorus.cli import MAX_ANALYZE_SIZE, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -309,3 +309,22 @@ def test_verify_subprocess_byte_identical():
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(capsys):
+    """The parser is built once per process; an argparse error between
+    two calls leaves nothing behind that a fresh run would not show."""
+    usage_error = ["verify", "--scope", "bogus"]
+    calls = [usage_error, ["star", "mul", "t1 + 2", "t2"], usage_error,
+             ["verify", "--scope", "cocycle", "--seed", "3"]]
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "nctorus.cli", *argv],
+                               capture_output=True, text=True)
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout,
+                                  fresh.stderr)
+    assert build_parser() is build_parser()

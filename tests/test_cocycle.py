@@ -6,6 +6,7 @@ to the library's own checker, before the checker's verdict is asserted.
 """
 
 import cmath
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctorus import cocycle
 from nctorus.cocycle import (
     BilinearCocycle,
     CochainTable,
@@ -369,6 +371,205 @@ def test_check_cocycle_seeded_runs_agree():
 def test_check_cocycle_requires_some_window():
     with pytest.raises(ValueError):
         check_cocycle(lambda s, t: Phase.zero())
+
+
+# ---------------------------------------------------------------------------
+# check_cocycle against the loop it replaced
+
+def loop_sample(window, rng):
+    """One vector drawn one ``rng.integers`` call per coordinate (the
+    stream oracle for ``ExponentWindow.sample``)."""
+    return tuple(int(rng.integers(lo, hi + 1)) for lo, hi in window.bounds)
+
+
+def loop_check_cocycle(lam, window=None, samples=200, rng=None):
+    """The triple-at-a-time checker the array version replaced (the oracle):
+    per-coordinate draws, four exponent evaluations per bilinear triple,
+    and a stop at the first violation."""
+    if window is None:
+        window = getattr(lam, "window", None)
+    if window is None:
+        window = ExponentWindow.centered(lam.g, 2)
+
+    def add(s, t):
+        return tuple(a + b for a, b in zip(s, t))
+
+    if isinstance(lam, BilinearCocycle):
+        e = lam.exponent
+
+        def violates(t1, t2, t3):
+            return (e(t1, t2) + e(add(t1, t2), t3) - e(t1, add(t2, t3))
+                    - e(t2, t3)) % lam.N != 0
+    else:
+        def violates(t1, t2, t3):
+            try:
+                lhs = lam(t1, t2) + lam(add(t1, t2), t3)
+                rhs = lam(t1, add(t2, t3)) + lam(t2, t3)
+            except WindowError:
+                return False
+            return lhs != rhs
+
+    if samples is None:
+        for t1, t2, t3 in itertools.product(window, repeat=3):
+            if violates(t1, t2, t3):
+                return False, (t1, t2, t3)
+        return True, None
+    if rng is None:
+        rng = np.random.default_rng(0)
+    for _ in range(samples):
+        t1, t2, t3 = (loop_sample(window, rng) for _ in range(3))
+        if violates(t1, t2, t3):
+            return False, (t1, t2, t3)
+    return True, None
+
+
+STREAM_WINDOWS = [
+    ExponentWindow.centered(1, 2),
+    ExponentWindow([(-3, 1), (0, 4)]),
+    ExponentWindow([(-2, 2), (5, 5), (-1, 0)]),
+    ExponentWindow([(-10 ** 12, 10 ** 12), (0, 1)]),
+    ExponentWindow([(0, 2 ** 32 - 1), (-2 ** 62, 2 ** 62)]),
+]
+
+
+@pytest.mark.parametrize("window", STREAM_WINDOWS, ids=repr)
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 300])
+def test_batch_draw_is_the_per_coordinate_stream(window, count):
+    batch_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+    batch = window.sample(batch_rng, (count, 3))
+    assert batch.shape == (count, 3, window.g) and batch.dtype == np.int64
+    assert batch.tolist() == [[list(loop_sample(window, loop_rng))
+                               for _ in range(3)] for _ in range(count)]
+    assert window.sample(batch_rng) == loop_sample(window, loop_rng)
+    assert window.sample(batch_rng, (2,)).tolist() == [
+        list(loop_sample(window, loop_rng)) for _ in range(2)]
+    assert batch_rng.integers(0, 1000, 9).tolist() == \
+        loop_rng.integers(0, 1000, 9).tolist()
+    assert batch_rng.random() == loop_rng.random()
+
+
+def spike_table():
+    w = ExponentWindow.centered(1, 2)
+    return CochainTable.from_function(
+        w, lambda s, t: Phase(1, 3) if (s, t) == ((1,), (1,)) else Phase.zero(),
+        arity=2)
+
+
+def random_table():
+    rng = np.random.default_rng(4)
+    return CochainTable.from_function(
+        ExponentWindow.centered(2, 1),
+        lambda s, t: Phase(int(rng.integers(0, 2)), 2), arity=2)
+
+
+def twisted_coboundary():
+    alpha = bounding_cochain([[2, 1], [1, 0]], 5,
+                             window=ExponentWindow.centered(2, 2))
+    return coboundary(alpha, BilinearCocycle([[0, 3], [1, 1]], 5))
+
+
+COCHAINS = {
+    "bilinear-g1": BilinearCocycle([[3]], 7),
+    "bilinear-g2": BilinearCocycle([[1, 2], [3, 1]], 4),
+    "bilinear-g3": BilinearCocycle([[0, 1, 2], [0, 0, 3], [0, 0, 0]], 12),
+    "bilinear-2**64": BilinearCocycle([[0, 1], [0, 0]], 2 ** 64),
+    "constant": CochainTable.from_function(
+        ExponentWindow.centered(1, 2), lambda s, t: Phase(1, 3), arity=2),
+    "spike": spike_table(),
+    "table": random_table(),
+    "coboundary": twisted_coboundary(),
+    "callable": lambda s, t: Phase(s[0] * s[0] * t[0], 5),
+}
+
+
+@pytest.mark.parametrize("name", COCHAINS)
+@pytest.mark.parametrize("samples", [None, 0, 1, 40, 300])
+def test_check_cocycle_matches_the_loop_oracle(name, samples):
+    lam = COCHAINS[name]
+    if samples is None and name == "bilinear-g3":
+        samples = 2000
+    window = ExponentWindow.centered(1, 2) if name == "callable" else None
+    for seed in (0,) if samples is None else (0, 3, 7):
+        want = loop_check_cocycle(lam, window, samples,
+                                  np.random.default_rng(seed))
+        got = check_cocycle(lam, window, samples, np.random.default_rng(seed))
+        assert got == want
+        if got[1] is not None:
+            assert all(type(x) is int for t in got[1] for x in t)
+    if name in ("spike", "table", "callable"):
+        assert check_cocycle(lam, window, samples=None)[0] is False
+
+
+def test_check_cocycle_draws_every_sample_whatever_it_finds():
+    spike = spike_table()
+    rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+    ok, witness = check_cocycle(spike, samples=200, rng=rng)
+    assert not ok and witness is not None
+    spike.window.sample(ref, (200, 3))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_check_cocycle_refuses_before_drawing():
+    lam = BilinearCocycle([[1, 2], [0, 1]], 5)
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="samples must be non-negative"):
+        check_cocycle(lam, samples=-1, rng=rng)
+    with pytest.raises(ValueError, match="expected vectors of length 2"):
+        check_cocycle(lam, window=ExponentWindow.centered(3, 1), samples=5,
+                      rng=rng)
+    assert rng.bit_generator.state == before
+    assert check_cocycle(lam, samples=0, rng=rng) == (True, None)
+    assert rng.bit_generator.state == before
+
+
+def quadratic_exponent(a, b):
+    """``a_0^2 b_0 + a_1 b_1``: quadratic in ``a``, so not a cocycle."""
+    return a[0] * a[0] * b[0] + a[1] * b[1]
+
+
+@pytest.mark.parametrize("samples", [None, 300])
+def test_first_violation_names_the_oracles_first_triple(samples):
+    N = 7
+    window = ExponentWindow.centered(2, 2)
+    lam = CochainTable.from_function(
+        window, lambda s, t: Phase(quadratic_exponent(s, t), N), arity=2)
+    unbounded = lambda s, t: Phase(quadratic_exponent(s, t), N)
+    ok, witness = loop_check_cocycle(unbounded, window, samples,
+                                     np.random.default_rng(11))
+    assert not ok
+    if samples is None:
+        triples = np.array(list(itertools.product(window, repeat=3)))
+    else:
+        triples = window.sample(np.random.default_rng(11), (samples, 3))
+    row = cocycle._first_violation(quadratic_exponent, N,
+                                   *triples.transpose(1, 2, 0))
+    assert tuple(map(tuple, triples[row].tolist())) == witness
+    # the table stops at its window, so its own first violation can be later
+    assert check_cocycle(lam, window, samples,
+                         np.random.default_rng(11)) == loop_check_cocycle(
+        lam, window, samples, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("N, radius, dtype", [
+    (2 ** 70, 10 ** 6, object), (2 ** 64, 2, object), (12, 2, np.int64),
+    (2 ** 40, 2 ** 7, np.int64), (2 ** 40, 2 ** 8, object)])
+def test_large_exponents_take_python_ints(monkeypatch, N, radius, dtype):
+    seen = []
+    first = cocycle._first_violation
+
+    def spy(exponent, N, t1, t2, t3):
+        seen.append(t1.dtype)
+        return first(exponent, N, t1, t2, t3)
+
+    monkeypatch.setattr(cocycle, "_first_violation", spy)
+    lam = BilinearCocycle([[0, 1], [N - 1, 3]], N)
+    window = ExponentWindow.centered(2, radius)
+    assert check_cocycle(lam, window, samples=200,
+                         rng=np.random.default_rng(0)) == (True, None)
+    assert seen == [np.dtype(dtype)]
+    assert loop_check_cocycle(lam, window, 200,
+                              np.random.default_rng(0)) == (True, None)
 
 
 # ---------------------------------------------------------------------------

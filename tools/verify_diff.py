@@ -11,6 +11,9 @@ Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
   ``small``, as text and with ``--json``;
 * the same with ``--corrupt-phi``, so that a change to the output of a
   failing check (its ``dev`` or witness) shows line by line;
+* ``verify --scope cocycle --grid G --seed s --json --param P`` for both
+  grids and the g = 3 and ``N = 2**64`` entries of ``PARAMS``, so that
+  the sampled g >= 3 check and the Python-int check are covered;
 * ``fm demo --seed s``, as text and with ``--json``;
 * ``param analyze --json`` on the default parameters and on the four of
   ``PARAMS`` (``N = 64``, ``N = 12`` with g = 3, ``N = 6``, and the
@@ -56,6 +59,9 @@ def commands(seeds, scope: str) -> list[list[str]]:
             corrupt = verify + ["--corrupt-phi"]
             out += [verify, verify + ["--json"], corrupt,
                     corrupt + ["--json"]]
+        out += [["verify", "--scope", "cocycle", "--grid", grid, "--seed",
+                 str(seed), "--json", "--param", json.dumps(p)]
+                for p in (PARAMS[1], PARAMS[3]) for grid in ("full", "small")]
         demo = ["fm", "demo", "--seed", str(seed)]
         out += [demo, demo + ["--json"]]
     out.append(["param", "analyze", "--json"])
