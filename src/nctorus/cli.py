@@ -32,16 +32,7 @@ from .exprs import (
     word_side,
     word_to_poly,
 )
-from .finitefm import (
-    ModuleOnXLambda,
-    TorusModel,
-    fm_lambda,
-    fm_lambda_inverse,
-    module_hom_dim,
-    random_sheaf,
-    verify_factorization,
-)
-from .equivariant import check_linearization, hom_dim
+from .finitefm import TorusModel
 from .lattice import (
     FiniteAbelianGroup,
     GroupBilinearTable,
@@ -53,7 +44,8 @@ from .lattice import (
 from .cocycle import Phase
 from .qweyl import PeriodMatrix, mul_crossed
 from .laurent import star_mul
-from .verify import default_params, params_from_dict, run_battery
+from .verify import (default_params, fm_round_trip, params_from_dict,
+                     run_battery)
 
 
 # Largest quotient group whose sharp map ``param analyze`` lists; the listing
@@ -158,31 +150,20 @@ def _demo_model() -> TorusModel:
 
 
 def cmd_fm_demo(args) -> int:
-    rng = np.random.default_rng(args.seed)
     model = _demo_model()
-    sheaf = random_sheaf(model, rng)
-    # a dense copy, so that the dense module routines run below
-    module = fm_lambda(model, sheaf)
-    module = ModuleOnXLambda(model, module.pi, module.n)
-    law = module.check()
-    fact = verify_factorization(model, sheaf)
-    back = fm_lambda_inverse(model, module)
-    round_ok = (back.dims == sheaf.dims
-                and check_linearization(back, model.phi).ok)
-    other = random_sheaf(model, rng)
-    hd_sheaf = hom_dim(sheaf, other)
-    hd_module = module_hom_dim(module, fm_lambda(model, other))
-    ok = law.ok and fact.ok and round_ok and hd_sheaf == hd_module
-    dims = {str(list(b)): d for b, d in sorted(sheaf.dims.items())}
+    run = fm_round_trip(model, np.random.default_rng(args.seed))
+    law, fact, (hd_sheaf, hd_module) = run.law, run.fact, run.hom_dims
+    ok = law.ok and fact.ok and run.roundtrip_ok and hd_sheaf == hd_module
+    dims = {str(list(b)): d for b, d in sorted(run.sheaf.dims.items())}
     data = {
         "model": {"B": list(model.B.factors),
                   "Khat": list(model.Khat.factors),
                   "embed": model.embed},
         "sheaf_dims": dims,
-        "module_dim": module.dim,
+        "module_dim": run.module.dim,
         "transport_law_dev": law.max_dev,
         "factorization_dev": fact.max_dev,
-        "roundtrip_ok": round_ok,
+        "roundtrip_ok": run.roundtrip_ok,
         "hom_dim_sheaves": hd_sheaf,
         "hom_dim_modules": hd_module,
         "ok": ok,
@@ -191,12 +172,12 @@ def cmd_fm_demo(args) -> int:
         "model               : B=(4,), dual translation subgroup (2,), "
         "twist 1/2",
         f"sheaf grade dims    : {dims}",
-        f"module dimension    : {module.dim}",
+        f"module dimension    : {run.module.dim}",
         f"transport law       : {'ok' if law.ok else 'FAIL'} "
         f"(dev {law.max_dev:.3g})",
         f"factorization       : {'ok' if fact.ok else 'FAIL'} "
         f"(dev {fact.max_dev:.3g})",
-        f"inverse roundtrip   : {'ok' if round_ok else 'FAIL'}",
+        f"inverse roundtrip   : {'ok' if run.roundtrip_ok else 'FAIL'}",
         f"hom dims preserved  : {hd_sheaf} == {hd_module}",
     ]
     _emit(data, args.json, lines)

@@ -341,6 +341,10 @@ def _first_violation(exponent, N: int, t1, t2, t3) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+# Most points of a window whose every triple ``check_cocycle`` checks
+MAX_EXHAUSTIVE_POINTS = 1200
+
+
 def check_cocycle(lam, window: ExponentWindow | None = None,
                   samples: int | None = 200,
                   rng: np.random.Generator | None = None):
@@ -351,10 +355,13 @@ def check_cocycle(lam, window: ExponentWindow | None = None,
         lam(t1, t2) + lam(t1 + t2, t3) == lam(t1, t2 + t3) + lam(t2, t3).
 
     ``samples`` random triples are drawn in one call, advancing ``rng`` by
-    exactly ``samples * 3 * g`` draws whatever the outcome (``samples=None``
-    iterates every triple).  Bilinear exponents are compared modulo ``N`` on
-    integer arrays (Python ints where int64 could overflow), other cochains
-    phase by phase, skipping triples that leave a bounded cochain's domain.
+    exactly ``samples * 3 * g`` draws whatever the outcome.  ``samples=None``
+    iterates every triple, one ``t1`` slab of about ``72 g n**2`` bytes at a
+    time for an ``n``-point window; beyond ``MAX_EXHAUSTIVE_POINTS`` (1 200:
+    210 MB at g = 2) it raises ``ValueError`` before building any.  Bilinear
+    exponents are compared modulo ``N`` on integer arrays (Python ints where
+    int64 could overflow), other cochains phase by phase, skipping triples
+    that leave a bounded cochain's domain.
     Returns ``(True, None)`` if no violation was seen, else
     ``(False, (t1, t2, t3))`` with the first violating triple.
     """
@@ -367,6 +374,9 @@ def check_cocycle(lam, window: ExponentWindow | None = None,
         if g is None:
             raise ValueError("pass a window for cochains that do not carry one")
         window = ExponentWindow.centered(g, 2)
+    if samples is None and len(window) > MAX_EXHAUSTIVE_POINTS:
+        raise ValueError(f"window has {len(window)} points; the exhaustive "
+                         f"check takes at most {MAX_EXHAUSTIVE_POINTS}")
 
     dtype = np.int64
     if isinstance(lam, BilinearCocycle):

@@ -16,14 +16,15 @@ equipped with twisted translation operators (:class:`ModuleOnXLambda`).
 :func:`fm_lambda` computes the correspondence through its factorization:
 the plain transform, with each translation placing the object's transport
 blocks at ``beta + iota(k)``, the index map of the comparison permutation.
-It keeps those blocks and builds no dense operator: the module's check,
-:func:`fm_lambda_inverse` and :func:`module_hom_dim` read the blocks, and
-its dense ``pi`` and ``n`` are views built on first use.  A module made
-from dense matrices (the constructor, ``conjugate``) stays dense, and
-:func:`fm_lambda_inverse` goes back from it through character eigenblocks.
-Tensoring with a :class:`DeformedKernel` and passing to invariants is the
-independent oracle that :func:`verify_factorization` checks the transform
-against.
+It keeps those blocks and builds no dense operator; its dense ``pi`` and
+``n`` are views built on first use.  A module made from dense matrices
+(the constructor, ``conjugate``) stays dense and has its blocks in its
+character eigenspaces.  Module homs are the sheaf homs of the blocks,
+through the frame that spans and reads off each block; one routine gives
+both, of either form, to :func:`fm_lambda_inverse`, :func:`module_hom_dim`
+and :func:`module_hom_space`.  Tensoring with a :class:`DeformedKernel`
+and passing to invariants is the independent oracle that
+:func:`verify_factorization` checks the transform against.
 
 :func:`star_on_points` is the function-algebra shadow of the same twist: a
 double sum over translates weighted by the inverse of a nondegenerate
@@ -51,6 +52,7 @@ from .equivariant import (
     free,
     from_module,
     hom_dim,
+    hom_space,
 )
 from .lattice import (DualPairData, FiniteAbelianGroup, GroupBilinearTable,
                       _add_index, _matvec, _phase_matrix)
@@ -169,13 +171,6 @@ def character_projectors(rep: BRepresentation) -> np.ndarray:
                         axes=1) / B.size
 
 
-def _character_ranks(rep: BRepresentation) -> dict:
-    """Rank of each character eigenspace, the trace of its projector."""
-    elts = list(rep.group.elements())
-    return dict(zip(elts, _projector_ranks(character_projectors(rep), elts,
-                                           rep.dim)))
-
-
 def _eigenspace_bases(rep: BRepresentation) -> dict:
     """Character projector and an orthonormal basis of its image, per
     character; ``ValueError`` unless the images exhaust ``rep``."""
@@ -192,7 +187,9 @@ def fm_ab_inverse(rep: BRepresentation) -> dict:
     projectors whose ranks exhaust the representation (it was not a true
     character decomposition).
     """
-    return {beta: r for beta, r in _character_ranks(rep).items() if r}
+    elts = list(rep.group.elements())
+    ranks = _projector_ranks(character_projectors(rep), elts, rep.dim)
+    return {beta: r for beta, r in zip(elts, ranks) if r}
 
 
 def translate_graded(dims: Mapping, yhat, B: FiniteAbelianGroup) -> dict:
@@ -412,9 +409,11 @@ class ModuleOnXLambda:
     instead keeps the checked object, sharing its matrices, as ``blocks``:
     ``rho[k][beta]`` is the block of ``n[k]`` from the character ``beta``
     to ``beta + iota(k)``, placed by the index map of the comparison
-    permutation (:func:`fm_ab_equivariance_iso`).  There :meth:`check`,
-    :func:`fm_lambda_inverse` and :func:`module_hom_dim` read the blocks,
-    and ``pi`` and ``n`` are dense views, each built on first use.
+    permutation (:func:`fm_ab_equivariance_iso`).  There :meth:`check`
+    reads the blocks, and ``pi`` and ``n`` are dense views, each built on
+    first use.  Module homs are the sheaf homs of the blocks, through the
+    frame: the identity for a block module, bases of the character
+    eigenspaces for a dense one.
     """
 
     __slots__ = ("model", "dim", "blocks", "_pi", "_n")
@@ -520,90 +519,83 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
     return module
 
 
+def _framed(model: TorusModel, module: ModuleOnXLambda):
+    """A module's blocks, on ``model``'s dual points, and its frame
+    ``(W, R)``, ``R W = 1``: in the graded layout the columns of ``W`` for
+    ``beta`` span that block and the rows of ``R`` read it off.  A block
+    module is framed by the identity; a dense one by orthonormal bases
+    ``W_beta`` of its character eigenspaces, ``R_beta = W_beta^H P_beta``
+    with ``P_beta`` the character projector, its translations compressed
+    between them.  ``ValueError`` as from :func:`_projector_images`."""
+    if module.blocks is not None:
+        blocks = module.blocks
+        if blocks.gset is not model.gset:
+            blocks = EquivariantObject(model.gset, blocks.dims, blocks.rho)
+        eye = np.eye(module.dim)
+        return blocks, (eye, eye)
+    bases = _eigenspace_bases(module.rep())
+    W = {beta: w for beta, (_, w) in bases.items()}
+    rho = {k: {beta: W[model.gset.table[beta][k]].conj().T @ n @ W[beta]
+               for beta in model.gset.points}
+           for k, n in module.n.items()}
+    dims = {beta: w.shape[1] for beta, w in W.items()}
+    return EquivariantObject(model.gset, dims, rho), (
+        np.concatenate(list(W.values()), axis=1),
+        np.concatenate([w.conj().T @ p for p, w in bases.values()]))
+
+
 def fm_lambda_inverse(model: TorusModel,
                       module: ModuleOnXLambda) -> EquivariantObject:
-    """Recover a twisted-equivariant object from a module: the blocks of
-    a block module over ``model``, or else fibers the character
-    eigenspaces of the ``B``-action and transports the translation
-    operators compressed between them."""
-    if module.blocks is not None and module.model is model:
-        return module.blocks
-    bases = {beta: W for beta, (_, W)
-             in _eigenspace_bases(module.rep()).items()}
-    rho = {k: {beta: bases[model.gset.table[beta][k]].conj().T
-               @ module.n[k] @ bases[beta]
-               for beta in model.gset.points}
-           for k in model.Khat.elements()}
-    dims = {beta: W.shape[1] for beta, W in bases.items()}
-    return EquivariantObject(model.gset, dims, rho)
+    """Recover a twisted-equivariant object from a module: its blocks,
+    which a dense module has in its character eigenspaces."""
+    return _framed(model, module)[0]
 
 
-def _common_model(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> TorusModel:
-    if m1.model is not m2.model and (
-            m1.model.B != m2.model.B or m1.model.Khat != m2.model.Khat
-            or m1.model.embed != m2.model.embed
-            or m1.model.lam.omega != m2.model.lam.omega):
+def _hom_frames(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> tuple:
+    """The blocks and frames of two modules over one model.  Raises
+    ``ValueError`` when the models differ, when a translation of a dense
+    module is singular (a block module's law was checked by
+    :func:`fm_lambda`), or as :func:`_framed` does."""
+    a, b = ((m.model.B, m.model.Khat, m.model.embed, m.model.lam.omega)
+            for m in (m1, m2))
+    if m1.model is not m2.model and a != b:
         raise ValueError("modules live over different models")
-    return m1.model
-
-
-def _orbit_representatives(model: TorusModel) -> list:
-    """The least character of each translation orbit, in element order."""
-    return [beta for beta, row in model.gset.table.items()
-            if beta == min(row.values())]
+    for m in (m1, m2):
+        if m.blocks is None:
+            _inverse(list(m.n.values()), "a translation operator")
+    return _framed(m1.model, m1), _framed(m1.model, m2)
 
 
 def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     """Orthonormal basis of maps intertwining both the ``B``-action and
     the twisted translations.
 
-    An intertwiner is block diagonal over the characters of the
-    ``B``-action, and the translation of ``k`` moves the block of ``beta``
-    to that of ``beta + iota(k)``.  ``iota`` is injective, so the
-    translations permute the characters freely: any map ``X`` between the
-    ``beta``-eigenspaces, at one ``beta`` per orbit, extends to the
-    intertwiner ``sum_k n2[k] X n1[k]^-1``, and these are all.  One QR
-    makes the result Frobenius-orthonormal.  Raises ``ValueError`` when a
-    translation operator is singular.
+    An intertwiner is block diagonal over the characters, and on the
+    blocks it is a hom of the sheaves: ``X = W2 blockdiag(chi) R1`` for
+    each family ``chi`` of :func:`~nctorus.equivariant.hom_space` of the
+    blocks, through the frames of :func:`_framed`.  One QR makes the
+    result Frobenius-orthonormal.  Raises ``ValueError`` as
+    :func:`_hom_frames` and ``hom_space`` do.
     """
-    model = _common_model(m1, m2)
-    d1, d2 = m1.dim, m2.dim
-    if d1 == 0 or d2 == 0:
-        return []
-    n1_inv = _inverse(list(m1.n.values()), "a translation operator")
-    _inverse(list(m2.n.values()), "a translation operator")
-    n2 = np.array(list(m2.n.values()))
-    blocks1 = _eigenspace_bases(m1.rep())
-    blocks2 = _eigenspace_bases(m2.rep())
-    maps = []
-    for beta in _orbit_representatives(model):
-        proj1, W1 = blocks1[beta]
-        W2 = blocks2[beta][1]
-        # X_ij = W2[:, i] (x) (W1^H proj1)[j], moved by every translation
-        moved = np.einsum("kai,kjb->ijab", n2 @ W2,
-                          W1.conj().T @ proj1 @ n1_inv)
-        maps.append(moved.reshape(-1, d2 * d1))
-    # the extended maps are independent but, unless the eigenspace
-    # decompositions are orthogonal, not orthonormal
-    q, _ = np.linalg.qr(np.concatenate(maps).T)
-    return [q[:, i].reshape(d2, d1) for i in range(q.shape[1])]
+    (b1, (_, R1)), (b2, (W2, _)) = _hom_frames(m1, m2)
+    families = hom_space(b1, b2)
+    at1, at2 = (np.cumsum([0, *b.dims.values()]) for b in (b1, b2))
+    chi = np.zeros((len(families), m2.dim, m1.dim), dtype=complex)
+    for X, family in zip(chi, families):
+        for p, block in enumerate(family.values()):
+            X[at2[p]:at2[p + 1], at1[p]:at1[p + 1]] = block
+    # independent maps, orthonormal only if the eigenspaces are orthogonal
+    maps = (W2 @ chi @ R1).reshape(len(chi), m2.dim * m1.dim)
+    q, _ = np.linalg.qr(maps.T)
+    return list(q.T.reshape(chi.shape))
 
 
 def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> int:
-    """Dimension of :func:`module_hom_space` from exact data: the sum over
-    translation orbits of ``rank1(beta) * rank2(beta)``, each rank the
-    trace of a character projector; of two block modules, the
-    :func:`~nctorus.equivariant.hom_dim` of their blocks.  Raises
-    ``ValueError`` where :func:`module_hom_space` does."""
-    model = _common_model(m1, m2)
-    if m1.dim == 0 or m2.dim == 0:
-        return 0
-    if m1.blocks is not None and m2.blocks is not None:
-        return hom_dim(m1.blocks, m2.blocks)
-    for m in (m1, m2):
-        _inverse(list(m.n.values()), "a translation operator")
-    r1, r2 = (_character_ranks(m.rep()) for m in (m1, m2))
-    return sum(r1[beta] * r2[beta] for beta in _orbit_representatives(model))
+    """Dimension of :func:`module_hom_space`, the
+    :func:`~nctorus.equivariant.hom_dim` of the two modules' blocks.
+    Raises ``ValueError`` where :func:`module_hom_space` does."""
+    (b1, _), (b2, _) = _hom_frames(m1, m2)
+    return hom_dim(b1, b2)
 
 
 def verify_factorization(model: TorusModel,

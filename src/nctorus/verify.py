@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections import namedtuple
 from typing import Mapping
 
 import numpy as np
@@ -464,6 +465,28 @@ def _fm_models() -> list:
     ]
 
 
+FmRun = namedtuple("FmRun", "sheaf module law fact roundtrip_ok hom_dims")
+
+
+def fm_round_trip(model: TorusModel, rng) -> FmRun:
+    """The deformed transform on ``model`` both ways: a sheaf from ``rng``,
+    a dense copy of its module (so that the dense module routines run),
+    its ``check``, ``verify_factorization``, whether the inverse round-trips
+    and, with a second sheaf, the hom dimensions ``(sheaves, modules)``."""
+    sheaf = random_sheaf(model, rng)
+    module = fm_lambda(model, sheaf)
+    module = ModuleOnXLambda(model, module.pi, module.n)
+    law = module.check()
+    fact = verify_factorization(model, sheaf)
+    back = fm_lambda_inverse(model, module)
+    roundtrip_ok = (back.dims == sheaf.dims
+                    and check_linearization(back, model.phi).ok)
+    other = random_sheaf(model, rng)
+    return FmRun(sheaf, module, law, fact, roundtrip_ok,
+                 (hom_dim(sheaf, other),
+                  module_hom_dim(module, fm_lambda(model, other))))
+
+
 def battery_fm(seed: int = 0, grid: str = "small") -> list:
     rng = np.random.default_rng(seed + 5)
     out = []
@@ -496,20 +519,12 @@ def battery_fm(seed: int = 0, grid: str = "small") -> list:
 
     report = LinearizationReport()
     for idx, model in enumerate(models):
-        sheaf = random_sheaf(model, rng)
-        # a dense copy, so that the dense module routines run below
-        mod = fm_lambda(model, sheaf)
-        mod = ModuleOnXLambda(model, mod.pi, mod.n)
-        law = mod.check()
-        report.note(law.max_dev, (idx, "module", law.witness))
-        back = fm_lambda_inverse(model, mod)
-        report.note(float(back.dims != sheaf.dims or not check_linearization(
-            back, model.phi).ok), (idx, "roundtrip"))
-        report.note(verify_factorization(model, sheaf).max_dev,
-                    (idx, "factorization"))
-        other = random_sheaf(model, rng)
-        report.note(float(hom_dim(sheaf, other) != module_hom_dim(
-            mod, fm_lambda(model, other))), (idx, "hom-dims"))
+        run = fm_round_trip(model, rng)
+        report.note(run.law.max_dev, (idx, "module", run.law.witness))
+        report.note(float(not run.roundtrip_ok), (idx, "roundtrip"))
+        report.note(run.fact.max_dev, (idx, "factorization"))
+        report.note(float(run.hom_dims[0] != run.hom_dims[1]),
+                    (idx, "hom-dims"))
     out.append(PropertyResult("fm-roundtrip-and-factorization", report))
 
     forms = [

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nctorus import finitefm, verify
+from nctorus.equivariant import EquivariantObject
 from nctorus.cli import MAX_ANALYZE_SIZE, build_parser, main
 
 
@@ -270,7 +272,7 @@ def test_verify_fm_names_the_first_failing_model(monkeypatch, capsys):
             "witness (0, 'hom-dims')") in out.splitlines()
 
 
-def without_a_basis_vector(bases):
+def without_a_basis_vector(bases, rep):
     """The eigenspace bases with one vector dropped from the first
     nonzero eigenspace."""
     beta = next(b for b, (_, W) in bases.items() if W.shape[1])
@@ -278,28 +280,44 @@ def without_a_basis_vector(bases):
     return {**bases, beta: (proj, W[:, 1:])}
 
 
-def with_every_rank_raised(ranks):
-    return {beta: r + 1 for beta, r in ranks.items()}
+def with_block_modules_doubled(framed, model, module):
+    """A block module framed as the direct sum of its blocks with
+    themselves; a dense module framed as it was."""
+    blocks, frame = framed
+    if module.blocks is None:
+        return framed
+    rho = {g: {p: np.kron(np.eye(2), m) for p, m in per.items()}
+           for g, per in blocks.rho.items()}
+    dims = {p: 2 * d for p, d in blocks.dims.items()}
+    return EquivariantObject(blocks.gset, dims, rho), frame
+
+
+# A spoiled eigenspace basis breaks the dense module's blocks, which the
+# round trip and then the hom count read: the count refuses the
+# non-square transport and the battery raises.
+EIGENSPACE_WITNESS = ("fm-battery",
+                      "ValueError: a transport out of (0,) is not invertible")
 
 
 @pytest.mark.parametrize("name, spoil, witness", [
-    ("_eigenspace_bases", without_a_basis_vector, (0, "roundtrip")),
-    ("_character_ranks", with_every_rank_raised, (0, "hom-dims")),
+    ("_eigenspace_bases", without_a_basis_vector, EIGENSPACE_WITNESS),
+    ("_framed", with_block_modules_doubled,
+     ("fm-roundtrip-and-factorization", (0, "hom-dims"))),
 ])
 def test_verify_fm_runs_the_dense_module_routines(monkeypatch, capsys, name,
                                                   spoil, witness):
-    """The fm battery inverts and counts dense modules: a spoiled
-    eigenspace basis or character rank must fail it, although the block
-    modules of fm_lambda never reach these routines."""
+    """The fm battery inverts and counts a dense module against a block
+    one: a spoiled eigenspace basis of the dense module, or spoiled blocks
+    of the block module, must fail it."""
     right = getattr(finitefm, name)
-    monkeypatch.setattr(finitefm, name, lambda rep: spoil(right(rep)))
-    fm = by_name(verify.run_battery("fm", seed=0))[
-        "fm-roundtrip-and-factorization"]
-    assert (fm.ok, fm.max_dev, fm.witness) == (False, 1.0, witness)
+    monkeypatch.setattr(finitefm, name,
+                        lambda *args: spoil(right(*args), *args))
+    check, where = witness
+    fm = by_name(verify.run_battery("fm", seed=0))[check]
+    assert (fm.ok, fm.max_dev, fm.witness) == (False, 1.0, where)
     rc, out, _ = run_cli(capsys, "verify", "--scope", "fm")
     assert rc == 1
-    assert (f"[FAIL] fm-roundtrip-and-factorization       dev 1  "
-            f"witness {witness}") in out.splitlines()
+    assert f"[FAIL] {check:<36} dev 1  witness {where}" in out.splitlines()
 
 
 def test_verify_subprocess_byte_identical():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import cocycle
+from nctorus import cocycle, verify
 from nctorus.cocycle import (
     BilinearCocycle,
     CochainTable,
@@ -371,6 +371,40 @@ def test_check_cocycle_seeded_runs_agree():
 def test_check_cocycle_requires_some_window():
     with pytest.raises(ValueError):
         check_cocycle(lambda s, t: Phase.zero())
+
+
+def unbuilt(window):
+    raise AssertionError("the window was enumerated")
+
+
+def test_exhaustive_check_refuses_an_oversized_window_unbuilt(monkeypatch):
+    """A window past the limit is refused before a single point is
+    enumerated; one at the limit, or a sampled check of any window, goes
+    on to its triples."""
+    limit = cocycle.MAX_EXHAUSTIVE_POINTS
+    lam = BilinearCocycle([[0, 1], [0, 0]], 6)
+    monkeypatch.setattr(ExponentWindow, "__iter__", unbuilt)
+    for window in (ExponentWindow([(1, limit + 1), (0, 0)]),
+                   ExponentWindow.centered(2, 10 ** 6)):
+        for cochain in (lam, lambda s, t: Phase.zero()):
+            with pytest.raises(ValueError, match=f"at most {limit}$"):
+                check_cocycle(cochain, window, samples=None)
+        assert check_cocycle(lam, window, samples=50) == (True, None)
+    with pytest.raises(AssertionError, match="enumerated"):
+        check_cocycle(lam, ExponentWindow([(1, limit), (0, 0)]),
+                      samples=None)
+
+
+@pytest.mark.parametrize("params", [None, {"M": [[1]], "N": 5}])
+def test_verify_checks_every_triple_only_far_below_the_limit(monkeypatch,
+                                                             params):
+    """The exhaustive check of the full grid still runs with a limit 40
+    times lower."""
+    monkeypatch.setattr(cocycle, "MAX_EXHAUSTIVE_POINTS",
+                        cocycle.MAX_EXHAUSTIVE_POINTS // 40)
+    results = verify.run_battery("cocycle", grid="full", params=params)
+    assert [r.name for r in results][0] == "cocycle-identity"
+    assert all(r.ok for r in results)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import nctorus.finitefm as finitefm
 from nctorus.cocycle import BilinearCocycle, Phase
 from nctorus.equivariant import (
+    TOL,
     EquivariantObject,
     GroupCocycleTable,
     LinearizationReport,
@@ -746,6 +747,79 @@ def test_module_hom_space_is_frobenius_orthonormal():
         assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-9
 
 
+def einsum_module_hom_space(m1, m2):
+    """Oracle, the orbit extension ``module_hom_space`` used before it
+    read the blocks: every map between the ``beta``-eigenspaces, at the
+    least ``beta`` of each translation orbit, extends to the intertwiner
+    ``sum_k n2[k] X n1[k]^-1``; one QR over all of them."""
+    d1, d2 = m1.dim, m2.dim
+    n1_inv = np.linalg.inv(np.array(list(m1.n.values())))
+    n2 = np.array(list(m2.n.values()))
+    blocks1 = finitefm._eigenspace_bases(m1.rep())
+    blocks2 = finitefm._eigenspace_bases(m2.rep())
+    maps = [np.zeros((0, d2 * d1))]
+    for beta, row in m1.model.gset.table.items():
+        if beta == min(row.values()):
+            proj1, W1 = blocks1[beta]
+            W2 = blocks2[beta][1]
+            # X_ij = W2[:, i] (x) (W1^H proj1)[j], moved by every translation
+            moved = np.einsum("kai,kjb->ijab", n2 @ W2,
+                              W1.conj().T @ proj1 @ n1_inv)
+            maps.append(moved.reshape(-1, d2 * d1))
+    q, _ = np.linalg.qr(np.concatenate(maps).T)
+    return [q[:, i].reshape(d2, d1) for i in range(q.shape[1])]
+
+
+def test_module_hom_space_spans_the_einsum_oracle_span():
+    """On block, conjugated (dense) and mixed pairs the basis read from the
+    blocks through the frames is Frobenius-orthonormal and spans what the oracle spans: of
+    equal length, and each oracle vector is fixed by the orthogonal
+    projector onto the basis, so the two projectors are equal."""
+    rng = np.random.default_rng(89)
+
+    def unitary(n):
+        return np.linalg.qr(rng.normal(size=(n, n))
+                            + 1j * rng.normal(size=(n, n)))[0]
+
+    for model in ALL_MODELS + [model_regular(3)]:
+        blocks = [fm_lambda(model, random_sheaf(model, rng)) for _ in range(2)]
+        # condition number below 3, eigenspaces not orthogonal
+        dense = [m.conjugate(unitary(m.dim) @ np.diag(0.5 + rng.random(m.dim))
+                             @ unitary(m.dim))
+                 for m in blocks]
+        want = hom_dim(blocks[0].blocks, blocks[1].blocks)
+        for m1, m2 in itertools.product(*zip(blocks, dense)):
+            Q, O = (np.array(b).reshape(len(b), m2.dim * m1.dim).T
+                    for b in (module_hom_space(m1, m2),
+                              einsum_module_hom_space(m1, m2)))
+            assert Q.shape == O.shape == (m2.dim * m1.dim, want)
+            assert np.max(np.abs(Q.conj().T @ Q - np.eye(want)),
+                          initial=0.0) <= TOL
+            assert np.max(np.abs(O - Q @ (Q.conj().T @ O)),
+                          initial=0.0) <= TOL
+
+
+def test_a_translation_singular_on_one_block_is_refused():
+    """A dense module whose translation is zero on the block of one
+    character off the orbit representatives: the blocks' hom count
+    inverts only the transports out of a representative and would miss it,
+    so the dense translations are inverted first."""
+    rng = np.random.default_rng(83)
+    model = model_full_z4()
+    mod = fm_lambda(model, random_sheaf(model, rng))
+    layout, _ = finitefm._graded_layout(mod.blocks.dims, model.B)
+    off, d = next((off, d) for beta, off, d in layout
+                  if d and beta != model.B.zero())
+    n = dict(mod.n)
+    n[(1,)] = n[(1,)].copy()
+    n[(1,)][:, off:off + d] = 0
+    bad = ModuleOnXLambda(model, mod.pi, n)
+    for m1, m2 in ((bad, mod), (mod, bad), (bad, dense_copy(mod))):
+        for count in (module_hom_dim, module_hom_space):
+            with pytest.raises(ValueError, match="not invertible"):
+                count(m1, m2)
+
+
 def test_module_hom_space_rejects_singular_translations():
     rng = np.random.default_rng(62)
     model = model_halved(True)
@@ -759,7 +833,7 @@ def test_module_hom_space_rejects_singular_translations():
 
 
 def test_module_hom_dim_counts_the_hom_space_basis():
-    """Oracle: the dimension from character ranks is the length of the
+    """Oracle: the hom count of the blocks is the length of the
     intertwiner basis, on modules from the transform, on modules
     conjugated by non-unitary maps, on the zero module, and on the derived
     model of order 9."""

@@ -14,7 +14,9 @@ time and the tracemalloc peak:
 * ``fm_lambda``, then ``check``, ``fm_lambda_inverse`` and
   ``module_hom_dim`` on the block modules it returns;
 * ``conjugate`` by a random unitary, which stores dense operators, then
-  ``check``, ``fm_lambda_inverse`` and ``module_hom_dim`` on those;
+  ``check``, ``fm_lambda_inverse``, ``module_hom_dim`` and
+  ``module_hom_space`` on those (the last only while its basis, one
+  complex ``dim2 x dim1`` matrix per hom, fits in ``MAX_BASIS_BYTES``);
 * ``verify_factorization`` of the first sheaf.
 
 BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1`` is set before numpy
@@ -41,9 +43,13 @@ from nctorus.cocycle import BilinearCocycle  # noqa: E402
 from nctorus.equivariant import check_linearization, hom_dim  # noqa: E402
 from nctorus.finitefm import (TorusModel, fm_lambda,  # noqa: E402
                               fm_lambda_inverse, module_hom_dim,
-                              random_sheaf, verify_factorization)
+                              module_hom_space, random_sheaf,
+                              verify_factorization)
 from nctorus.lattice import (compute_H_hat, compute_K_hat,  # noqa: E402
                              descend_cocycle)
+
+# Largest hom basis timed; the call holds a few arrays of this size at once
+MAX_BASIS_BYTES = 512 * 2**20
 
 
 def model_regular(n: int) -> TorusModel:
@@ -99,7 +105,15 @@ def main(argv=None) -> int:
     measure("check (conjugated)", c1.check)
     measure("fm_lambda_inverse (conjugated)",
             lambda: fm_lambda_inverse(model, c1))
-    measure("module_hom_dim (conjugated)", lambda: module_hom_dim(c1, c2))
+    hom = measure("module_hom_dim (conjugated)",
+                  lambda: module_hom_dim(c1, c2))
+    basis_bytes = 16 * hom * c1.dim * c2.dim
+    if basis_bytes <= MAX_BASIS_BYTES:
+        measure("module_hom_space (conjugated)",
+                lambda: module_hom_space(c1, c2))
+    else:
+        print(f"{'module_hom_space (conjugated)':<34} skipped: its basis "
+              f"takes {basis_bytes / 2**20:.0f} MiB", flush=True)
     measure("verify_factorization", lambda: verify_factorization(model, s1))
     return 0
 
