@@ -403,7 +403,7 @@ def test_verify_checks_every_triple_only_far_below_the_limit(monkeypatch,
     monkeypatch.setattr(cocycle, "MAX_EXHAUSTIVE_POINTS",
                         cocycle.MAX_EXHAUSTIVE_POINTS // 40)
     results = verify.run_battery("cocycle", grid="full", params=params)
-    assert [r.name for r in results][0] == "cocycle-identity"
+    assert results[0].name == "cocycle-identity"
     assert all(r.ok for r in results)
 
 
