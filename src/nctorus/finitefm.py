@@ -116,31 +116,44 @@ class BRepresentation:
         return f"BRepresentation(B={list(self.group.factors)}, dim={self.dim})"
 
 
+def _graded_dims(dims: Mapping, B: FiniteAbelianGroup) -> np.ndarray:
+    """Block dimensions of a dual-graded space in element order, zero
+    where ``dims`` has no key; ``ValueError`` for a key that is not a
+    canonical element of ``B`` and for a negative dimension."""
+    for beta in set(dims).difference(B.elements()):
+        raise ValueError(f"graded dimension at {beta!r}, which is not a "
+                         f"canonical element of {B!r}")
+    d = np.array([int(dims.get(beta, 0)) for beta in B.elements()],
+                 dtype=np.int64)
+    if (d < 0).any():
+        raise ValueError("graded dimensions must be nonnegative")
+    return d
+
+
 def _graded_layout(dims: Mapping, B: FiniteAbelianGroup):
     """Canonical block order for a dual-graded space: group element order,
     returning ``[(beta, offset, dim), ...]`` and the total dimension."""
-    layout = []
-    run = 0
-    for beta in B.elements():
-        d = int(dims.get(beta, 0))
-        if d < 0:
-            raise ValueError("graded dimensions must be nonnegative")
-        layout.append((beta, run, d))
-        run += d
-    return layout, run
+    d = _graded_dims(dims, B)
+    return list(zip(B.elements(), (np.cumsum(d) - d).tolist(),
+                    d.tolist())), int(d.sum())
+
+
+def _shift(B: FiniteAbelianGroup, yhat):
+    """Coordinates of ``B``'s elements, column ``i`` for element ``i``,
+    those of ``yhat`` reduced, and the index map from element ``i`` to
+    ``beta_i - yhat``, all on coordinate arrays."""
+    X = np.indices(B.factors).reshape(B.rank, B.size)
+    y = np.array(B.reduce(yhat), dtype=np.int64)
+    return X, y, np.reshape(np.ravel_multi_index(
+        X - y[:, None], B.factors, mode="wrap"), B.size)
 
 
 def fm_ab_phase_table(dims: Mapping, B: FiniteAbelianGroup):
     """Exact diagonal of the transform: for each group element the list of
     pairing phases down the canonical block basis."""
-    layout, total = _graded_layout(dims, B)
-    table = {}
-    for a in B.elements():
-        diag = []
-        for beta, _, d in layout:
-            diag.extend([B.pairing(beta, a)] * d)
-        table[a] = diag
-    return layout, table
+    layout, _ = _graded_layout(dims, B)
+    return layout, {a: [B.pairing(beta, a) for beta, _, d in layout
+                        for _ in range(d)] for a in B.elements()}
 
 
 def _character_table(B: FiniteAbelianGroup, inverse: bool = False):
@@ -156,8 +169,7 @@ def fm_ab(dims: Mapping, B: FiniteAbelianGroup) -> BRepresentation:
     where ``a`` acts on the block of ``beta`` by the character value
     ``<beta, a>``: the rows of the character table repeated down the
     graded layout."""
-    layout, _ = _graded_layout(dims, B)
-    diag = np.repeat(_character_table(B), [d for _, _, d in layout], axis=0)
+    diag = np.repeat(_character_table(B), _graded_dims(dims, B), axis=0)
     return BRepresentation(B, {a: np.diag(col)
                                for a, col in zip(B.elements(), diag.T)})
 
@@ -195,9 +207,8 @@ def fm_ab_inverse(rep: BRepresentation) -> dict:
 def translate_graded(dims: Mapping, yhat, B: FiniteAbelianGroup) -> dict:
     """Shift a dual-graded dimension profile: the new block at ``beta``
     is the old one at ``beta - yhat``."""
-    yhat = B.reduce(yhat)
-    return {beta: int(dims.get(B.add(beta, B.neg(yhat)), 0))
-            for beta in B.elements()}
+    shift = _shift(B, yhat)[2]
+    return dict(zip(B.elements(), _graded_dims(dims, B)[shift].tolist()))
 
 
 def character_twist(rep: BRepresentation, yhat) -> BRepresentation:
@@ -217,24 +228,13 @@ def fm_ab_equivariance_iso(dims: Mapping, yhat, B: FiniteAbelianGroup) -> np.nda
     translated side is the original block of ``beta - yhat`` and goes
     there identically.
     """
-    yhat = B.reduce(yhat)
-    shifted = translate_graded(dims, yhat, B)
-    src_layout, total_src = _graded_layout(shifted, B)
-    dst_layout, total_dst = _graded_layout(dims, B)
-    dst_offset = {beta: off for beta, off, _ in dst_layout}
-    dst_dim = {beta: d for beta, _, d in dst_layout}
-    if total_src != total_dst:
-        raise ValueError("translated layout changed total dimension")
-    E = np.zeros((total_dst, total_src))
-    for beta, off, d in src_layout:
-        if not d:
-            continue
-        target = B.add(beta, B.neg(yhat))
-        if dst_dim[target] != d:
-            raise ValueError("translated layout is inconsistent")
-        t0 = dst_offset[target]
-        E[t0:t0 + d, off:off + d] = np.eye(d)
-    return E
+    shift = _shift(B, yhat)[2]
+    d = _graded_dims(dims, B)
+    src = d[shift]
+    # column c moves from the start of its translated block to the original's
+    rows = np.arange(src.sum()) + np.repeat(
+        (np.cumsum(d) - d)[shift] - (np.cumsum(src) - src), src)
+    return np.eye(src.sum())[:, rows]
 
 
 def check_fm_ab_equivariance(dims: Mapping, yhat, B: FiniteAbelianGroup) -> bool:
@@ -242,23 +242,15 @@ def check_fm_ab_equivariance(dims: Mapping, yhat, B: FiniteAbelianGroup) -> bool
 
     Moving basis vectors along the permutation, the diagonal phase of the
     translated transform must equal the twist phase plus the original
-    diagonal phase -- compared as exact rationals, not floats.
+    diagonal phase.  Each block of the translated side is checked once
+    against every ``a``, on pairing exponents ``beta . diag(L/d_i) . a``
+    compared as integers mod ``L``, not floats.
     """
-    yhat = B.reduce(yhat)
-    src_layout, table_src = fm_ab_phase_table(translate_graded(dims, yhat, B), B)
-    dst_layout, table_dst = fm_ab_phase_table(dims, B)
-    dst_offset = {beta: off for beta, off, _ in dst_layout}
-    for a in B.elements():
-        twist = B.pairing(yhat, a)
-        src_diag = table_src[a]
-        dst_diag = table_dst[a]
-        for beta, off, d in src_layout:
-            target = B.add(beta, B.neg(yhat))
-            t0 = dst_offset[target]
-            for p in range(d):
-                if src_diag[off + p] != twist + dst_diag[t0 + p]:
-                    return False
-    return True
+    X, y, shift = _shift(B, yhat)
+    live = np.flatnonzero(_graded_dims(dims, B)[shift])
+    # <beta, a> - <yhat, a> - <beta - yhat, a> for each live block beta
+    gap = X[:, live] - y[:, None] - X[:, shift[live]]
+    return not ((gap.T * B._weights) @ X % B.exponent).any()
 
 
 # ---------------------------------------------------------------------------
@@ -350,37 +342,42 @@ class DeformedKernel:
     ``lam(k, k)^-1 lam(k, j)^-1 e_{j+k}``; its normalization is chosen so
     that the operators it induces on invariants satisfy the module
     relations and match the plain transform without any residual scalar.
+    Both place the embedded roots of the twist's exponent matrix, the
+    right one's as ``lam(k, -(j + k))``, along the index map ``j -> j - k``
+    (``j + k``) that :func:`translate_graded` reads, one matrix per call.
     """
 
-    __slots__ = ("model", "order", "index")
+    __slots__ = ("model", "order", "index", "_phases")
 
     def __init__(self, model: TorusModel):
         self.model = model
         self.order = list(model.Khat.elements())
         self.index = {j: i for i, j in enumerate(self.order)}
+        E = np.array(model.lam._E, dtype=np.int64)
+        # [j, k]: lam(j, k) and its inverse, embedded
+        self._phases = (_phase_matrix(model.Khat, E),
+                        _phase_matrix(model.Khat, -E))
 
     @property
     def size(self) -> int:
         return len(self.order)
 
+    def _placed(self, rows, values) -> np.ndarray:
+        """The matrix sending ``e_j`` to ``values[j] e_{rows[j]}``."""
+        m = np.zeros((self.size, self.size), dtype=complex)
+        m[rows, np.arange(self.size)] = values
+        return m
+
     def left_matrix(self, k) -> np.ndarray:
         K = self.model.Khat
-        lam = self.model.lam
-        k = K.reduce(k)
-        m = np.zeros((self.size, self.size), dtype=complex)
-        for j in self.order:
-            m[self.index[K.add(j, K.neg(k))], self.index[j]] = lam(j, k).embed()
-        return m
+        return self._placed(_shift(K, k)[2],
+                            self._phases[0][:, self.index[K.reduce(k)]])
 
     def right_matrix(self, k) -> np.ndarray:
         K = self.model.Khat
-        lam = self.model.lam
-        k = K.reduce(k)
-        m = np.zeros((self.size, self.size), dtype=complex)
-        for j in self.order:
-            scale = (-(lam(k, k) + lam(k, j))).embed()
-            m[self.index[K.add(j, k)], self.index[j]] = scale
-        return m
+        rows = _shift(K, K.neg(k))[2]
+        return self._placed(rows, self._phases[1][self.index[K.reduce(k)],
+                                                  rows])
 
     def check(self, tol: float = 1e-12) -> bool:
         """Left action composes up to the inverse twist, right action up to

@@ -6,9 +6,11 @@ to the library's own checker, before the checker's verdict is asserted.
 """
 
 import cmath
+import importlib.util
 import itertools
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -661,6 +663,122 @@ def test_materialized_coboundary_matches_lazy():
     assert table((1,), (1,)) == lazy((1,), (1,))
     with pytest.raises(WindowError):
         lazy((2,), (2,))
+
+
+# ---------------------------------------------------------------------------
+# verify's coboundary check against the pair loop it replaced
+
+_spec = importlib.util.spec_from_file_location(
+    "verify_diff", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "verify_diff.py"))
+verify_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verify_diff)
+
+
+def loop_coboundary_shift(alpha, lam, target):
+    """The first pair of the radius-2 window, in product order, where the
+    twist of ``lam`` by the coboundary of ``alpha`` differs from
+    ``target``, one ``Phase`` comparison at a time (the oracle)."""
+    shifted = coboundary(alpha, lam)
+    for s, t in itertools.product(ExponentWindow.centered(lam.g, 2),
+                                  repeat=2):
+        if shifted(s, t) != target(s, t):
+            return False, (s, t)
+    return True, None
+
+
+def coboundary_run(monkeypatch, params, seed, grid, spoil):
+    """The battery's ``coboundary-shifts-matrix`` result with the cochain
+    ``spoil(S, N)`` in place of the bounding cochain of its random ``S``,
+    and the oracle's verdict on the same cochain."""
+    drawn = []
+
+    def spoiled(S, N):
+        drawn.append((S, N))
+        return spoil(S, N)
+
+    monkeypatch.setattr(verify, "bounding_cochain", spoiled)
+    result, = [r for r in verify.battery_cocycle(seed, grid, params)
+               if r.name == "coboundary-shifts-matrix"]
+    (S, N), = drawn
+    lam = params_from_dict(params)
+    target = BilinearCocycle([[lam.M[i][j] - S[i][j] for j in range(lam.g)]
+                              for i in range(lam.g)], N)
+    return result, loop_coboundary_shift(spoil(S, N), lam, target)
+
+
+def bump(i, j, step):
+    """The bounding cochain of ``S`` with ``step`` added at ``(i, j)`` and
+    ``(j, i)``."""
+    def spoil(S, N):
+        S = [row[:] for row in S]
+        S[i][j] += step
+        S[j][i] = S[i][j]
+        return bounding_cochain(S, N)
+    return spoil
+
+
+def finer(S, N):
+    """The bounding cochain of ``2S + E_00`` at ``2N``: that of ``S`` plus
+    ``t_0 (t_0 - 1) / 4N``, phases of order ``2N``."""
+    return bounding_cochain([[2 * x + (i == j == 0) for j, x in enumerate(row)]
+                             for i, row in enumerate(S)], 2 * N)
+
+
+def with_character(S, N):
+    """The bounding cochain of ``S`` times the character ``t_0 / 2N``, of
+    order ``2N`` but with no coboundary."""
+    alpha = bounding_cochain(S, N)
+    return CochainTable(alpha.window, {t: p + Phase(t[0], 2 * N)
+                                       for t, p in alpha.table.items()}, 1)
+
+
+@pytest.mark.parametrize("spoil", [
+    bump(0, 1, 2), bump(0, 1, 1), bump(1, 1, 1), bump(0, 0, 3), finer])
+@pytest.mark.parametrize("params", [None, {"M": [[1, 2], [0, 3]], "N": 8}])
+def test_coboundary_check_names_the_pair_loop_first_witness(monkeypatch,
+                                                            params, spoil):
+    """A spoiled cochain fails the check at the oracle's first pair, which
+    prints the same (a numpy int would print as ``np.int64(...)``)."""
+    params = params or verify.default_params()
+    result, (ok, witness) = coboundary_run(monkeypatch, params, 0, "small",
+                                           spoil)
+    assert not ok
+    assert (result.ok, result.max_dev, result.witness) == (False, 1.0,
+                                                           witness)
+    assert str(result.witness) == str(witness)
+    assert result.to_dict()["witness"] == str(witness)
+    assert all(type(x) is int for v in result.witness for x in v)
+
+
+def test_a_spoiled_cochain_can_first_fail_past_the_first_pair(monkeypatch):
+    """At ``N = 4`` a step of 2 off the diagonal first shows where
+    ``s_0 t_1 + s_1 t_0`` is odd: at the 31st pair.  An order running
+    ``t`` slower than ``s`` would name the transposed pair."""
+    result, oracle = coboundary_run(monkeypatch, verify.default_params(), 0,
+                                    "small", bump(0, 1, 2))
+    assert result.witness == oracle[1] == ((-2, -1), (-1, -2))
+
+
+@pytest.mark.parametrize("grid", ["small", "full"])
+@pytest.mark.parametrize("params", [
+    None, verify_diff.PARAMS[1], verify_diff.PARAMS[3]],
+    ids=["default", "g3", "N2pow64"])
+def test_coboundary_check_agrees_with_the_pair_loop(monkeypatch, params,
+                                                    grid):
+    """The default parameters and the g = 3 and ``N = 2**64`` entries that
+    ``tools/verify_diff.py`` compares: both pass, and a spoiled cochain
+    fails at the same pair in both.  A character times the cochain, of
+    order ``2N``, passes: exponents are read over the phases' common
+    order."""
+    params = params or verify.default_params()
+    for seed, spoil, ok in [(7, bounding_cochain, True),
+                            (5, with_character, True),
+                            (3, bump(0, 0, 1), False)]:
+        with monkeypatch.context() as m:
+            result, oracle = coboundary_run(m, params, seed, grid, spoil)
+        assert (result.ok, result.witness) == oracle
+        assert result.ok == ok
 
 
 def test_normal_order_representative_shape_and_class():

@@ -243,6 +243,131 @@ def test_equivariance_iso_composition_coherence():
                 assert np.array_equal(lhs, rhs)
 
 
+def test_graded_maps_refuse_stray_keys_and_negative_dimensions():
+    """Every routine reading a graded map refuses a key that is not a
+    canonical element of the group (where it used to drop it) and a
+    negative dimension (where ``translate_graded`` used to return it)."""
+    B = FiniteAbelianGroup((4,))
+    readers = [lambda d: fm_ab(d, B), lambda d: fm_ab_phase_table(d, B),
+               lambda d: translate_graded(d, (1,), B),
+               lambda d: fm_ab_equivariance_iso(d, (1,), B),
+               lambda d: check_fm_ab_equivariance(d, (1,), B)]
+    for dims, what in [({(5,): 2, (0,): 1}, "not a canonical element"),
+                       ({(-1,): 1}, "not a canonical element"),
+                       ({(0, 0): 1}, "not a canonical element"),
+                       ({(0,): -1}, "nonnegative")]:
+        for read in readers:
+            with pytest.raises(ValueError, match=what):
+                read(dims)
+    assert fm_ab({(0,): 1, (3,): 0}, B).dim == 1
+    assert translate_graded({(0,): 1, (3,): 0}, (5,), B) == {
+        (0,): 0, (1,): 1, (2,): 0, (3,): 0}
+
+
+def minus(B, yhat):
+    """``beta -> beta - yhat``, one element at a time."""
+    return lambda beta: B.add(beta, B.neg(yhat))
+
+
+def loop_translate_graded(dims, yhat, B, shift=minus):
+    """The grading translated one block at a time (the oracle)."""
+    move = shift(B, B.reduce(yhat))
+    return {beta: int(dims.get(move(beta), 0)) for beta in B.elements()}
+
+
+def loop_equivariance_iso(dims, yhat, B):
+    """The comparison permutation placed one identity block at a time
+    (the oracle)."""
+    move = minus(B, B.reduce(yhat))
+    src, total = finitefm._graded_layout(
+        loop_translate_graded(dims, yhat, B), B)
+    dst = {beta: off for beta, off, _ in finitefm._graded_layout(dims, B)[0]}
+    E = np.zeros((total, total))
+    for beta, off, d in src:
+        t0 = dst[move(beta)]
+        E[t0:t0 + d, off:off + d] = np.eye(d)
+    return E
+
+
+def loop_check_fm_ab_equivariance(dims, yhat, B, shift=minus):
+    """Two tables of ``Phase``s compared entry by entry along the shift
+    (the oracle)."""
+    yhat = B.reduce(yhat)
+    move = shift(B, yhat)
+    src, table_src = fm_ab_phase_table(
+        loop_translate_graded(dims, yhat, B, shift), B)
+    dst, table_dst = fm_ab_phase_table(dims, B)
+    dst_offset = {beta: off for beta, off, _ in dst}
+    src = [(off, dst_offset[move(beta)], d) for beta, off, d in src]
+    for a in B.elements():
+        twist = B.pairing(yhat, a)
+        for off, t0, d in src:
+            for p in range(d):
+                if table_src[a][off + p] != twist + table_dst[a][t0 + p]:
+                    return False
+    return True
+
+
+def every_shift(B):
+    """Every element, then unreduced forms of the first three: shifted by
+    5 (``(5,)`` on ``Z/4``), by minus the factor, and as ``np.int64``."""
+    elts = list(B.elements())
+    return elts + [form for y in elts[:3] for form in (
+        tuple(a + 5 for a in y), tuple(a - d for a, d in zip(y, B.factors)),
+        tuple(np.int64(a) for a in y))]
+
+
+def test_plain_transform_routines_match_the_loop_oracles():
+    """On every group of order at most 36, random dims with a zero block
+    (listed, or left out on every other group) and every shift: the same
+    grading and the same permutation as the per-element loops, and the
+    same verdict as the phase-table loop.  That loop takes about
+    ``|B|**3`` ``Phase`` additions per group (18 s over all of them), so
+    it runs on the groups of order at most 16 and on ``Z/36`` and
+    ``(Z/6)^2``."""
+    rng = np.random.default_rng(21)
+    for i, factors in enumerate(factor_tuples(36)):
+        B = FiniteAbelianGroup(factors)
+        dims = random_dims(B, rng)
+        dims[max(dims)] = 0
+        if i % 2:
+            dims = {beta: d for beta, d in dims.items() if d}
+        for yhat in every_shift(B):
+            assert translate_graded(dims, yhat, B) \
+                == loop_translate_graded(dims, yhat, B)
+            assert np.array_equal(fm_ab_equivariance_iso(dims, yhat, B),
+                                  loop_equivariance_iso(dims, yhat, B))
+            got = check_fm_ab_equivariance(dims, yhat, B)
+            assert type(got) is bool
+            if B.size <= 16 or factors in [(36,), (6, 6)]:
+                assert got == loop_check_fm_ab_equivariance(dims, yhat, B)
+
+
+def test_equivariance_check_fails_where_the_oracle_does_on_a_wrong_shift(
+        monkeypatch):
+    """With ``beta -> beta + yhat`` in place of ``beta - yhat`` (in the
+    translated grading too), the check reports ``False`` exactly where the
+    loop oracle along the same map does: wherever ``2 yhat`` pairs
+    nontrivially with a live block."""
+    right = finitefm._shift
+    monkeypatch.setattr(finitefm, "_shift", lambda B, yhat: (
+        *right(B, yhat)[:2], right(B, B.neg(yhat))[2]))
+
+    def plus(B, yhat):
+        return lambda beta: B.add(beta, yhat)
+
+    rng = np.random.default_rng(22)
+    verdicts = set()
+    for factors in [(4,), (2, 2), (6,), (2, 4), (3, 3), (12,)]:
+        B = FiniteAbelianGroup(factors)
+        dims = random_dims(B, rng)
+        for yhat in every_shift(B):
+            got = check_fm_ab_equivariance(dims, yhat, B)
+            assert got == loop_check_fm_ab_equivariance(dims, yhat, B, plus)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # model data
 
@@ -351,6 +476,40 @@ def test_kernel_check_fails_when_one_law_breaks(monkeypatch):
                             "right law": [True, False],
                             "commutation": [True, True]}[what]
     assert kernel.check()
+
+
+def loop_left_matrix(kernel, k):
+    """``e_j -> lam(j, k) e_{j-k}`` one basis vector at a time (the
+    oracle)."""
+    K, lam = kernel.model.Khat, kernel.model.lam
+    k = K.reduce(k)
+    m = np.zeros((kernel.size, kernel.size), dtype=complex)
+    for j in kernel.order:
+        m[kernel.index[K.add(j, K.neg(k))], kernel.index[j]] = \
+            lam(j, k).embed()
+    return m
+
+
+def loop_right_matrix(kernel, k):
+    """``e_j -> lam(k, k)^-1 lam(k, j)^-1 e_{j+k}`` one basis vector at a
+    time (the oracle)."""
+    K, lam = kernel.model.Khat, kernel.model.lam
+    k = K.reduce(k)
+    m = np.zeros((kernel.size, kernel.size), dtype=complex)
+    for j in kernel.order:
+        m[kernel.index[K.add(j, k)], kernel.index[j]] = \
+            (-(lam(k, k) + lam(k, j))).embed()
+    return m
+
+
+def test_kernel_matrices_match_the_loop_oracles_bit_for_bit():
+    for model in ALL_MODELS + [model_regular(3), model_point()]:
+        kernel = DeformedKernel(model)
+        for k in every_shift(model.Khat):
+            assert np.array_equal(kernel.left_matrix(k),
+                                  loop_left_matrix(kernel, k))
+            assert np.array_equal(kernel.right_matrix(k),
+                                  loop_right_matrix(kernel, k))
 
 
 # ---------------------------------------------------------------------------
