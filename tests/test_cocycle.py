@@ -734,8 +734,10 @@ def with_character(S, N):
 
 
 @pytest.mark.parametrize("spoil", [
-    bump(0, 1, 2), bump(0, 1, 1), bump(1, 1, 1), bump(0, 0, 3), finer])
-@pytest.mark.parametrize("params", [None, {"M": [[1, 2], [0, 3]], "N": 8}])
+    bump(0, 1, 2), bump(0, 1, 1), bump(1, 1, 1), bump(0, 0, 3), finer],
+    ids=["S01+2", "S01+1", "S11+1", "S00+3", "finer"])
+@pytest.mark.parametrize("params", [None, {"M": [[1, 2], [0, 3]], "N": 8}],
+                         ids=["default", "N8"])
 def test_coboundary_check_names_the_pair_loop_first_witness(monkeypatch,
                                                             params, spoil):
     """A spoiled cochain fails the check at the oracle's first pair, which
