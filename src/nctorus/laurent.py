@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import add, mul
+from itertools import chain, product
 from typing import Mapping, Sequence
 
-from .cocycle import BilinearCocycle, Phase
+import numpy as np
+
+from .cocycle import BilinearCocycle
 
 Vec = tuple[int, ...]
 
@@ -116,40 +118,42 @@ def star_mul(f: LaurentPoly, h: LaurentPoly, lam) -> LaurentPoly:
 
     ``lam`` is either a :class:`~nctorus.cocycle.BilinearCocycle` or any
     phase-valued 2-cochain; a window-bounded cochain raises ``WindowError``
-    if a needed pair leaves its window.  For a bilinear cocycle the row
-    ``u = t1 . M`` is formed once per term ``t1`` of ``f``; each pair's
-    phase is then ``zeta_N ** (u . t2 mod N)``, read from the cocycle's root
-    cache and computed on a miss, so a huge ``N`` costs only the roots
-    used.  Exponents stay Python ints, so the phase is exact for exponent
-    vectors of any size.
+    if a needed pair leaves its window.  From the exponent arrays ``F`` and
+    ``H`` of the factors, every pair's key ``F[:, None] + H`` and, for a
+    bilinear cocycle, its root index ``((F @ M) % N @ H.T) % N`` are found
+    at once, in int64 while ``g * N * (R + 1) < 2**62`` (``R`` the largest
+    ``|exponent|``, ``N = 1`` for other cochains), else in Python ints, so
+    both stay exact at any size.  Roots come from the cocycle's cache, filled
+    on a miss; other cochains give ``lam(t1, t2).embed()``.  Each pair's
+    ``phase * f[t1] * h[t2]`` is then added in Python, in ``(t1, t2)`` order.
     """
     if f.g != h.g:
         raise ValueError("rank mismatch")
-    out: dict[Vec, complex] = {}
-    if isinstance(lam, BilinearCocycle):
-        if lam.g != f.g:
-            raise ValueError("cocycle rank mismatch")
-        roots, N, cols = lam.roots(), lam.N, tuple(zip(*lam.M))
-        for t1, a in f.coeffs.items():
-            u = [sum(map(mul, t1, col)) for col in cols]
-            for t2, b in h.coeffs.items():
-                t = tuple(map(add, t1, t2))
-                k = sum(map(mul, u, t2)) % N
-                try:
-                    root = roots[k]
-                except KeyError:
-                    root = roots[k] = cmath.exp(2j * math.pi * k / N)
-                out[t] = out.get(t, 0j) + root * a * b
-        # keys are sums of validated length-g keys; only exact zeros go
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.g, result.coeffs = f.g, {t: c for t, c in out.items() if c != 0}
-        return result
+    g, ts1, ts2 = f.g, list(f.coeffs), list(h.coeffs)
+    bilinear = isinstance(lam, BilinearCocycle)
+    if bilinear and lam.g != g:
+        raise ValueError("cocycle rank mismatch")
+    N = lam.N if bilinear else 1
+    R = max(map(abs, chain(*ts1, *ts2)), default=0)
+    dtype = np.int64 if g * N * (R + 1) < 2 ** 62 else object
+    F, H = (np.array(ts, dtype).reshape(-1, g) for ts in (ts1, ts2))
+    keys = zip(*(F[:, None] + H).reshape(-1, g).T.tolist())
+    if bilinear:
+        K = (F @ np.array(lam.M, dtype) % N @ H.T % N).ravel().tolist()
+        roots = lam.roots()
+        for k in set(K) - roots.keys():
+            roots[k] = cmath.exp(2j * math.pi * k / N)
+        phases = map(roots.__getitem__, K)
     else:
-        for t1, a in f.coeffs.items():
-            for t2, b in h.coeffs.items():
-                t = tuple(x + y for x, y in zip(t1, t2))
-                out[t] = out.get(t, 0j) + lam(t1, t2).embed() * a * b
-    return LaurentPoly(f.g, out)
+        phases = (lam(t1, t2).embed() for t1, t2 in product(ts1, ts2))
+    out: dict[Vec, complex] = {}
+    for t, root, (a, b) in zip(keys, phases, product(f.coeffs.values(),
+                                                     h.coeffs.values())):
+        out[t] = out.get(t, 0j) + root * a * b
+    # keys are sums of validated length-g keys; only exact zeros go
+    result = LaurentPoly.__new__(LaurentPoly)
+    result.g, result.coeffs = g, {t: c for t, c in out.items() if c != 0}
+    return result
 
 
 def max_coeff_diff(f: LaurentPoly, h: LaurentPoly) -> float:

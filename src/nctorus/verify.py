@@ -184,14 +184,15 @@ def battery_cocycle(seed: int = 0, grid: str = "small",
                       *check_cocycle(lam, samples=samples, rng=rng)))
 
     S = _random_symmetric(lam.g, lam.N, rng)
-    alpha = bounding_cochain(S, lam.N)
+    doubled = ExponentWindow.centered(lam.g, 4)
+    alpha = bounding_cochain(S, lam.N, window=doubled)
     target = BilinearCocycle(
         [[lam.M[i][j] - S[i][j] for j in range(lam.g)] for i in range(lam.g)],
         lam.N)
     # alpha(s) + alpha(t) - alpha(s + t) + s.M.t == s.(M - S).t for all
     # pairs at once, as exponents over the phases' common order L
     window = list(ExponentWindow.centered(lam.g, 2))
-    phases = [alpha(t) for t in ExponentWindow.centered(lam.g, 4)]
+    phases = [alpha(t) for t in doubled]
     L = math.lcm(lam.N, *(p.d for p in phases))
     dtype = np.int64 if 16 * lam.g ** 2 * L < 2 ** 62 else object
     a = np.array([p.n * (L // p.d) for p in phases], dtype=dtype)
@@ -392,7 +393,7 @@ def battery_star(seed: int = 0, grid: str = "small",
     out.append(PropertyResult("translate-intertwines-star", report))
 
     S = _random_symmetric(g, lam.N, rng)
-    alpha = bounding_cochain(S, lam.N)
+    alpha = bounding_cochain(S, lam.N, window=ExponentWindow.centered(g, 2))
     lam2 = BilinearCocycle(
         [[lam.M[i][j] + S[i][j] for j in range(g)] for i in range(g)], lam.N)
     report = LinearizationReport()

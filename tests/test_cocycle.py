@@ -693,7 +693,9 @@ def coboundary_run(monkeypatch, params, seed, grid, spoil):
     and the oracle's verdict on the same cochain."""
     drawn = []
 
-    def spoiled(S, N):
+    def spoiled(S, N, window=None):
+        # the battery passes the window it reads; ``spoil``'s default
+        # window contains it
         drawn.append((S, N))
         return spoil(S, N)
 

@@ -2,13 +2,16 @@
 
 import cmath
 import math
+from operator import add, mul
 
 import numpy as np
 import pytest
 
+from nctorus import laurent
 from nctorus.cocycle import (
     BilinearCocycle,
     ExponentWindow,
+    Phase,
     WindowError,
     bounding_cochain,
     coboundary,
@@ -259,3 +262,147 @@ def test_max_coeff_diff_counts_a_nan_as_infinite():
     h = LaurentPoly(1, {(0,): 1.5, (1,): 1.0})
     assert max_coeff_diff(f, h) == max_coeff_diff(h, f) == math.inf
     assert max_coeff_diff(f, f) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# star_mul against the per-pair loop it replaced
+
+def loop_star_mul(f, h, lam):
+    """The product one term pair at a time (the oracle): the root index of
+    a bilinear cocycle from the row ``u = t1 . M``, other cochains phase by
+    phase, each pair's ``phase * a * b`` added in ``(t1, t2)`` order."""
+    if f.g != h.g:
+        raise ValueError("rank mismatch")
+    out = {}
+    if isinstance(lam, BilinearCocycle):
+        if lam.g != f.g:
+            raise ValueError("cocycle rank mismatch")
+        roots, N, cols = lam.roots(), lam.N, tuple(zip(*lam.M))
+        for t1, a in f.coeffs.items():
+            u = [sum(map(mul, t1, col)) for col in cols]
+            for t2, b in h.coeffs.items():
+                t = tuple(map(add, t1, t2))
+                k = sum(map(mul, u, t2)) % N
+                try:
+                    root = roots[k]
+                except KeyError:
+                    root = roots[k] = cmath.exp(2j * math.pi * k / N)
+                out[t] = out.get(t, 0j) + root * a * b
+    else:
+        for t1, a in f.coeffs.items():
+            for t2, b in h.coeffs.items():
+                t = tuple(x + y for x, y in zip(t1, t2))
+                out[t] = out.get(t, 0j) + lam(t1, t2).embed() * a * b
+    return LaurentPoly(f.g, out)
+
+
+def assert_same_product(f, h, lam, oracle_lam=None):
+    """``star_mul`` equals the loop exactly, key order included; the loop
+    runs on its own copy of a bilinear cocycle, so both fill a root cache
+    from empty and must fill it alike."""
+    got = star_mul(f, h, lam)
+    want = loop_star_mul(f, h, lam if oracle_lam is None else oracle_lam)
+    assert got.g == want.g
+    assert got.coeffs == want.coeffs
+    assert list(got.coeffs) == list(want.coeffs)
+    if oracle_lam is not None:
+        assert lam.roots() == oracle_lam.roots()
+    return got
+
+
+def test_star_mul_equals_the_loop_on_the_benchmark_shapes():
+    """g 1-3, N in {2, 3, 4, 6, 12}: 8 x 8 terms, then 64 x 8 and 8 x 64
+    with the 64-term product as one factor, as the algebra workload runs."""
+    rng = np.random.default_rng(21)
+    for g in (1, 2, 3):
+        for N in (2, 3, 4, 6, 12):
+            M = rng.integers(0, N, size=(g, g)).tolist()
+            lam, twin = BilinearCocycle(M, N), BilinearCocycle(M, N)
+            f, h, p = (random_poly(rng, g, terms=8, radius=3)
+                       for _ in range(3))
+            fh = assert_same_product(f, h, lam, twin)
+            assert_same_product(fh, p, lam, twin)
+            assert_same_product(p, fh, lam, twin)
+
+
+def test_star_mul_equals_the_loop_on_empty_factors():
+    lam = BilinearCocycle([[0, 1], [0, 0]], 4)
+    alpha = bounding_cochain([[2, 1], [1, 3]], 5,
+                             window=ExponentWindow.centered(2, 3))
+    f = LaurentPoly(2, {(1, -1): 2.0, (0, 1): 1j})
+    zero = LaurentPoly.zero(2)
+    for cochain in (lam, coboundary(alpha, None)):
+        for x, y in [(zero, f), (f, zero), (zero, zero)]:
+            assert assert_same_product(x, y, cochain) == zero
+
+
+def test_star_mul_equals_the_loop_on_a_window_bounded_cochain():
+    N, S = 6, [[2, 5], [5, 0]]
+    alpha = bounding_cochain(S, N, window=ExponentWindow.centered(2, 4))
+    lam2 = coboundary(alpha, BilinearCocycle([[0, 4], [1, 2]], N))
+    rng = np.random.default_rng(22)
+    for _ in range(4):
+        f, h = random_poly(rng, 2, terms=6), random_poly(rng, 2, terms=6)
+        assert_same_product(f, h, lam2)
+    # (2, 0) + (3, 0) leaves the window: both raise, on the same pair
+    f = LaurentPoly(2, {(0, 0): 1.0, (2, 0): 2.0})
+    h = LaurentPoly(2, {(1, 1): 1.0, (3, 0): 0.5j})
+    for product in (star_mul, loop_star_mul):
+        with pytest.raises(WindowError, match=r"\(5, 0\)"):
+            product(f, h, lam2)
+
+
+def test_star_mul_equals_the_loop_beyond_int64():
+    big = 2 ** 70
+    for g, M, N in [(1, [[1]], 3), (2, [[3, 5], [7, 11]], 12),
+                    (2, [[0, 1], [0, 0]], 2 ** 64),
+                    (3, [[1, 2, 3], [0, 5, 2 ** 63 + 1], [7, 0, 1]], 2 ** 64)]:
+        f = LaurentPoly(g, {(big,) + (-3,) * (g - 1): 1.5 - 2j,
+                            (1,) + (2 ** 65,) * (g - 1): -0.25j,
+                            (0,) * g: 1.0, (-1,) * g: 3.0})
+        h = LaurentPoly(g, {(1,) * g: 2.0, (-big,) * g: 0.5j,
+                            (2,) * g: -1.0})
+        small = LaurentPoly(g, {(1,) * g: 1.0, (2, -1, 3)[:g]: 2j})
+        for x, y in [(f, h), (h, f), (f, f), (small, small), (small, h)]:
+            assert_same_product(x, y, BilinearCocycle(M, N),
+                                BilinearCocycle(M, N))
+    # a cochain that is no bilinear cocycle, on keys beyond int64
+    f = LaurentPoly(1, {(big,): 1.0, (-2,): 2j})
+
+    def quadratic(s, t):
+        return Phase(s[0] * s[0] * t[0], 7)
+
+    assert_same_product(f, f, quadratic)
+
+
+class SpyNumpy:
+    """``numpy`` with ``array`` recording the dtype of each array made."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        out = np.array(*args, **kwargs)
+        self.dtypes.append(out.dtype)
+        return out
+
+
+@pytest.mark.parametrize("g, N, R, dtype", [
+    (2, 12, 3, np.int64), (2, 2 ** 40, 2 ** 21 - 2, np.int64),
+    (2, 2 ** 40, 2 ** 21 - 1, object), (1, 2 ** 64, 1, object),
+    (1, 1, 2 ** 62 - 2, np.int64), (1, 1, 2 ** 62 - 1, object)])
+def test_star_mul_takes_python_ints_from_the_bound(monkeypatch, g, N, R,
+                                                   dtype):
+    """int64 while ``g * N * (R + 1) < 2**62``, Python ints from there on;
+    the product equals the loop on either side.  ``N = 1`` is also the
+    bound of a cochain that is no bilinear cocycle."""
+    spy = SpyNumpy()
+    monkeypatch.setattr(laurent, "np", spy)
+    f = LaurentPoly(g, {(R,) + (1,) * (g - 1): 1.5j, (-1,) * g: 2.0})
+    h = LaurentPoly(g, {(-R // 2,) * g: 0.5, (1,) * g: -1j})
+    M = [[N - 1 - i - j for j in range(g)] for i in range(g)]
+    assert_same_product(f, h, BilinearCocycle(M, N), BilinearCocycle(M, N))
+    assert set(spy.dtypes) == {np.dtype(dtype)}

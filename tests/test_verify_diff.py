@@ -17,10 +17,10 @@ def test_the_repo_against_itself_differs_nowhere(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out[-1] == "0 of the outputs differ"
-    # verify and verify --corrupt-phi on both grids, the cocycle scope on
-    # two PARAMS entries and both grids, and fm demo, text and json, then
-    # five param analyses
-    assert len(out) == 1 + 8 + 4 + 2 + 5
+    # verify and verify --corrupt-phi on both grids, the cocycle and star
+    # scopes on two PARAMS entries and both grids, and fm demo, text and
+    # json, then four star products and five param analyses
+    assert len(out) == 1 + 8 + 8 + 2 + 4 + 5
     assert all(line.startswith("same ") for line in out[:-1])
     assert out[-2].startswith("same    (exit 2) nctorus param analyze")
 

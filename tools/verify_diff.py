@@ -11,10 +11,13 @@ Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
   ``small``, as text and with ``--json``;
 * the same with ``--corrupt-phi``, so that a change to the output of a
   failing check (its ``dev`` or witness) shows line by line;
-* ``verify --scope cocycle --grid G --seed s --json --param P`` for both
-  grids and the g = 3 and ``N = 2**64`` entries of ``PARAMS``, so that
-  the sampled g >= 3 check and the Python-int check are covered;
+* ``verify --scope cocycle`` and ``verify --scope star``, each with
+  ``--grid G --seed s --json --param P`` for both grids and the g = 3 and
+  ``N = 2**64`` entries of ``PARAMS``, so that the sampled g >= 3 check
+  and the Python-int paths are covered;
 * ``fm demo --seed s``, as text and with ``--json``;
+* ``star mul`` of two fixed multi-term polynomials under every entry of
+  ``PARAMS``, so that star products are compared digit for digit;
 * ``param analyze --json`` on the default parameters and on the four of
   ``PARAMS`` (``N = 64``, ``N = 12`` with g = 3, ``N = 6``, and the
   ``N = 2**64`` quotient that ``param analyze`` refuses with exit 2).
@@ -48,6 +51,16 @@ PARAMS = [
     {"M": [[0, 2], [0, 0]], "N": 6},
     {"M": [[0, 1], [0, 0]], "N": 2 ** 64},
 ]
+# fixed factors for ``star mul``, by rank g; no term starts with a sign,
+# which the argument parser would read as an option, and the 2**40 power
+# moves the phases at N = 2**64 well above the printed precision
+STAR_FACTORS = {
+    2: ("2*t1^2*t2^-1 + 3/4i*t2 + 5 + 7/2*t1^-3*t2^2 - i*t1"
+        " + 3*t1^1099511627776*t2",
+        "1/2*t1*t2 + 3*t2^-2 - 5/4i*t1^-1 + 9*t1^2*t2^3"),
+    3: ("2*t1^2*t3^-1 + 3/4i*t2*t3 + 5 + 7/2*t1^-3*t2^2 - i*t3^2",
+        "1/2*t1*t2*t3 + 3*t2^-2 - 5/4i*t1^-1*t3 + 9*t1^2*t2^3*t3^-2"),
+}
 
 
 def commands(seeds, scope: str) -> list[list[str]]:
@@ -59,11 +72,14 @@ def commands(seeds, scope: str) -> list[list[str]]:
             corrupt = verify + ["--corrupt-phi"]
             out += [verify, verify + ["--json"], corrupt,
                     corrupt + ["--json"]]
-        out += [["verify", "--scope", "cocycle", "--grid", grid, "--seed",
+        out += [["verify", "--scope", battery, "--grid", grid, "--seed",
                  str(seed), "--json", "--param", json.dumps(p)]
+                for battery in ("cocycle", "star")
                 for p in (PARAMS[1], PARAMS[3]) for grid in ("full", "small")]
         demo = ["fm", "demo", "--seed", str(seed)]
         out += [demo, demo + ["--json"]]
+    out += [["star", "mul", *STAR_FACTORS[len(p["M"])], "--param",
+             json.dumps(p)] for p in PARAMS]
     out.append(["param", "analyze", "--json"])
     out += [["param", "analyze", "--json", "--param", json.dumps(p)]
             for p in PARAMS]
