@@ -195,17 +195,16 @@ class FiniteAbelianGroup:
 
     Elements are coordinate tuples reduced modulo the factors.  The
     character group is identified with the group itself through ``pairing``,
-    which sends ``(x, chi)`` to the phase ``sum_i x_i chi_i / d_i``.  It is
-    evaluated in integer exponents over the group exponent
-    ``L = lcm(d_1, ..., d_r)``: the phase is ``(sum_i x_i chi_i L/d_i) / L``.
-    The first :meth:`elements` call caches the elements, their index and the
-    ``L`` phases ``n / L``: :meth:`reduce` then returns canonical tuples, and
-    :meth:`pairing` and :class:`GroupBilinearTable` index their values (``L``
-    divides the order, so the phases never outnumber the elements).  A group
-    never enumerated (such as a quotient of order ``2**64``) builds none of
-    the three and reduces each exponent into a new ``Phase`` instead.
-    Coordinates pass ``operator.index``, so a float raises ``TypeError``
-    (unless an enumerated group's :meth:`reduce` finds it in the index).
+    which sends ``(x, chi)`` to the phase ``sum_i x_i chi_i / d_i``, computed
+    as ``(sum_i x_i chi_i L/d_i) / L`` over ``L = lcm(d_1, ..., d_r)``.  The
+    first :meth:`elements` call caches the elements, their index and the
+    ``L`` phases ``n / L`` (``L`` divides the order).  From then on the
+    element tuples are the group's own: :meth:`reduce` returns them, and a
+    query takes ``x`` as it is when ``self._elements[self._index[x]] is x``.
+    Any other argument, an equal tuple too, is counted and its coordinates
+    pass ``operator.index``, so a float or ``Fraction`` raises ``TypeError``
+    on every group.  A group never enumerated (such as a quotient of order
+    ``2**64``) builds no cache and reduces each exponent into a new ``Phase``.
     """
 
     __slots__ = ("factors", "exponent", "_weights", "_elements", "_index",
@@ -233,14 +232,34 @@ class FiniteAbelianGroup:
     def zero(self) -> Vec:
         return (0,) * len(self.factors)
 
-    def reduce(self, x: Sequence[int]) -> Vec:
+    def _slot(self, x) -> int | None:
+        """The position of ``x`` if it is one of the group's own tuples."""
         if self._index is not None and type(x) is tuple:
-            i = self._index.get(x)
-            if i is not None:
-                return self._elements[i]
+            try:
+                i = self._index.get(x)
+            except TypeError:  # an unhashable coordinate
+                return None
+            if i is not None and self._elements[i] is x:
+                return i
+        return None
+
+    def _ints(self, x: Sequence[int]) -> Sequence[int]:
+        """``x`` if it is one of the group's own tuples, else a list of its
+        coordinates, counted and passed through ``operator.index``."""
+        if self._slot(x) is not None:
+            return x
         if len(x) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates")
-        return tuple(operator.index(a) % d for a, d in zip(x, self.factors))
+        return list(map(operator.index, x))
+
+    def _own(self, x: Vec) -> Vec:
+        """The group's own tuple equal to the reduced tuple ``x``, if any."""
+        return x if self._index is None else self._elements[self._index[x]]
+
+    def reduce(self, x: Sequence[int]) -> Vec:
+        x = self._ints(x)  # a tuple only when it is the group's own
+        return x if type(x) is tuple else self._own(
+            tuple(map(operator.mod, x, self.factors)))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> Vec:
         return tuple((a + b) % d for a, b, d
@@ -267,12 +286,9 @@ class FiniteAbelianGroup:
                 for j in range(self.rank)]
 
     def pairing(self, x: Sequence[int], chi: Sequence[int]) -> Phase:
-        r = len(self.factors)
-        if len(x) != r or len(chi) != r:
-            raise ValueError(f"expected {r} coordinates")
         # unreduced is fine: x_i -> x_i + d_i adds chi_i * L to the sum
-        return self._root(sum(map(operator.mul, map(operator.index, x), map(
-            operator.mul, map(operator.index, chi), self._weights))))
+        return self._root(sum(map(operator.mul, self._ints(x), map(
+            operator.mul, self._ints(chi), self._weights))))
 
     def _root(self, e: int) -> Phase:
         """The phase ``e / L``, from the roots table once enumerated."""
@@ -316,11 +332,12 @@ class GroupBilinearTable:
     order dividing both generator orders so the extension is well defined.
     Evaluation runs in integer exponents over the group exponent
     ``L = lcm(factors)``: the validated orders make every ``omega[i][j] * L``
-    an integer, and ``table(x, y)`` is ``(x . E . y mod L) / L`` for that
-    integer matrix ``E``.
+    an integer, and ``table(x, y)`` is ``(x . E mod L) . y / L`` for that
+    integer matrix ``E``.  The row ``x . E mod L`` of each of the group's
+    own tuples is kept once computed: ``O(|G| rank)`` ints.
     """
 
-    __slots__ = ("group", "omega", "_E")
+    __slots__ = ("group", "omega", "_E", "_rows")
 
     def __init__(self, group: FiniteAbelianGroup, omega):
         r = group.rank
@@ -342,6 +359,7 @@ class GroupBilinearTable:
         self.omega = tuple(rows)
         L = group.exponent
         self._E = tuple(tuple(w.n * (L // w.d) for w in row) for row in rows)
+        self._rows = {}
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "GroupBilinearTable":
@@ -349,16 +367,19 @@ class GroupBilinearTable:
         return cls(group, [[z] * group.rank for _ in range(group.rank)])
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Phase:
-        r = self.group.rank
-        if len(x) != r or len(y) != r:
-            raise ValueError(f"expected {r} coordinates")
         # unreduced is fine: d_i * E[i][j] and d_j * E[i][j] are 0 mod L
-        y = list(map(operator.index, y))
-        total = 0
-        for xi, row in zip(map(operator.index, x), self._E):
-            if xi:
-                total += xi * sum(map(operator.mul, row, y))
-        return self.group._root(total)
+        return self.group._root(sum(map(operator.mul, self._row(x),
+                                        self.group._ints(y))))
+
+    def _row(self, x: Sequence[int]) -> list[int]:
+        i = self.group._slot(x)
+        row = self._rows.get(i)
+        if row is None:
+            x, L = self.group._ints(x), self.group.exponent
+            row = [sum(map(operator.mul, x, col)) % L for col in zip(*self._E)]
+            if i is not None:
+                self._rows[i] = row
+        return row
 
     def antisymmetrized(self) -> "GroupBilinearTable":
         r = self.group.rank
@@ -498,10 +519,13 @@ class QuotientPresentation:
     ``project`` maps exponent vectors onto quotient coordinates and
     ``lift`` is an explicit section of it; the lifts of the quotient
     generators are stored in ``lifts``.  The arguments after
-    ``sublattice`` are those :func:`_cyclic_factors` returns.
+    ``sublattice`` are those :func:`_cyclic_factors` returns.  Once
+    ``group`` is enumerated, ``project`` returns its own tuples and ``lift``
+    keeps the lift of each: ``O(|G| g)`` ints.
     """
 
-    __slots__ = ("sublattice", "group", "lifts", "_kept_rows", "_lift_rows")
+    __slots__ = ("sublattice", "group", "lifts", "_kept_rows", "_lift_rows",
+                 "_lifted")
 
     def __init__(self, sublattice, group, kept_rows, lifts):
         self.sublattice = sublattice
@@ -509,17 +533,24 @@ class QuotientPresentation:
         self.lifts = lifts
         self._kept_rows = kept_rows
         self._lift_rows = list(zip(*lifts)) if lifts else [()] * sublattice.g
+        self._lifted = {}
 
     def project(self, t: Sequence[int]) -> Vec:
         if len(t) != self.sublattice.g:
             raise ValueError(f"expected a length-{self.sublattice.g} vector")
         t = list(map(operator.index, t))
-        return tuple(sum(map(operator.mul, row, t)) % d
-                     for row, d in self._kept_rows)
+        return self.group._own(tuple(sum(map(operator.mul, row, t)) % d
+                                     for row, d in self._kept_rows))
 
     def lift(self, k: Sequence[int]) -> Vec:
-        k = self.group.reduce(k)
-        return tuple(sum(map(operator.mul, row, k)) for row in self._lift_rows)
+        i = self.group._slot(k)
+        v = self._lifted.get(i)
+        if v is None:
+            k = self.group.reduce(k)
+            v = tuple(sum(map(operator.mul, row, k)) for row in self._lift_rows)
+            if i is not None:
+                self._lifted[i] = v
+        return v
 
     def __repr__(self) -> str:
         return (f"QuotientPresentation(factors={list(self.group.factors)}, "
@@ -605,14 +636,12 @@ def lambda_sharp(table: GroupBilinearTable) -> DualPairData:
     never are, thanks to their primitive diagonal.
     """
     group = table.group
-    # The character of x has coordinate (x . E)_j / (L / d_j) on generator
-    # j; the table's order validation makes every E[i][j] divisible by
-    # L / d_j.
-    rows = [[e // w for e, w in zip(row, group._weights)] for row in table._E]
-    sharp = {}
-    for x in group.elements():
-        sharp[x] = tuple(sum(a * row[j] for a, row in zip(x, rows)) % d
-                         for j, d in enumerate(group.factors))
+    # The character of x has coordinate (x . E mod L)_j / (L / d_j) on
+    # generator j; the table's order validation makes every E[i][j]
+    # divisible by L / d_j.
+    sharp = {x: group._own(tuple(map(operator.floordiv, table._row(x),
+                                     group._weights)))
+             for x in group.elements()}
     if len(set(sharp.values())) != group.size:
         raise ValueError("pairing is degenerate: sharp is not a bijection")
     flat = {v: k for k, v in sharp.items()}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from itertools import chain, product
 from typing import Mapping, Sequence
 
@@ -40,7 +41,7 @@ class LaurentPoly:
             raise ValueError("g must be at least 1")
         cleaned: dict[Vec, complex] = {}
         for t, c in (coeffs or {}).items():
-            key = tuple(int(x) for x in t)
+            key = tuple(map(operator.index, t))
             if len(key) != g:
                 raise ValueError(f"exponent {key} does not have length {g}")
             c = complex(c)

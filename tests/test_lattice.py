@@ -7,6 +7,7 @@ commutant sublattice and its quotient are compared with residue enumeration.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,59 @@ def fraction_rows(omega, x):
     ``table(x, y)`` is ``sum_j row_j y_j`` mod 1."""
     return [sum((xi * omega[i][j].q for i, xi in enumerate(x)), Fraction(0))
             for j in range(len(omega))]
+
+
+# The per-call loops the queries ran before an enumerated group's own
+# tuples got kept rows and lifts: every argument counted and passed
+# through ``operator.index`` on each call.
+
+def loop_pairing(G, x, chi):
+    r = len(G.factors)
+    if len(x) != r or len(chi) != r:
+        raise ValueError(f"expected {r} coordinates")
+    return Phase(sum(map(operator.mul, map(operator.index, x), map(
+        operator.mul, map(operator.index, chi), G._weights))), G.exponent)
+
+
+def loop_table(table, x, y):
+    r = table.group.rank
+    if len(x) != r or len(y) != r:
+        raise ValueError(f"expected {r} coordinates")
+    y = list(map(operator.index, y))
+    total = 0
+    for xi, row in zip(map(operator.index, x), table._E):
+        if xi:
+            total += xi * sum(map(operator.mul, row, y))
+    return Phase(total, table.group.exponent)
+
+
+def loop_project(quo, t):
+    if len(t) != quo.sublattice.g:
+        raise ValueError(f"expected a length-{quo.sublattice.g} vector")
+    t = list(map(operator.index, t))
+    return tuple(sum(map(operator.mul, row, t)) % d
+                 for row, d in quo._kept_rows)
+
+
+def loop_lift(quo, k):
+    factors = quo.group.factors
+    if len(k) != len(factors):
+        raise ValueError(f"expected {len(factors)} coordinates")
+    k = tuple(operator.index(a) % d for a, d in zip(k, factors))
+    return tuple(sum(map(operator.mul, row, k)) for row in quo._lift_rows)
+
+
+def loop_sharp(table):
+    group = table.group
+    rows = [[e // w for e, w in zip(row, group._weights)] for row in table._E]
+    return {x: tuple(sum(a * row[j] for a, row in zip(x, rows)) % d
+                     for j, d in enumerate(group.factors))
+            for x in itertools.product(*(range(d) for d in group.factors))}
+
+
+def is_own(G, x):
+    """``x`` is one of the enumerated group ``G``'s own element tuples."""
+    return G._elements[G._index[x]] is x
 
 
 def random_antisymmetric(rng, g, N):
@@ -300,21 +354,21 @@ def test_queries_take_integer_coordinates_only(enumerated):
     table = GroupBilinearTable(G, [[Phase(1, 4), Phase(1, 2)],
                                    [Phase.zero(), Phase(1, 6)]])
     quo = compute_K_hat(compute_H_hat([[0, 1], [3, 0]], 4))
+    if enumerated:
+        list(quo.group.elements())
     fractional = [(1.5, 0), (0, 0.5), (np.float64(1.5), 0),
                   np.array([0.5, 1.0])]
-    integral_floats = [(1.0, 0), (0, np.float64(2.0))]
-    for bad in fractional + integral_floats:
+    # equal to element tuples, so an enumerated group's index finds them
+    integral = [(1.0, 0), (0, np.float64(2.0)), (Fraction(1), 0)]
+    for bad in fractional + integral:
         assert bad not in G
         for query in (lambda x: G.pairing(x, (1, 1)),
                       lambda x: G.pairing((1, 1), x),
                       lambda x: table(x, (1, 1)),
                       lambda x: table((1, 1), x),
-                      quo.project):
+                      quo.project, quo.lift, G.reduce):
             with pytest.raises(TypeError):
                 query(bad)
-    for bad in fractional + (integral_floats if not enumerated else []):
-        with pytest.raises(TypeError):
-            G.reduce(bad)
     for x in [(np.int64(5), True), np.array([1, 7], dtype=np.int64)]:
         assert G.reduce(x) == (1, 1)
         assert G.pairing(x, (1, 1)) == G.pairing((1, 1), (1, 1))
@@ -559,8 +613,10 @@ def test_H_hat_and_K_hat_beyond_int64(M, m):
     table = descend_cocycle(lam, quo)
     assert table((1, 0), (0, 1)) == Phase(M[0][1], N)
     # nothing above enumerated the quotient, so it built no element index
+    # and keeps no per-element row or lift
     assert quo.group._elements is None and quo.group._index is None
     assert quo.group._roots is None
+    assert table._rows == {} and quo._lifted == {}
 
 
 def test_K_hat_surjective_small():
@@ -620,6 +676,73 @@ def test_quotient_maps_against_the_commutant_oracle(g):
                     [(0,) * (K.rank - 1)] if K.rank else []):
                 with pytest.raises(ValueError):
                     quo.lift(bad)
+
+
+def element_variants(x, factors):
+    """``x`` itself, then equal or congruent forms that are not the group's
+    own tuple: a freshly built tuple, a list, an int64 array, unreduced and
+    negative coordinates, ``np.int64`` and ``bool`` coordinates."""
+    return [x, tuple(list(x)), list(x), np.array(x, dtype=np.int64),
+            tuple(a + 2 * d for a, d in zip(x, factors)),
+            tuple(a - 3 * d for a, d in zip(x, factors)),
+            tuple(map(np.int64, x)),
+            tuple(bool(a) if a < 2 else a for a in x)]
+
+
+def test_queries_match_the_per_call_loops():
+    """On a seeded sample of the benchmark's ``(g, N, M)`` grid, ``table``,
+    ``pairing``, ``project``, ``lift`` and ``lambda_sharp`` give exactly the
+    values of the per-call loops, on every element pair in every argument
+    form, before the group is enumerated and after."""
+    rng = np.random.default_rng(2601)
+    for g, N, _ in itertools.product((1, 2, 3), range(1, 7), range(3)):
+        M = [[int(rng.integers(0, N)) if j > i else 0 for j in range(g)]
+             for i in range(g)]
+        lam = BilinearCocycle(M, N)
+        quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), N))
+        table = descend_cocycle(lam, quo)
+        K = quo.group
+        elems = list(itertools.product(*(range(d) for d in K.factors)))
+        points = list(itertools.product(range(-1, N + 2), repeat=g))
+        for enumerated in (False, True):
+            if enumerated:
+                assert K._elements is None and table._rows == {}
+                assert lambda_sharp(table).sharp == loop_sharp(table)
+                assert len(table._rows) == K.size
+                elems = list(K.elements())
+            forms = [element_variants(x, K.factors) for x in elems]
+            pairs = itertools.product(forms, repeat=2)
+            for i, (xs, ys) in enumerate(pairs):
+                for x, y in [(xs[0], ys[0]), (xs[i % 8], ys[(i + 3) % 8])]:
+                    assert table(x, y) == loop_table(table, x, y), (M, N)
+                    assert K.pairing(x, y) == loop_pairing(K, x, y)
+            for xs in forms:
+                for x in xs:
+                    assert quo.lift(x) == loop_lift(quo, x), (M, N, x)
+            for t in points:
+                for tv in (t, list(t), np.array(t, dtype=np.int64),
+                           tuple(map(np.int64, t))):
+                    assert quo.project(tv) == loop_project(quo, t)
+
+
+def test_enumerated_queries_return_the_groups_own_tuples():
+    """``sharp`` values, ``flat`` keys and ``project`` outputs are the
+    group's own tuples once it is enumerated, so queries on them skip every
+    per-coordinate check; ``reduce`` answers with them too."""
+    lam = BilinearCocycle([[0, 1, 2], [0, 0, 3], [0, 0, 0]], 6)
+    quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), 6))
+    table = descend_cocycle(lam, quo)
+    pair = lambda_sharp(table)
+    K = quo.group
+    assert all(is_own(K, x) and is_own(K, pair.sharp[x]) for x in K)
+    assert all(is_own(K, v) for v in pair.flat)
+    for t in itertools.product(range(-1, 8), repeat=3):
+        assert is_own(K, quo.project(t))
+        assert is_own(K, quo.project(np.array(t)))
+    for x in K:
+        assert is_own(K, K.reduce(list(x)))
+        assert quo.lift(x) is quo.lift(x)
+    assert len(quo._lifted) == K.size
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,20 @@ def test_construction_merges_duplicate_keys():
     assert (f + h) == LaurentPoly.zero(1)
 
 
+def test_construction_takes_integer_exponents_only():
+    """Exponents pass ``operator.index``: numpy integers and ``bool`` are
+    integers, a float (``np.float64`` too, even an integral one) is refused
+    instead of truncated."""
+    f = LaurentPoly(2, {(np.int64(3), True): 2.0, (np.int64(-1), 0): 1j})
+    assert f.coeffs == {(3, 1): 2 + 0j, (-1, 0): 1j}
+    assert all(type(a) is int for t in f.coeffs for a in t)
+    for bad in [(1.5,), (np.float64(2.0),), (2.0,)]:
+        with pytest.raises(TypeError):
+            LaurentPoly(1, {bad: 2.0, (1,): 1.0})
+    with pytest.raises(TypeError):
+        LaurentPoly(2, {(True, 0.9): 1.0})
+
+
 def test_vector_space_operations():
     x = LaurentPoly.monomial(1, (1,))
     y = LaurentPoly.monomial(1, (-1,), 3.0)
