@@ -369,11 +369,14 @@ def test_queries_take_integer_coordinates_only(enumerated):
                       quo.project, quo.lift, G.reduce):
             with pytest.raises(TypeError):
                 query(bad)
-    for x in [(np.int64(5), True), np.array([1, 7], dtype=np.int64)]:
+    # a 0-d array coordinate makes the tuple unhashable
+    for x in [(np.int64(5), True), np.array([1, 7], dtype=np.int64),
+              (np.array(5), 1)]:
         assert G.reduce(x) == (1, 1)
         assert G.pairing(x, (1, 1)) == G.pairing((1, 1), (1, 1))
         assert table(x, x) == table((1, 1), (1, 1))
         assert quo.project(x) == quo.project(tuple(map(int, x)))
+        assert quo.lift(x) == quo.lift(tuple(map(int, x)))
     assert (np.int64(3), True) in G and (True, np.int64(6)) not in G
     assert G.pairing((True, False), (1, 0)) == Phase(1, 4)
 
