@@ -177,11 +177,12 @@ class ExponentWindow:
         return math.prod(hi - lo + 1 for lo, hi in self.bounds)
 
     def sample(self, rng: np.random.Generator, size: tuple | None = None):
-        """One uniform vector as a tuple, or with a ``size`` tuple an
-        ``(*size, g)`` int64 array of them, in one ``rng.integers`` call that
-        draws the same stream as one call per coordinate in row-major order."""
+        """One uniform vector as a tuple, one draw per coordinate, or with a
+        ``size`` tuple an ``(*size, g)`` int64 array of them, in one
+        ``rng.integers`` call that draws the same stream in row-major order."""
         if size is None:
-            return tuple(self.sample(rng, (1,))[0].tolist())
+            return tuple(int(rng.integers(lo, hi, endpoint=True))
+                         for lo, hi in self.bounds)
         lo, hi = np.array(self.bounds).T
         return rng.integers(lo, hi, (*size, self.g), endpoint=True)
 

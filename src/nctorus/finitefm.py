@@ -352,7 +352,7 @@ class DeformedKernel:
     def __init__(self, model: TorusModel):
         self.model = model
         self.order = list(model.Khat.elements())
-        self.index = {j: i for i, j in enumerate(self.order)}
+        self.index = model.Khat._index
         E = np.array(model.lam._E, dtype=np.int64)
         # [j, k]: lam(j, k) and its inverse, embedded
         self._phases = (_phase_matrix(model.Khat, E),

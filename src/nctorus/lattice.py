@@ -195,20 +195,22 @@ class FiniteAbelianGroup:
 
     Elements are coordinate tuples reduced modulo the factors.  The
     character group is identified with the group itself through ``pairing``,
-    which sends ``(x, chi)`` to the phase ``sum_i x_i chi_i / d_i``, computed
-    as ``(sum_i x_i chi_i L/d_i) / L`` over ``L = lcm(d_1, ..., d_r)``.  The
-    first :meth:`elements` call caches the elements, their index and the
-    ``L`` phases ``n / L`` (``L`` divides the order).  From then on the
-    element tuples are the group's own: :meth:`reduce` returns them, and a
-    query takes ``x`` as it is when ``self._elements[self._index[x]] is x``.
+    the table of the standard form ``diag(L/d_i)`` over
+    ``L = lcm(d_1, ..., d_r)``: ``(x, chi)`` goes to ``sum_i x_i chi_i / d_i``.
+    The first :meth:`elements` call caches the elements, their index, the
+    map ``id(x) -> index`` and the ``L`` phases ``n / L``.  From then on the
+    element tuples are the group's own: :meth:`reduce`, :meth:`add`,
+    :meth:`neg` and :meth:`scale` return them, and a query takes ``x`` as
+    it is when ``id(x)`` is in that map.  That is sound because the group
+    keeps its own tuples alive, and it pickles and copies as its factors.
     Any other argument, an equal tuple too, is counted and its coordinates
     pass ``operator.index``, so a float or ``Fraction`` raises ``TypeError``
     on every group.  A group never enumerated (such as a quotient of order
     ``2**64``) builds no cache and reduces each exponent into a new ``Phase``.
     """
 
-    __slots__ = ("factors", "exponent", "_weights", "_elements", "_index",
-                 "_roots")
+    __slots__ = ("factors", "exponent", "_weights", "_diag", "_elements",
+                 "_index", "_ids", "_roots", "_chars")
 
     def __init__(self, factors: Sequence[int]):
         fs = tuple(int(d) for d in factors)
@@ -217,9 +219,13 @@ class FiniteAbelianGroup:
         self.factors = fs
         self.exponent = math.lcm(*fs)
         self._weights = tuple(self.exponent // d for d in fs)
-        self._elements = None
-        self._index = None
-        self._roots = None
+        self._diag = [[w * (i == j) for j in range(len(fs))]
+                      for i, w in enumerate(self._weights)]
+        self._elements = self._index = self._roots = None
+        self._ids, self._chars = {}, {}  # _chars: kept rows of the pairing
+
+    def __reduce__(self):
+        return FiniteAbelianGroup, (self.factors,)
 
     @property
     def rank(self) -> int:
@@ -232,21 +238,10 @@ class FiniteAbelianGroup:
     def zero(self) -> Vec:
         return (0,) * len(self.factors)
 
-    def _slot(self, x) -> int | None:
-        """The position of ``x`` if it is one of the group's own tuples."""
-        if self._index is not None and type(x) is tuple:
-            try:
-                i = self._index.get(x)
-            except TypeError:  # an unhashable coordinate
-                return None
-            if i is not None and self._elements[i] is x:
-                return i
-        return None
-
     def _ints(self, x: Sequence[int]) -> Sequence[int]:
         """``x`` if it is one of the group's own tuples, else a list of its
         coordinates, counted and passed through ``operator.index``."""
-        if self._slot(x) is not None:
+        if id(x) in self._ids:
             return x
         if len(x) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} coordinates")
@@ -256,20 +251,32 @@ class FiniteAbelianGroup:
         """The group's own tuple equal to the reduced tuple ``x``, if any."""
         return x if self._index is None else self._elements[self._index[x]]
 
+    def _row(self, E, rows: dict, x: Sequence[int]) -> list[int]:
+        """The row ``x . E mod L`` of an integer matrix ``E``: kept in
+        ``rows`` under the position of an own ``x``, computed for any other."""
+        i = self._ids.get(id(x))
+        row = rows.get(i)
+        if row is None:
+            x, L = self._ints(x), self.exponent
+            row = [sum(map(operator.mul, x, col)) % L for col in zip(*E)]
+            if i is not None:
+                rows[i] = row
+        return row
+
     def reduce(self, x: Sequence[int]) -> Vec:
         x = self._ints(x)  # a tuple only when it is the group's own
         return x if type(x) is tuple else self._own(
             tuple(map(operator.mod, x, self.factors)))
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> Vec:
-        return tuple((a + b) % d for a, b, d
-                     in zip(self.reduce(x), self.reduce(y), self.factors))
+        return self.reduce(list(map(operator.add, self.reduce(x),
+                                    self.reduce(y))))
 
     def neg(self, x: Sequence[int]) -> Vec:
-        return tuple((-a) % d for a, d in zip(self.reduce(x), self.factors))
+        return self.scale(-1, x)
 
     def scale(self, n: int, x: Sequence[int]) -> Vec:
-        return tuple((n * a) % d for a, d in zip(self.reduce(x), self.factors))
+        return self.reduce([n * a for a in self.reduce(x)])
 
     def elements(self) -> Iterator[Vec]:
         if self._elements is None:
@@ -278,6 +285,7 @@ class FiniteAbelianGroup:
             self._index = {x: i for i, x in enumerate(self._elements)}
             L = self.exponent
             self._roots = tuple(Phase._reduced(n, L) for n in range(L))
+            self._ids = {id(x): i for i, x in enumerate(self._elements)}
         return iter(self._elements)
 
     def generators(self) -> list[Vec]:
@@ -287,8 +295,12 @@ class FiniteAbelianGroup:
 
     def pairing(self, x: Sequence[int], chi: Sequence[int]) -> Phase:
         # unreduced is fine: x_i -> x_i + d_i adds chi_i * L to the sum
-        return self._root(sum(map(operator.mul, self._ints(x), map(
-            operator.mul, self._ints(chi), self._weights))))
+        ids = self._ids
+        row = self._chars.get(ids.get(id(chi)))
+        if row is not None and id(x) in ids:
+            return self._roots[sum(map(operator.mul, row, x)) % self.exponent]
+        return self._root(sum(map(operator.mul, self._ints(x),
+                                  self._row(self._diag, self._chars, chi))))
 
     def _root(self, e: int) -> Phase:
         """The phase ``e / L``, from the roots table once enumerated."""
@@ -368,18 +380,13 @@ class GroupBilinearTable:
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Phase:
         # unreduced is fine: d_i * E[i][j] and d_j * E[i][j] are 0 mod L
-        return self.group._root(sum(map(operator.mul, self._row(x),
-                                        self.group._ints(y))))
-
-    def _row(self, x: Sequence[int]) -> list[int]:
-        i = self.group._slot(x)
-        row = self._rows.get(i)
-        if row is None:
-            x, L = self.group._ints(x), self.group.exponent
-            row = [sum(map(operator.mul, x, col)) % L for col in zip(*self._E)]
-            if i is not None:
-                self._rows[i] = row
-        return row
+        G = self.group
+        ids = G._ids
+        row = self._rows.get(ids.get(id(x)))
+        if row is not None and id(y) in ids:
+            return G._roots[sum(map(operator.mul, row, y)) % G.exponent]
+        return G._root(sum(map(operator.mul, G._row(self._E, self._rows, x),
+                               G._ints(y))))
 
     def antisymmetrized(self) -> "GroupBilinearTable":
         r = self.group.rank
@@ -543,7 +550,7 @@ class QuotientPresentation:
                                      for row, d in self._kept_rows))
 
     def lift(self, k: Sequence[int]) -> Vec:
-        i = self.group._slot(k)
+        i = self.group._ids.get(id(k))
         v = self._lifted.get(i)
         if v is None:
             k = self.group.reduce(k)
@@ -639,8 +646,8 @@ def lambda_sharp(table: GroupBilinearTable) -> DualPairData:
     # The character of x has coordinate (x . E mod L)_j / (L / d_j) on
     # generator j; the table's order validation makes every E[i][j]
     # divisible by L / d_j.
-    sharp = {x: group._own(tuple(map(operator.floordiv, table._row(x),
-                                     group._weights)))
+    sharp = {x: group._own(tuple(map(operator.floordiv, group._row(
+                 table._E, table._rows, x), group._weights)))
              for x in group.elements()}
     if len(set(sharp.values())) != group.size:
         raise ValueError("pairing is degenerate: sharp is not a bijection")

@@ -5,9 +5,11 @@ diagonal; the transform matrices are checked by multiplying out).  The
 commutant sublattice and its quotient are compared with residue enumeration.
 """
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -746,6 +748,121 @@ def test_enumerated_queries_return_the_groups_own_tuples():
         assert is_own(K, K.reduce(list(x)))
         assert quo.lift(x) is quo.lift(x)
     assert len(quo._lifted) == K.size
+
+
+def test_add_neg_and_scale_return_the_groups_own_tuples():
+    K = FiniteAbelianGroup((4, 6, 2))
+    elems = list(K.elements())
+    for x, y in zip(elems, elems[::-1]):
+        for xv, yv in [(x, y), (list(x), np.array(y)), (tuple(list(x)), y)]:
+            assert is_own(K, K.add(xv, yv))
+            assert is_own(K, K.neg(xv))
+            assert is_own(K, K.scale(-7, xv))
+        assert K.add(x, y) == tuple(
+            (a + b) % d for a, b, d in zip(x, y, K.factors))
+        assert K.scale(-7, x) == tuple((-7 * a) % d
+                                       for a, d in zip(x, K.factors))
+
+
+def quotient_queries():
+    """An enumerated ``K = (Z/4)^2`` with its table, quotient, pairing and
+    every own-tuple query answered once, so rows and lifts are kept."""
+    lam = BilinearCocycle([[0, 1], [0, 0]], 4)
+    quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), 4))
+    table = descend_cocycle(lam, quo)
+    pair = lambda_sharp(table)
+    K = quo.group
+    values = {(x, y): (table(x, y), K.pairing(x, pair.sharp[y]))
+              for x in K for y in K}
+    lifts = {x: quo.lift(x) for x in K}
+    assert K.factors == (4, 4) and len(table._rows) == len(lifts) == 16
+    return quo, table, values, lifts
+
+
+@pytest.mark.parametrize("clone", [lambda obj: pickle.loads(pickle.dumps(obj)),
+                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_pickled_and_copied_groups_answer_alike(clone):
+    """A group pickles and copies as its factors, so a copy holds none of
+    the original's element ids: its queries on the original's tuples, on
+    its own tuples once enumerated and on refused coordinates behave as
+    the original's do."""
+    quo, table, values, lifts = quotient_queries()
+    K = quo.group
+    quo2, table2 = clone((quo, table))
+    K2 = quo2.group
+    assert table2.group is K2 and K2 == K
+    assert K2._elements is None and K2._ids == {} and K2._chars == {}
+    sharp = lambda_sharp(table).sharp  # the original's own tuples
+    for enumerated in (False, True):
+        if enumerated:
+            assert list(K2.elements()) == list(K)
+            assert not set(K2._ids) & set(K._ids)
+            sharp = lambda_sharp(table2).sharp
+        else:
+            assert K2._elements is None
+        for x, y in itertools.product(list(K) + list(K2._elements or ()),
+                                      repeat=2):
+            assert table2(x, y) == values[x, y][0]
+            assert K2.pairing(x, sharp[y]) == values[x, y][1]
+            assert quo2.lift(x) == lifts[x]
+        for query in (lambda x: table2(x, (1, 1)), lambda x: table2((1, 1), x),
+                      lambda x: K2.pairing(x, (1, 1)),
+                      lambda x: K2.pairing((1, 1), x), quo2.lift, K2.reduce):
+            with pytest.raises(TypeError):
+                query((1.0, 0))
+
+
+def test_an_equal_tuple_that_is_not_own_takes_the_checked_path(monkeypatch):
+    """Own tuples are recognised by identity: once rows and lifts are kept
+    they answer without passing their coordinates through the checks, and
+    an equal tuple built afresh is checked on every call, with the same
+    values."""
+    quo, table, values, lifts = quotient_queries()
+    K = quo.group
+    pair = lambda_sharp(table)
+    checked = []
+    ints = FiniteAbelianGroup._ints
+
+    def counting(self, x):
+        checked.append(x)
+        return ints(self, x)
+
+    monkeypatch.setattr(FiniteAbelianGroup, "_ints", counting)
+    for x, y in itertools.product(K, repeat=2):
+        table(x, y), K.pairing(x, pair.sharp[y]), quo.lift(x)
+    assert checked == []
+    for x, y in itertools.product(K, repeat=2):
+        xe, ye = tuple(list(x)), tuple(list(y))
+        assert xe == x and xe is not x and not is_own(K, xe)
+        assert table(xe, ye) == values[x, y][0]
+        assert table(x, ye) == values[x, y][0]
+        assert K.pairing(xe, tuple(list(pair.sharp[y]))) == values[x, y][1]
+        assert quo.lift(xe) == lifts[x]
+        assert checked[-1] is xe
+    # xe and ye twice each in the tables, xe and the character in the
+    # pairing, xe in the lift
+    assert len(checked) == 16 * 16 * 6
+
+
+@pytest.mark.parametrize("enumerated", [False, True])
+def test_unhashable_coordinates_are_refused(enumerated):
+    """A tuple with an unhashable coordinate that is no integer is refused
+    with ``TypeError`` by every query and is never a member."""
+    quo = compute_K_hat(compute_H_hat([[0, 1], [3, 0]], 4))
+    K = quo.group
+    table = GroupBilinearTable(K, [[Phase(1, 4), Phase(1, 2)],
+                                   [Phase.zero(), Phase(1, 4)]])
+    if enumerated:
+        list(K.elements())
+    for bad in [([1], 0), (0, {}), (np.array([1, 2]), 0)]:
+        assert bad not in K
+        for query in (lambda x: K.pairing(x, (1, 1)),
+                      lambda x: K.pairing((1, 1), x),
+                      lambda x: table(x, (1, 1)), lambda x: table((1, 1), x),
+                      quo.project, quo.lift, K.reduce, K.neg,
+                      lambda x: K.add(x, (1, 1))):
+            with pytest.raises(TypeError):
+                query(bad)
 
 
 # ---------------------------------------------------------------------------
