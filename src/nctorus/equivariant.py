@@ -7,9 +7,11 @@ Composing two of them is only required to close up to a scalar,
     rho_{g2}[s.g1] . rho_{g1}[s] == phi(g1, g2) * rho_{g1+g2}[s],
 
 and :func:`check_linearization` verifies exactly this law against a given
-scalar table ``phi``.  The law is consistent precisely when ``phi``
-satisfies the 2-cocycle identity: :func:`free` objects obey it for a
-cocycle and visibly break it otherwise.
+scalar table ``phi``.  An object keeps its transports in one zero-padded
+array ``stack[p, i]`` (point by element), which every routine here reads
+whole; its ``rho`` is a read-only view.  The law is consistent precisely
+when ``phi`` satisfies the 2-cocycle identity: :func:`free` objects obey
+it for a cocycle and visibly break it otherwise.
 
 :func:`hom_space` computes the maps commuting with the twisted action (the
 scalar twists cancel between source and target), :func:`retwist` moves an
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,10 +43,12 @@ class GSet:
 
     The action axioms are checked exhaustively on construction (the sets
     here are small), so downstream code can rely on them.  The check fills
-    ``table[s][g] = s.g`` for every point and every ``g`` in ``elements()``.
+    ``table[s][g] = s.g`` for every point and every ``g`` in ``elements()``,
+    kept also by index as the read-only array ``action[p, i]``: point ``p``
+    moved by element ``i``.
     """
 
-    __slots__ = ("group", "points", "table")
+    __slots__ = ("group", "points", "table", "action")
 
     def __init__(self, group: FiniteAbelianGroup, points: Sequence,
                  act: Callable):
@@ -68,6 +73,16 @@ class GSet:
                         raise ValueError(
                             f"action is not associative at ({s}, {g1}, {g2})")
         self.table = table
+        index = {s: p for p, s in enumerate(points)}
+        self.action = np.array([[index[t] for t in row.values()]
+                                for row in table.values()])
+        self.action.flags.writeable = False
+
+    def matches(self, other: "GSet") -> bool:
+        """Whether ``other`` has the same points, group and action."""
+        return self is other or (
+            self.points == other.points and self.group == other.group
+            and np.array_equal(self.action, other.action))
 
     def act(self, s, g):
         return self.table[s][self.group.reduce(g)]
@@ -167,36 +182,60 @@ class EquivariantObject:
 
     ``dims[s]`` is the fiber dimension at the point ``s`` and
     ``rho[g][s]`` the transport matrix from the fiber at ``s`` to the fiber
-    at ``s.g``.  Which scalar law the transports satisfy is *not* fixed
+    at ``s.g``.  All live in one read-only complex array ``stack[p, i]``
+    of shape ``(points, |G|, d, d)``, ``d`` the largest fiber dimension:
+    ``rho_g[s]`` for point ``p`` and element ``i`` in order, zeros around
+    it.  ``rho`` is a read-only mapping of views into ``stack``, built on
+    first use.  The constructor checks each transport's shape and packs the
+    stack once.  Which scalar law the transports satisfy is *not* fixed
     here; pass the object to :func:`check_linearization` with a candidate
     table.
     """
 
-    __slots__ = ("gset", "dims", "rho")
+    __slots__ = ("gset", "dims", "stack", "_rho")
 
     def __init__(self, gset: GSet, dims: Mapping, rho: Mapping):
-        self.gset = gset
-        self.dims = {s: int(dims[s]) for s in gset.points}
-        if any(d < 0 for d in self.dims.values()):
+        dims = {s: int(dims[s]) for s in gset.points}
+        if any(d < 0 for d in dims.values()):
             raise ValueError("fiber dimensions must be nonnegative")
-        store = {}
-        for g in gset.group.elements():
+        d = max(dims.values())
+        stack = np.zeros((len(gset.points), gset.group.size, d, d),
+                         dtype=complex)
+        for i, g in enumerate(gset.group.elements()):
             try:
                 per_point = rho[g]
             except KeyError:
                 raise ValueError(f"transport missing for group element {g}") \
                     from None
-            mats = {}
-            for s in gset.points:
+            for p, s in enumerate(gset.points):
                 m = np.asarray(per_point[s], dtype=complex)
-                want = (self.dims[gset.table[s][g]], self.dims[s])
+                want = (dims[gset.table[s][g]], dims[s])
                 if m.shape != want:
                     raise ValueError(
                         f"transport for ({g}, {s}) has shape {m.shape}, "
                         f"expected {want}")
-                mats[s] = m
-            store[g] = mats
-        self.rho = store
+                stack[p, i, :want[0], :want[1]] = m
+        stack.flags.writeable = False
+        self.gset, self.dims, self.stack, self._rho = gset, dims, stack, None
+
+    @classmethod
+    def _stacked(cls, gset: GSet, dims: dict, stack) -> "EquivariantObject":
+        """The object of a stack laid out as above, taken unchecked."""
+        obj = cls.__new__(cls)
+        stack.flags.writeable = False
+        obj.gset, obj.dims, obj.stack, obj._rho = gset, dims, stack, None
+        return obj
+
+    @property
+    def rho(self) -> Mapping:
+        """Read-only ``{g: {s: rho_g[s]}}``, views into ``stack``."""
+        if self._rho is None:
+            d, act = list(self.dims.values()), self.gset.action.tolist()
+            self._rho = MappingProxyType({g: MappingProxyType({
+                s: self.stack[p, i, :d[act[p][i]], :d[p]]
+                for p, s in enumerate(self.gset.points)})
+                for i, g in enumerate(self.group.elements())})
+        return self._rho
 
     @property
     def group(self) -> FiniteAbelianGroup:
@@ -211,15 +250,18 @@ class EquivariantObject:
     def conjugate(self, T: Mapping) -> "EquivariantObject":
         """Change basis in every fiber: ``rho'_g[s] = T[s.g] rho_g[s] T[s]^-1``.
 
-        Produces an isomorphic object satisfying the same scalar law.
+        Produces an isomorphic object satisfying the same scalar law: one
+        batched product, the ``T[s]`` padded and inverted per dimension.
         """
-        inv = {s: np.linalg.inv(np.asarray(T[s], dtype=complex))
-               for s in self.gset.points}
-        rho = {g: {s: np.asarray(T[self.gset.table[s][g]], dtype=complex)
-                   @ self.rho[g][s] @ inv[s]
-                   for s in self.gset.points}
-               for g in self.group.elements()}
-        return EquivariantObject(self.gset, self.dims, rho)
+        points, dims = self.gset.points, list(self.dims.values())
+        Tp, Tinv = np.zeros((2, len(points), *self.stack.shape[2:]), complex)
+        for n in set(dims):
+            at = [p for p, d in enumerate(dims) if d == n]
+            Tp[at, :n, :n] = [T[points[p]] for p in at]
+            Tinv[at, :n, :n] = np.linalg.inv(Tp[at, :n, :n])
+        return EquivariantObject._stacked(
+            self.gset, self.dims, Tp[self.gset.action] @ self.stack
+            @ Tinv[:, None])
 
     def __repr__(self) -> str:
         return (f"EquivariantObject(dims={self.dims}, "
@@ -260,17 +302,13 @@ class LinearizationReport:
 
 
 def _indexed(gset: GSet, phi: GroupCocycleTable):
-    """Element order of ``gset``'s group with its tables by index: the sum
-    ``add[i, j]`` of elements ``i`` and ``j``, the twist ``ph[i, j]`` and
-    the action ``act[p, j]``, the index of point ``p`` moved by element
-    ``j``.  ``ValueError`` when ``phi`` lives on another group."""
+    """Element order of ``gset``'s group, the sum ``add[i, j]`` of elements
+    ``i`` and ``j`` and the twist ``ph[i, j]``; ``ValueError`` when ``phi``
+    lives on another group."""
     G = gset.group
     if phi.group != G:
         raise ValueError("twist lives on a different group")
-    point = {s: p for p, s in enumerate(gset.points)}
-    act = np.array([[point[t] for t in gset.table[s].values()]
-                    for s in gset.points])
-    return list(G.elements()), _add_index(G), phi.values, act
+    return list(G.elements()), _add_index(G), phi.values
 
 
 def check_linearization(obj: EquivariantObject,
@@ -279,20 +317,13 @@ def check_linearization(obj: EquivariantObject,
     entrywise within ``TOL`` for all group pairs and points; the witness is
     the first violating ``(g1, g2, s)``.
 
-    Every transport is padded with zeros into one stack ``P[s, g]`` of
-    square matrices of the largest fiber dimension.  Each ``g1`` takes one
-    product per target point ``t = s.g1``: ``P[t]``, all ``g2`` stacked down
-    its rows, times ``rho_{g1}[s]``.  ``ValueError`` when ``phi`` lives on
-    another group.
+    On the object's stack ``P[s, g]``, each ``g1`` takes one product per
+    target point ``t = s.g1``: ``P[t]``, all ``g2`` stacked down its rows,
+    times ``rho_{g1}[s]``.  ``ValueError`` when ``phi`` lives on another
+    group.
     """
-    gset = obj.gset
-    elts, add, ph, act = _indexed(gset, phi)
-    points = gset.points
-    n, k, d = len(elts), len(points), max(obj.dims.values())
-    P = np.zeros((k, n, d, d), dtype=complex)
-    for i, g in enumerate(elts):
-        for p, m in enumerate(obj.rho[g].values()):
-            P[p, i, :m.shape[0], :m.shape[1]] = m
+    (elts, add, ph), P = _indexed(obj.gset, phi), obj.stack
+    act, points, (k, n, d) = obj.gset.action, obj.gset.points, P.shape[:3]
     src = np.argsort(act, axis=0)  # [t, g]: the point that g moves onto t
     dev = np.empty((n, k, n))
     for i in range(n):
@@ -334,29 +365,19 @@ def free(dims: Mapping, phi: GroupCocycleTable,
     makes this both the basic supply of examples and a detector of
     non-cocycles.  ``ValueError`` when ``phi`` lives on another group.
     """
-    elts, add, ph, act = _indexed(gset, phi)
+    (_, add, ph), act = _indexed(gset, phi), gset.action
     base = np.array([int(dims.get(s, 0)) for s in gset.points], dtype=int)
-    size = base[act]  # [p, i]: the summand of element i in the fiber at p
+    size = base[act]  # [p, j]: the summand of element j in the fiber at p
     offset = np.cumsum(size, axis=1) - size
     total = size.sum(axis=1)
-    # per fiber and row: the summand it lies in and its rank there
-    rows = [np.arange(n) for n in total]
-    label = [np.repeat(np.arange(len(elts)), row) for row in size]
-    rank = [r - off[lab] for r, off, lab in zip(rows, offset, label)]
-    rho = {}
-    for i, g in enumerate(elts):
-        mats = {}
-        for p, s in enumerate(gset.points):
-            t = act[p, i]
-            lab = label[t]
-            m = np.zeros((total[t], total[p]), dtype=complex)
-            # row k of summand g' of the target is column k of summand
-            # g + g' of the source
-            m[rows[t], offset[p][add[i][lab]] + rank[t]] = ph[i][lab]
-            mats[s] = m
-        rho[g] = mats
-    return EquivariantObject(gset, dict(zip(gset.points, total.tolist())),
-                             rho)
+    d = int(total.max())
+    stack = np.zeros((*act.shape, d, d), dtype=complex)
+    # entry m of summand j of the target t = p.i is entry m of summand
+    # i + j of the source p, scaled by phi(i, j)
+    p, i, j, m = np.nonzero(np.arange(base.max()) < size[act][..., None])
+    stack[p, i, offset[act[p, i], j] + m, offset[p, add[i, j]] + m] = ph[i, j]
+    return EquivariantObject._stacked(
+        gset, dict(zip(gset.points, total.tolist())), stack)
 
 
 def _projector_ranks(P: np.ndarray, where: Sequence,
@@ -434,66 +455,82 @@ def _deviation(prod: np.ndarray, want: np.ndarray) -> np.ndarray:
 
 
 def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
-    """Per orbit of the G-set of ``a`` and ``b``: the representative ``s``,
-    the first element reaching each orbit point, ``b``'s transports out of
-    ``s`` along these and the inverses of ``a``'s, then ``None`` for a
-    trivial stabilizer or a zero fiber at ``s``, else ``b``'s transports
-    fixing ``s`` with the inverses of ``a``'s.  Raises ``ValueError`` when
-    the objects live on different G-sets, when a transport out of ``s`` or
-    fixing it is singular, or when the two follow no common law on the
-    stabilizer: on the direct sum of their fibers each ``rho_{h2}[s]
-    rho_{h1}[s]`` must be a scalar multiple of ``rho_{h1+h2}[s]``, within
-    ``TOL`` of its largest entry.  On the free orbits that is ``rho_0[s]
-    rho_0[s]``, checked for all of them in one zero-padded stack.
+    """Per orbit of the G-set of ``a`` and ``b``: its first point ``s``,
+    its points in the order the group's elements first reach them, ``b``'s
+    and ``a``'s transports out of ``s`` along these elements, then ``None``
+    for a trivial stabilizer or a zero fiber at ``s``, else ``b``'s
+    transports fixing ``s`` with the inverses of ``a``'s.  The transports
+    out of every orbit are gathered from both stacks at once, padded with
+    the identity and tested for a zero pivot by one LU factorization.
+    Raises ``ValueError`` when the objects live on different G-sets, when a
+    transport out of ``s`` or fixing it is singular or joins fibers of two
+    dimensions (the first such ``s`` in orbit order is named), or when the
+    two follow no common law on the stabilizer: on the direct sum of their
+    fibers each ``rho_{h2}[s] rho_{h1}[s]`` must be a scalar multiple of
+    ``rho_{h1+h2}[s]``, within ``TOL`` of its largest entry.  On the free
+    orbits that is ``rho_0[s] rho_0[s]``, checked for all of them in one
+    zero-padded stack.
     """
-    if a.gset is not b.gset and (
-            a.gset.points != b.gset.points or a.group != b.group
-            or a.gset.table != b.gset.table):
+    gset = a.gset
+    if not gset.matches(b.gset):
         raise ValueError("objects live on different G-sets")
-    orbits, done = [], set()
-    for s in a.gset.points:
-        if s not in done:
-            # the first element reaching each point, and the stabilizer of s
-            orbit = {}
-            for g, t in a.gset.table[s].items():
-                orbit.setdefault(t, g)
-            done.update(orbit)
-            orbits.append((s, orbit, [g for g, t in a.gset.table[s].items()
-                                      if t == s]))
-    free = [s for s, _, stab in orbits if len(stab) == 1
-            and a.dims[s] * b.dims[s]]
-    size = max((a.dims[s] + b.dims[s] for s in free), default=0)
-    D = np.zeros((len(free), size, size), dtype=complex)
-    for D0, s in zip(D, free):
-        da, db = a.dims[s], b.dims[s]
-        D0[:da, :da] = a.rho[a.group.zero()][s]
-        D0[da:da + db, da:da + db] = b.rho[a.group.zero()][s]
+    points, fa, fb = gset.points, list(a.dims.values()), list(b.dims.values())
+    # per orbit: its first point p, its points in the order the elements
+    # first reach them from p and the stabilizer of p; the (p, element)
+    # pairs of the transports out of every orbit
+    orbits, seen, pairs = [], set(), []
+    for p, row in enumerate(gset.action.tolist()):
+        if p not in seen:
+            orbit = list(dict.fromkeys(row))
+            seen.update(orbit)
+            pairs += [(p, row.index(t)) for t in orbit]
+            orbits.append((p, orbit, [i for i, t in enumerate(row) if t == p]))
+    P, I = np.array(pairs).T
+    # on free orbits, the law on the direct sum of the fibers at rho_0
+    # (element 0 is the group's zero)
+    free = [p for p, _, stab in orbits if len(stab) == 1 and fa[p] * fb[p]]
+    Da, Db = a.stack.shape[2], b.stack.shape[2]
+    D = np.zeros((len(free), Da + Db, Da + Db), dtype=complex)
+    D[:, :Da, :Da], D[:, Da:, Da:] = a.stack[free, 0], b.stack[free, 0]
     prod = D @ D
     lawful = dict(zip(free, _deviation(prod, D) <= TOL * np.fmax(
         1.0, np.abs(prod).max(axis=(1, 2), initial=0.0))))
-    for s, orbit, stab in orbits:
-        rho_b = [b.rho[g][s] for g in orbit.values()]
-        _inverse(rho_b, f"a transport out of {s}")
-        rho_a_inv = _inverse([a.rho[g][s] for g in orbit.values()],
-                             f"a transport out of {s}")
-        da, db = a.dims[s], b.dims[s]
-        fixing, ok = None, lawful.get(s, True)
+    # [0] for a and [1] for b, zero-padded to one size d, then padded with
+    # the identity along the diagonal (a view) for one LU of them all; a
+    # transport joining fibers of two dimensions is singular too
+    d = max(Da, Db)
+    M = np.zeros((2, len(P), d, d), dtype=complex)
+    M[0, :, :Da, :Da], M[1, :, :Db, :Db] = a.stack[P, I], b.stack[P, I]
+    M.reshape(2, len(P), d * d)[..., ::d + 1] += \
+        np.arange(d) >= np.array([fa, fb])[:, P][..., None]
+    bad = [fa[t] != fa[p] or fb[t] != fb[p] for p, orbit, _ in orbits
+           for t in orbit]
+    bad = (bad | (np.linalg.slogdet(M)[0] == 0).any(axis=0)).tolist()
+    start = 0
+    for p, orbit, stab in orbits:
+        s, da, db = points[p], fa[p], fb[p]
+        out = slice(start, start + len(orbit))
+        start = out.stop
+        if any(bad[out]):
+            raise ValueError(f"a transport out of {s} is not invertible")
+        fixing, ok = None, lawful.get(p, True)
         if da * db and len(stab) > 1:
             D = np.zeros((len(stab), da + db, da + db), dtype=complex)
-            for k, h in enumerate(stab):
-                D[k, :da, :da], D[k, da:, da:] = a.rho[h][s], b.rho[h][s]
+            D[:, :da, :da] = a.stack[p, stab, :da, :da]
+            D[:, da:, da:] = b.stack[p, stab, :db, :db]
             D_inv = _inverse(D, f"a transport fixing {s}")
             fixing = D[:, da:, da:], D_inv[:, :da, :da]
-            pos = {h: k for k, h in enumerate(stab)}
+            pos, add = {h: k for k, h in enumerate(stab)}, _add_index(a.group)
             for k, h1 in enumerate(stab):
                 prod = D @ D[k]  # [j]: rho_{h2} rho_{h1} for h2 = stab[j]
-                want = D[[pos[a.group.add(h1, h2)] for h2 in stab]]
+                want = D[[pos[h] for h in add[h1, stab].tolist()]]
                 ok = ok and (_deviation(prod, want).max()
                              <= TOL * max(1.0, np.abs(prod).max()))
         if not ok:
             raise ValueError(f"averaging at {s} is no projector: "
                              f"the two laws differ on its stabilizer")
-        yield s, orbit, np.array(rho_b), rho_a_inv, fixing
+        yield (s, [points[t] for t in orbit], M[1, out, :db, :db],
+               M[0, out, :da, :da], fixing)
 
 
 def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
@@ -512,7 +549,7 @@ def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
     :func:`_orbit_walk` does, or when the average is not a projector.
     """
     out = []
-    for s, orbit, rho_b, rho_a_inv, fixing in _orbit_walk(a, b):
+    for s, orbit, rho_b, rho_a, fixing in _orbit_walk(a, b):
         da, db = a.dims[s], b.dims[s]
         if not da * db:
             continue
@@ -526,7 +563,7 @@ def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
         else:
             sol = np.eye(db * da)
         chi = sol.reshape(-1, 1, db, da)
-        moved = rho_b @ chi @ rho_a_inv
+        moved = rho_b @ chi @ np.linalg.inv(rho_a)
         q, _ = np.linalg.qr(moved.reshape(len(sol), len(orbit) * db * da).T)
         for fam in q.T.reshape(-1, len(orbit), db, da):
             full = {p: np.zeros((b.dims[p], a.dims[p]), dtype=complex)
@@ -569,9 +606,9 @@ def retwist(obj: EquivariantObject, alpha: Mapping) -> EquivariantObject:
     for ``phi.twisted_by(alpha)``; objects of cohomologous twists are
     exactly the retwists of each other.
     """
-    rho = {g: {s: alpha[g] * obj.rho[g][s] for s in obj.gset.points}
-           for g in obj.group.elements()}
-    return EquivariantObject(obj.gset, obj.dims, rho)
+    scale = np.array([alpha[g] for g in obj.group.elements()], dtype=complex)
+    return EquivariantObject._stacked(obj.gset, obj.dims,
+                                      obj.stack * scale[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +717,10 @@ def to_module(obj: EquivariantObject) -> dict:
 
 
 def from_module(group: FiniteAbelianGroup, data: Mapping) -> EquivariantObject:
-    """Rebuild a trivial-action object from per-point matrix families."""
+    """Rebuild a trivial-action object from per-point matrix families; the
+    constructor refuses a matrix that is not square of the size of its
+    family's matrix at zero."""
     points = tuple(sorted(data))
-    gset = GSet.trivial(group, points)
-    dims = {}
-    for s in points:
-        mats = data[s]
-        dim = None
-        for g in group.elements():
-            m = np.asarray(mats[g])
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("module matrices must be square")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValueError("inconsistent module dimensions")
-        dims[s] = dim if dim is not None else 0
-    rho = {g: {s: np.asarray(data[s][g], dtype=complex) for s in points}
-           for g in group.elements()}
-    return EquivariantObject(gset, dims, rho)
+    dims = {s: len(np.atleast_1d(data[s][group.zero()])) for s in points}
+    return EquivariantObject(GSet.trivial(group, points), dims, {
+        g: {s: data[s][g] for s in points} for g in group.elements()})

@@ -409,8 +409,8 @@ class ModuleOnXLambda:
     permutation (:func:`fm_ab_equivariance_iso`).  There :meth:`check`
     reads the blocks, and ``pi`` and ``n`` are dense views, each built on
     first use.  Module homs are the sheaf homs of the blocks, through the
-    frame: the identity for a block module, bases of the character
-    eigenspaces for a dense one.
+    frame of a dense module, bases of its character eigenspaces; a block
+    module needs none.
     """
 
     __slots__ = ("model", "dim", "blocks", "_pi", "_n")
@@ -508,7 +508,7 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
         raise ValueError(
             f"object violates the transport law at {report.witness} "
             f"(deviation {report.max_dev:.3g})")
-    if sheaf.gset.points != model.gset.points or sheaf.group != model.Khat:
+    if not sheaf.gset.matches(model.gset):
         raise ValueError("object does not live on this model's dual points")
     module = ModuleOnXLambda.__new__(ModuleOnXLambda)
     module.model, module.dim, module.blocks = model, sheaf.total_dim(), sheaf
@@ -520,16 +520,20 @@ def _framed(model: TorusModel, module: ModuleOnXLambda):
     """A module's blocks, on ``model``'s dual points, and its frame
     ``(W, R)``, ``R W = 1``: in the graded layout the columns of ``W`` for
     ``beta`` span that block and the rows of ``R`` read it off.  A block
-    module is framed by the identity; a dense one by orthonormal bases
-    ``W_beta`` of its character eigenspaces, ``R_beta = W_beta^H P_beta``
-    with ``P_beta`` the character projector, its translations compressed
-    between them.  ``ValueError`` as from :func:`_projector_images`."""
+    module needs none (``None``); a dense one is framed by orthonormal
+    bases ``W_beta`` of its character eigenspaces, ``R_beta = W_beta^H
+    P_beta`` with ``P_beta`` the character projector, its translations
+    compressed between them.  ``ValueError`` as from
+    :func:`_projector_images`, or for blocks on other points."""
     if module.blocks is not None:
         blocks = module.blocks
+        if not blocks.gset.matches(model.gset):
+            raise ValueError(
+                "module does not live on this model's dual points")
         if blocks.gset is not model.gset:
-            blocks = EquivariantObject(model.gset, blocks.dims, blocks.rho)
-        eye = np.eye(module.dim)
-        return blocks, (eye, eye)
+            blocks = EquivariantObject._stacked(model.gset, blocks.dims,
+                                                blocks.stack)
+        return blocks, None
     bases = _eigenspace_bases(module.rep())
     W = {beta: w for beta, (_, w) in bases.items()}
     rho = {k: {beta: W[model.gset.table[beta][k]].conj().T @ n @ W[beta]
@@ -563,6 +567,10 @@ def _hom_frames(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> tuple:
     return _framed(m1.model, m1), _framed(m1.model, m2)
 
 
+# Largest basis, in bytes, that module_hom_space builds
+MAX_HOM_BASIS_BYTES = 512 * 2**20
+
+
 def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     """Orthonormal basis of maps intertwining both the ``B``-action and
     the twisted translations.
@@ -570,20 +578,28 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     An intertwiner is block diagonal over the characters, and on the
     blocks it is a hom of the sheaves: ``X = W2 blockdiag(chi) R1`` for
     each family ``chi`` of :func:`~nctorus.equivariant.hom_space` of the
-    blocks, through the frames of :func:`_framed`.  One QR makes the
-    result Frobenius-orthonormal.  Raises ``ValueError`` as
-    :func:`_hom_frames` and ``hom_space`` do.
+    blocks, through the frames of :func:`_framed` (a block module has
+    none).  One QR makes the result Frobenius-orthonormal.  Raises
+    ``ValueError`` as :func:`_hom_frames` and ``hom_space`` do, and before
+    allocating a basis of more than ``MAX_HOM_BASIS_BYTES`` (512 MiB, 16
+    bytes per entry of each ``dim2 x dim1`` map).
     """
-    (b1, (_, R1)), (b2, (W2, _)) = _hom_frames(m1, m2)
+    (b1, frame1), (b2, frame2) = _hom_frames(m1, m2)
     families = hom_space(b1, b2)
+    if 16 * len(families) * m1.dim * m2.dim > MAX_HOM_BASIS_BYTES:
+        raise ValueError(f"a basis of {len(families)} maps {m2.dim} x "
+                         f"{m1.dim} exceeds MAX_HOM_BASIS_BYTES")
     at1, at2 = (np.cumsum([0, *b.dims.values()]) for b in (b1, b2))
     chi = np.zeros((len(families), m2.dim, m1.dim), dtype=complex)
     for X, family in zip(chi, families):
         for p, block in enumerate(family.values()):
             X[at2[p]:at2[p + 1], at1[p]:at1[p + 1]] = block
     # independent maps, orthonormal only if the eigenspaces are orthogonal
-    maps = (W2 @ chi @ R1).reshape(len(chi), m2.dim * m1.dim)
-    q, _ = np.linalg.qr(maps.T)
+    if frame2 is not None:
+        chi = frame2[0] @ chi
+    if frame1 is not None:
+        chi = chi @ frame1[1]
+    q, _ = np.linalg.qr(chi.reshape(len(chi), m2.dim * m1.dim).T)
     return list(q.T.reshape(chi.shape))
 
 

@@ -23,7 +23,7 @@ from nctorus.equivariant import (
     twisted_algebra,
 )
 from nctorus.finitefm import TorusModel, free_sheaf, random_sheaf
-from nctorus.lattice import FiniteAbelianGroup, GroupBilinearTable
+from nctorus.lattice import FiniteAbelianGroup, GroupBilinearTable, _add_index
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -89,7 +89,8 @@ def unreduced_forms(G, g, rng):
 
 def test_gset_act_matches_the_action_callable():
     """``act`` reads the table filled at construction; it must give what
-    the callable gives on every point and element, reduced or not."""
+    the callable gives on every point and element, reduced or not, and
+    ``action`` the same by index."""
     rng = np.random.default_rng(5)
     cases = []
     for factors in [(4,), (2, 2), (2, 3)]:
@@ -111,6 +112,9 @@ def test_gset_act_matches_the_action_callable():
     for G, points, act in cases:
         gset = GSet(G, points, act)
         assert list(gset.table) == list(points)
+        assert not gset.action.flags.writeable
+        assert gset.action.tolist() == [
+            [points.index(act(s, g)) for g in G.elements()] for s in points]
         for s in points:
             assert list(gset.table[s]) == list(G.elements())
             for g in G.elements():
@@ -365,16 +369,67 @@ def test_report_keeps_the_worst_deviation_and_the_first_witness():
     assert report.max_dev == float("inf") and report.witness == "first"
 
 
+def with_transport(obj, g, s, m):
+    """``obj`` with ``rho[g][s]`` replaced by ``m``, built through the
+    constructor (the transports of an object are read-only)."""
+    rho = {h: dict(per) for h, per in obj.rho.items()}
+    rho[g][s] = m
+    return EquivariantObject(obj.gset, obj.dims, rho)
+
+
 def test_nan_transport_fails_the_law():
     G = klein()
     phi = GroupCocycleTable.trivial(G)
     obj = free({s: 1 for s in G.elements()}, phi, GSet.regular(G))
     assert check_linearization(obj, phi).ok
-    obj.rho[(1, 0)][(0, 1)][0, 0] = np.nan
+    m = obj.rho[(1, 0)][(0, 1)].copy()
+    m[0, 0] = np.nan
+    obj = with_transport(obj, (1, 0), (0, 1), m)
     report = check_linearization(obj, phi)
     assert not report.ok
     assert report.max_dev == float("inf")
     assert report.witness == ((0, 0), (1, 0), (0, 1))
+
+
+def test_transports_are_read_only_views_into_one_padded_stack():
+    """``stack[p, i]`` holds ``rho_g[s]`` in its corner and zeros around
+    it; neither the mapping nor the views can be written, and the
+    constructor packs a copy of what it is given."""
+    rng = np.random.default_rng(1501)
+    model = torus_models()[1]
+    points, elts = model.gset.points, list(model.Khat.elements())
+    dims = {s: int(rng.integers(0, 4)) for s in points}
+    # fibers of several dimensions along each orbit
+    uneven = EquivariantObject(model.gset, dims, {g: {
+        s: rng.normal(size=(dims[model.gset.act(s, g)], dims[s]))
+        for s in points} for g in elts})
+    obj = random_sheaf(model, rng)
+    for x in (uneven, obj):
+        d = max(x.dims.values())
+        assert x.stack.shape == (len(points), len(elts), d, d)
+        assert not x.stack.flags.writeable
+        for p, s in enumerate(points):
+            for i, g in enumerate(elts):
+                view, t = x.rho[g][s], model.gset.act(s, g)
+                assert view.shape == (x.dims[t], x.dims[s])
+                assert view.base is x.stack
+                assert not view.flags.writeable
+                padded = x.stack[p, i].copy()
+                padded[:x.dims[t], :x.dims[s]] = 0
+                assert not padded.any()
+    g, s = elts[1], points[0]
+    with pytest.raises(TypeError):
+        obj.rho[g][s] = np.zeros_like(obj.rho[g][s])
+    with pytest.raises(TypeError):
+        obj.rho[g] = {}
+    with pytest.raises(ValueError, match="read-only"):
+        obj.rho[g][s][0, 0] = 0
+    m = np.array(X)
+    pauli = EquivariantObject(GSet.trivial(klein()), {"*": 2},
+                              {h: {"*": m} for h in klein().elements()})
+    m[0, 1] = 5
+    assert pauli.rho[(1, 0)]["*"][0, 1] == 1
+    assert not pauli.rho[(1, 0)]["*"].flags.writeable
 
 
 def test_shape_validation():
@@ -566,10 +621,11 @@ def test_check_linearization_counts_nan_as_infinite_deviation():
         for g in G.elements():
             for s in gset.points:
                 obj = free(dims, phi, gset)
-                m = obj.rho[g][s]
+                m = obj.rho[g][s].copy()
                 if not m.size:
                     continue
                 m[-1, 0] = np.nan
+                obj = with_transport(obj, g, s, m)
                 report = assert_reports_agree(obj, phi)
                 assert not report.ok and report.max_dev == float("inf")
 
@@ -588,7 +644,8 @@ def test_check_linearization_on_zero_and_uneven_fibers():
             assert tuple(report) == (True, 0.0, None)
         # a perturbed transport into the largest fiber only
         m = obj.rho[(1, 2)]["d"]
-        m += 1e-6 * rng.normal(size=m.shape)
+        obj = with_transport(obj, (1, 2), "d",
+                             m + 1e-6 * rng.normal(size=m.shape))
         report = assert_reports_agree(obj, phi)
         assert report.ok == (not dims["d"])
 
@@ -623,6 +680,85 @@ def test_free_matches_the_loop_oracle():
     obj = free({s: 1 for s in G.elements()}, bad, GSet.regular(G))
     report = assert_reports_agree(obj, bad)
     assert not report.ok
+
+
+def pair_loop_free(dims, phi, gset):
+    """``free`` one transport ``(g, s)`` at a time, each placed in a matrix
+    of its own (the oracle)."""
+    G, act = gset.group, gset.action
+    elts, add, ph = list(G.elements()), _add_index(G), phi.values
+    base = np.array([int(dims.get(s, 0)) for s in gset.points], dtype=int)
+    size = base[act]  # [p, i]: the summand of element i in the fiber at p
+    offset = np.cumsum(size, axis=1) - size
+    total = size.sum(axis=1)
+    # per fiber and row: the summand it lies in and its rank there
+    rows = [np.arange(n) for n in total]
+    label = [np.repeat(np.arange(len(elts)), row) for row in size]
+    rank = [r - off[lab] for r, off, lab in zip(rows, offset, label)]
+    rho = {}
+    for i, g in enumerate(elts):
+        rho[g] = {}
+        for p, s in enumerate(gset.points):
+            t = act[p, i]
+            lab = label[t]
+            m = rho[g][s] = np.zeros((total[t], total[p]), dtype=complex)
+            # row k of summand g' of the target is column k of summand
+            # g + g' of the source
+            m[rows[t], offset[p][add[i][lab]] + rank[t]] = ph[i][lab]
+    return EquivariantObject(gset, dict(zip(gset.points, total.tolist())),
+                             rho)
+
+
+def pair_loop_conjugate(obj, T):
+    """``conjugate`` one transport ``(g, s)`` at a time (the oracle)."""
+    inv = {s: np.linalg.inv(np.asarray(T[s], dtype=complex))
+           for s in obj.gset.points}
+    rho = {g: {s: np.asarray(T[obj.gset.table[s][g]], dtype=complex)
+               @ obj.rho[g][s] @ inv[s]
+               for s in obj.gset.points}
+           for g in obj.group.elements()}
+    return EquivariantObject(obj.gset, obj.dims, rho)
+
+
+def transform_gsets():
+    """The G-sets of the benchmark's transform models: dual translation by
+    ``Khat`` in {1, Z/2, (Z/2)^2, Z/4} on coordinate groups of order at
+    most 8."""
+    cases = [((2,), (), [[]]), ((4,), (), [[]]), ((2, 2), (), [[], []])]
+    cases += [(B, (2,), emb) for B, emb in [
+        ((2,), [[1]]), ((4,), [[2]]), ((8,), [[4]]), ((2, 2), [[1], [0]]),
+        ((2, 4), [[0], [2]])]]
+    cases += [(B, (2, 2), emb) for B, emb in [
+        ((2, 2), [[1, 0], [0, 1]]), ((2, 4), [[1, 0], [0, 2]]),
+        ((2, 2, 2), [[1, 0], [0, 1], [0, 0]])]]
+    cases += [(B, (4,), emb) for B, emb in [
+        ((4,), [[1]]), ((8,), [[2]]), ((2, 4), [[0], [1]])]]
+    return [TorusModel(FiniteAbelianGroup(B), FiniteAbelianGroup(K),
+                       emb).gset for B, K, emb in cases]
+
+
+def test_free_and_conjugate_match_the_pair_loops():
+    """``free`` only places phases, so it must agree bit for bit; the
+    batched ``conjugate`` sums its products over padded squares, within
+    1e-13 of the largest entry."""
+    rng = np.random.default_rng(1503)
+    gsets = transform_gsets() + [quotient_gset(factors) for factors in
+                                 [(4,), (2, 4), (4, 4), (2, 2, 4)]]
+    for gset in gsets:
+        for _ in range(2):
+            phi = (random_bilinear_phi(gset.group, rng) if gset.group.rank
+                   else GroupCocycleTable.trivial(gset.group))
+            dims = {s: int(rng.integers(0, 3)) for s in gset.points}
+            got, want = free(dims, phi, gset), pair_loop_free(dims, phi, gset)
+            assert got.dims == want.dims
+            assert np.array_equal(got.stack, want.stack)
+            T = {s: random_unitary(n, rng) * (0.5 + rng.random(n))
+                 for s, n in got.dims.items()}
+            got, want = got.conjugate(T), pair_loop_conjugate(got, T)
+            scale = max(1.0, np.abs(want.stack).max(initial=0.0))
+            assert got.dims == want.dims
+            assert np.abs(got.stack - want.stack).max(initial=0.0) \
+                <= 1e-13 * scale, gset
 
 
 def test_twist_on_another_group_is_refused():
@@ -923,6 +1059,35 @@ def test_hom_dim_rejects_singular_transports():
     for a, b in singular_transport_pairs():
         with pytest.raises(ValueError, match="not invertible"):
             hom_dim(a, b)
+
+
+def test_the_first_singular_transport_in_orbit_order_is_named():
+    """Two orbits, {0, 2} and {1, 3}: a zero transport out of (1,), or
+    fibers of two dimensions along that orbit, spoil the second, which the
+    refusal names; the first is counted clean.  A transport fixing a point
+    is tested on the trivial G-set."""
+    model = torus_models()[0]
+    obj = free_sheaf(model, {s: 1 for s in model.gset.points})
+    zero = with_transport(obj, (1,), (1,), np.zeros((2, 2)))
+    rng = np.random.default_rng(1505)
+    dims = {**obj.dims, (3,): 3}
+    uneven = EquivariantObject(model.gset, dims, {
+        k: {s: obj.rho[k][s] if s in {(0,), (2,)} else rng.normal(
+            size=(dims[model.gset.act(s, k)], dims[s])) for s in per}
+        for k, per in obj.rho.items()})
+    for spoiled in (zero, uneven):
+        for a, b in ((obj, spoiled), (spoiled, obj)):
+            for count in (hom_dim, hom_space):
+                with pytest.raises(ValueError, match=r"^a transport out "
+                                   r"of \(1,\) is not invertible$"):
+                    count(a, b)
+    pauli = pauli_object()
+    fixing = with_transport(pauli, (1, 0), "*", np.zeros((2, 2)))
+    for a, b in ((pauli, fixing), (fixing, pauli)):
+        for count in (hom_dim, hom_space):
+            with pytest.raises(ValueError, match=r"^a transport fixing "
+                               r"\* is not invertible$"):
+                count(a, b)
 
 
 def different_twist_pairs():

@@ -639,7 +639,9 @@ def test_block_check_names_the_pair_the_dense_check_names():
         module = fm_lambda(model, sheaf)
         k = list(model.Khat.elements())[-1]
         s = next(p for p in model.gset.points if sheaf.dims[p])
-        sheaf.rho[k][s] = 2.0 * sheaf.rho[k][s]
+        rho = {g: dict(per) for g, per in sheaf.rho.items()}
+        rho[k][s] = 2.0 * rho[k][s]
+        module.blocks = EquivariantObject(sheaf.gset, sheaf.dims, rho)
         blocks, dense = module.check(), dense_copy(module).check()
         assert not blocks.ok and not dense.ok
         assert blocks.witness[0] == "twisted composition"
@@ -696,7 +698,9 @@ def test_fm_lambda_rejects_a_nan_transport():
     model = model_halved(True)
     sheaf = random_sheaf(model, rng)
     s = next(p for p in model.gset.points if sheaf.dims[p])
-    sheaf.rho[(1,)][s] = np.nan * sheaf.rho[(1,)][s]
+    rho = {g: dict(per) for g, per in sheaf.rho.items()}
+    rho[(1,)][s] = np.nan * rho[(1,)][s]
+    sheaf = EquivariantObject(sheaf.gset, sheaf.dims, rho)
     with pytest.raises(ValueError, match="transport law"):
         fm_lambda(model, sheaf)
 
@@ -891,6 +895,50 @@ def test_transport_law_memory_on_the_order_16_regular_model():
         tracemalloc.stop()
     assert report.ok
     assert peak < 16 * 2**20
+
+
+def test_block_modules_carry_no_frame():
+    """A block module is read through its blocks alone: no ``dim x dim``
+    identity frame is built for the inverse or the hom count."""
+    model = model_regular(4)
+    rng = np.random.default_rng(1507)
+    m1, m2 = (fm_lambda(model, random_sheaf(model, rng)) for _ in range(2))
+    blocks, frame = finitefm._framed(model, m1)
+    assert blocks is m1.blocks and frame is None
+    tracemalloc.start()
+    try:
+        assert fm_lambda_inverse(model, m1) is m1.blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m1.dim ** 2 / 16
+    assert module_hom_dim(m1, m2) == hom_dim(m1.blocks, m2.blocks)
+
+
+def test_module_hom_space_refuses_an_oversized_basis_before_allocating(
+        monkeypatch):
+    """The basis is 16 bytes per entry of each ``dim2 x dim1`` map: a
+    call that needs more than ``MAX_HOM_BASIS_BYTES`` raises before it
+    places any map, one that needs exactly that builds."""
+    model = model_regular(4)
+    rng = np.random.default_rng(1509)
+    m1, m2 = (fm_lambda(model, random_sheaf(model, rng)) for _ in range(2))
+    size = 16 * module_hom_dim(m1, m2) * m1.dim * m2.dim
+    monkeypatch.setattr(finitefm, "MAX_HOM_BASIS_BYTES", size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_HOM_BASIS_BYTES"):
+            module_hom_space(m1, m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, (peak, size)
+    model = model_regular(3)
+    m1, m2 = (fm_lambda(model, random_sheaf(model, rng)) for _ in range(2))
+    hom = module_hom_dim(m1, m2)
+    monkeypatch.setattr(finitefm, "MAX_HOM_BASIS_BYTES",
+                        16 * hom * m1.dim * m2.dim)
+    assert len(module_hom_space(m1, m2)) == hom
 
 
 def test_module_hom_space_is_frobenius_orthonormal():

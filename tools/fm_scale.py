@@ -16,7 +16,8 @@ time and the tracemalloc peak:
 * ``conjugate`` by a random unitary, which stores dense operators, then
   ``check``, ``fm_lambda_inverse``, ``module_hom_dim`` and
   ``module_hom_space`` on those (the last only while its basis, one
-  complex ``dim2 x dim1`` matrix per hom, fits in ``MAX_BASIS_BYTES``);
+  complex ``dim2 x dim1`` matrix per hom, fits in
+  ``finitefm.MAX_HOM_BASIS_BYTES``, beyond which the call refuses);
 * ``verify_factorization`` of the first sheaf.
 
 BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1`` is set before numpy
@@ -41,15 +42,12 @@ import numpy as np  # noqa: E402
 
 from nctorus.cocycle import BilinearCocycle  # noqa: E402
 from nctorus.equivariant import check_linearization, hom_dim  # noqa: E402
-from nctorus.finitefm import (TorusModel, fm_lambda,  # noqa: E402
-                              fm_lambda_inverse, module_hom_dim,
-                              module_hom_space, random_sheaf,
+from nctorus.finitefm import (MAX_HOM_BASIS_BYTES,  # noqa: E402
+                              TorusModel, fm_lambda, fm_lambda_inverse,
+                              module_hom_dim, module_hom_space, random_sheaf,
                               verify_factorization)
 from nctorus.lattice import (compute_H_hat, compute_K_hat,  # noqa: E402
                              descend_cocycle)
-
-# Largest hom basis timed; the call holds a few arrays of this size at once
-MAX_BASIS_BYTES = 512 * 2**20
 
 
 def model_regular(n: int) -> TorusModel:
@@ -108,7 +106,7 @@ def main(argv=None) -> int:
     hom = measure("module_hom_dim (conjugated)",
                   lambda: module_hom_dim(c1, c2))
     basis_bytes = 16 * hom * c1.dim * c2.dim
-    if basis_bytes <= MAX_BASIS_BYTES:
+    if basis_bytes <= MAX_HOM_BASIS_BYTES:
         measure("module_hom_space (conjugated)",
                 lambda: module_hom_space(c1, c2))
     else:
