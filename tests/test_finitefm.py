@@ -899,7 +899,8 @@ def test_transport_law_memory_on_the_order_16_regular_model():
 
 def test_block_modules_carry_no_frame():
     """A block module is read through its blocks alone: no ``dim x dim``
-    identity frame is built for the inverse or the hom count."""
+    identity frame is built for the inverse or the hom count, and blocks
+    on another model's points are refused."""
     model = model_regular(4)
     rng = np.random.default_rng(1507)
     m1, m2 = (fm_lambda(model, random_sheaf(model, rng)) for _ in range(2))
@@ -913,6 +914,10 @@ def test_block_modules_carry_no_frame():
         tracemalloc.stop()
     assert peak < 8 * m1.dim ** 2 / 16
     assert module_hom_dim(m1, m2) == hom_dim(m1.blocks, m2.blocks)
+    # the blocks are re-wrapped unchecked, so other points are refused
+    for other in (model_regular(3), model_klein()):
+        with pytest.raises(ValueError, match="model's dual points"):
+            fm_lambda_inverse(other, m1)
 
 
 def test_module_hom_space_refuses_an_oversized_basis_before_allocating(
