@@ -39,44 +39,56 @@ TOL = 1e-9
 
 
 class GSet:
-    """Finite set with a right action of a finite abelian group.
+    """Finite set with a right action of a finite abelian group, stored
+    once as the read-only index array ``action[p, i]`` (point ``p`` moved
+    by element ``i``), given as such or as a callable ``act(s, g)`` called
+    once per point and element, each distinct value outside the point set
+    indexed past it.  The axioms are checked on the array on construction,
+    so downstream code can rely on them.  ``table[s][g] = s.g`` is a
+    read-only view, built on first use."""
 
-    The action axioms are checked exhaustively on construction (the sets
-    here are small), so downstream code can rely on them.  The check fills
-    ``table[s][g] = s.g`` for every point and every ``g`` in ``elements()``,
-    kept also by index as the read-only array ``action[p, i]``: point ``p``
-    moved by element ``i``.
-    """
-
-    __slots__ = ("group", "points", "table", "action")
+    __slots__ = ("group", "points", "action", "_table")
 
     def __init__(self, group: FiniteAbelianGroup, points: Sequence,
-                 act: Callable):
+                 act: Callable | np.ndarray):
         points = tuple(points)
         if len(set(points)) != len(points):
             raise ValueError("points must be distinct")
         if not points:
             raise ValueError("a G-set needs at least one point")
-        self.group = group
-        self.points = points
-        table = {s: {g: act(s, g) for g in group.elements()} for s in points}
-        zero = group.zero()
-        for s, row in table.items():
-            if row[zero] != s:
-                raise ValueError(f"identity does not fix {s}")
-        for s, row in table.items():
-            for g1, mid in row.items():
-                if mid not in table:
-                    raise ValueError(f"action leaves the point set at {s}.{g1}")
-                for g2, t in table[mid].items():
-                    if t != row[group.add(g1, g2)]:
-                        raise ValueError(
-                            f"action is not associative at ({s}, {g1}, {g2})")
-        self.table = table
-        index = {s: p for p, s in enumerate(points)}
-        self.action = np.array([[index[t] for t in row.values()]
-                                for row in table.values()])
-        self.action.flags.writeable = False
+        elts, n = list(group.elements()), len(points)
+        if callable(act):
+            index = {s: p for p, s in enumerate(points)}
+            act = [index.setdefault(act(s, g), len(index))
+                   for s in points for g in elts]
+        A = np.array(act, dtype=np.int64).reshape(n, len(elts))
+        moved = np.flatnonzero(A[:, 0] != np.arange(n))  # 0 is the zero
+        if moved.size:
+            raise ValueError(f"identity does not fix {points[moved[0]]}")
+        # at each (s, g1) in order: closure, then s.g1.g2 == s.(g1+g2)
+        out = (A < 0) | (A >= n)
+        bad = ~out[..., None] & (A[np.where(out, 0, A)]
+                                 != A[:, _add_index(group)])
+        p, i = divmod(int(np.argmax(out | bad.any(axis=2))), len(elts))
+        if out[p, i]:
+            raise ValueError(
+                f"action leaves the point set at {points[p]}.{elts[i]}")
+        if bad[p, i].any():
+            raise ValueError(f"action is not associative at ({points[p]}, "
+                             f"{elts[i]}, {elts[np.argmax(bad[p, i])]})")
+        A.flags.writeable = False
+        self.group, self.points, self.action, self._table = \
+            group, points, A, None
+
+    @property
+    def table(self) -> Mapping:
+        """Read-only ``{s: {g: s.g}}``, built on first use."""
+        if self._table is None:
+            elts, at = list(self.group.elements()), self.points.__getitem__
+            self._table = MappingProxyType({s: MappingProxyType(dict(zip(
+                elts, map(at, row)))) for s, row in zip(
+                    self.points, self.action.tolist())})
+        return self._table
 
     def matches(self, other: "GSet") -> bool:
         """Whether ``other`` has the same points, group and action."""
@@ -93,8 +105,7 @@ class GSet:
 
     @classmethod
     def regular(cls, group: FiniteAbelianGroup) -> "GSet":
-        return cls(group, tuple(group.elements()),
-                   lambda s, g: group.add(s, g))
+        return cls(group, tuple(group.elements()), _add_index(group))
 
     def __repr__(self) -> str:
         return f"GSet({self.group!r}, {len(self.points)} points)"
@@ -198,7 +209,7 @@ class EquivariantObject:
         dims = {s: int(dims[s]) for s in gset.points}
         if any(d < 0 for d in dims.values()):
             raise ValueError("fiber dimensions must be nonnegative")
-        d = max(dims.values())
+        d, act = max(dims.values()), gset.action.tolist()
         stack = np.zeros((len(gset.points), gset.group.size, d, d),
                          dtype=complex)
         for i, g in enumerate(gset.group.elements()):
@@ -209,7 +220,7 @@ class EquivariantObject:
                     from None
             for p, s in enumerate(gset.points):
                 m = np.asarray(per_point[s], dtype=complex)
-                want = (dims[gset.table[s][g]], dims[s])
+                want = (dims[gset.points[act[p][i]]], dims[s])
                 if m.shape != want:
                     raise ValueError(
                         f"transport for ({g}, {s}) has shape {m.shape}, "
@@ -710,7 +721,7 @@ def to_module(obj: EquivariantObject) -> dict:
     The family at each point is a (right) module over the twisted algebra
     on that point set; requires the underlying action to be trivial.
     """
-    if any(t != s for s, row in obj.gset.table.items() for t in row.values()):
+    if (obj.gset.action.T != np.arange(len(obj.gset.points))).any():
         raise ValueError("to_module needs a trivial underlying action")
     return {s: {g: obj.matrix(g, s).copy() for g in obj.group.elements()}
             for s in obj.gset.points}

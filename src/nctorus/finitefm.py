@@ -264,7 +264,7 @@ class TorusModel:
     tuples; it must be injective.  ``lam`` defaults to the trivial form.
     """
 
-    __slots__ = ("B", "Khat", "embed", "lam", "phi", "gset", "_iota")
+    __slots__ = ("B", "Khat", "embed", "lam", "phi", "gset")
 
     def __init__(self, B: FiniteAbelianGroup, Khat: FiniteAbelianGroup,
                  embed, lam: GroupBilinearTable = None):
@@ -285,16 +285,18 @@ class TorusModel:
             if rel != B.zero():
                 raise ValueError(
                     f"embedding does not respect the order of generator {j}")
-        self._iota = {k: B.reduce(_matvec(embed, k)) for k in Khat.elements()}
-        for k, x in self._iota.items():
-            if x == B.zero() and k != Khat.zero():
-                raise ValueError(f"embedding is not injective: {k} maps to 0")
-        self.gset = GSet(Khat, tuple(B.elements()),
-                         lambda beta, k: B.add(beta, self._iota[k]))
+        points, elts = tuple(B.elements()), list(Khat.elements())
+        # the element index of iota(k) for each k; element 0 is the zero
+        iota = [B._index[B.reduce(_matvec(embed, k))] for k in elts]
+        if 0 in iota[1:]:
+            raise ValueError(f"embedding is not injective: "
+                             f"{elts[iota.index(0, 1)]} maps to 0")
+        self.gset = GSet(Khat, points, _add_index(B)[:, iota])
 
     def iota(self, k):
         """Image of a ``Khat`` element among the dual tuples."""
-        return self._iota[self.Khat.reduce(k)]
+        K = self.Khat
+        return self.gset.points[self.gset.action[0, K._index[K.reduce(k)]]]
 
     def character(self, k, a) -> Phase:
         """Pairing phase ``<iota(k), a>`` of the embedded element with ``a``."""
@@ -433,15 +435,13 @@ class ModuleOnXLambda:
     @property
     def n(self) -> dict:
         if self._n is None:
-            layout, total = _graded_layout(self.blocks.dims, self.model.B)
-            offset = {beta: off for beta, off, _ in layout}
-            table = self.model.gset.table
+            at = np.cumsum([0, *self.blocks.dims.values()]).tolist()
+            act = self.model.gset.action.T.tolist()
             self._n = {}
-            for k, rho in self.blocks.rho.items():
-                m = self._n[k] = np.zeros((total, total), dtype=complex)
-                for beta, off, d in layout:
-                    t0 = offset[table[beta][k]]
-                    m[t0:t0 + rho[beta].shape[0], off:off + d] = rho[beta]
+            for i, (k, rho) in enumerate(self.blocks.rho.items()):
+                m = self._n[k] = np.zeros((at[-1], at[-1]), dtype=complex)
+                for (p, block), t in zip(enumerate(rho.values()), act[i]):
+                    m[at[t]:at[t + 1], at[p]:at[p + 1]] = block
         return self._n
 
     def rep(self) -> BRepresentation:
@@ -535,13 +535,13 @@ def _framed(model: TorusModel, module: ModuleOnXLambda):
                                                 blocks.stack)
         return blocks, None
     bases = _eigenspace_bases(module.rep())
-    W = {beta: w for beta, (_, w) in bases.items()}
-    rho = {k: {beta: W[model.gset.table[beta][k]].conj().T @ n @ W[beta]
-               for beta in model.gset.points}
-           for k, n in module.n.items()}
-    dims = {beta: w.shape[1] for beta, w in W.items()}
+    W, act = [w for _, w in bases.values()], model.gset.action.tolist()
+    rho = {k: {beta: W[act[p][i]].conj().T @ n @ W[p]
+               for p, beta in enumerate(model.gset.points)}
+           for i, (k, n) in enumerate(module.n.items())}
+    dims = {beta: w.shape[1] for beta, w in zip(bases, W)}
     return EquivariantObject(model.gset, dims, rho), (
-        np.concatenate(list(W.values()), axis=1),
+        np.concatenate(W, axis=1),
         np.concatenate([w.conj().T @ p for p, w in bases.values()]))
 
 
@@ -627,19 +627,15 @@ def verify_factorization(model: TorusModel,
     """
     module = fm_lambda(model, sheaf)
     kernel = DeformedKernel(model)
-    layout, total = _graded_layout(sheaf.dims, model.B)
-    nK = kernel.size
-    offset = {beta: off for beta, off, _ in layout}
-    zero = kernel.index[model.Khat.zero()]
-    table = model.gset.table
+    d, act, nK = list(sheaf.dims.values()), model.gset.action, kernel.size
+    at = np.cumsum([0, *d]).tolist()
+    total, zero = at[-1], kernel.index[model.Khat.zero()]
     # rows indexed by (graded basis vector, kernel basis vector)
     emb = np.zeros((total, nK, total), dtype=complex)
-    for k, rho in sheaf.rho.items():
+    for i, (k, rho) in enumerate(sheaf.rho.items()):
         tau = kernel.left_matrix(k)[:, zero]
-        for beta, off, d in layout:
-            u = rho[beta]
-            t0 = offset[table[beta][k]]
-            emb[t0:t0 + u.shape[0], :, off:off + d] += \
+        for (p, u), t in zip(enumerate(rho.values()), act[:, i].tolist()):
+            emb[at[t]:at[t + 1], :, at[p]:at[p + 1]] += \
                 u[:, None, :] * tau[:, None]
     emb /= nK
     flat = emb.reshape(total * nK, total)
@@ -653,10 +649,7 @@ def verify_factorization(model: TorusModel,
         report.note(dev(kernel.right_matrix(k) @ emb, module.n[k]),
                     ("translation", k))
     # [row, j, a]: <beta + iota(j), a> down the rows of the block of beta
-    moved = [[model.B._index[table[beta][j]] for j in kernel.order]
-             for beta, _, _ in layout]
-    chars = np.repeat(_character_table(model.B)[moved],
-                      [d for _, _, d in layout], axis=0)
+    chars = np.repeat(_character_table(model.B)[act], d, axis=0)
     for i, a in enumerate(model.B.elements()):
         report.note(dev(chars[:, :, i, None] * emb, module.pi[a]),
                     ("character", a))

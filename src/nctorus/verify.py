@@ -448,11 +448,11 @@ def battery_equivariant(seed: int = 0, grid: str = "small",
     b = free({s: int(rng.integers(1, 3)) for s in gset.points}, phi, gset)
     b = b.conjugate({s: unitary(b.dims[s]) for s in gset.points})
     report = LinearizationReport()
-    for (i, fam), h, s in itertools.product(enumerate(hom_space(a, b)),
-                                            G.elements(), gset.points):
-        t = gset.act(s, h)
-        resid = fam[t] @ a.matrix(h, s) - b.matrix(h, s) @ fam[s]
-        report.note(float(np.max(np.abs(resid))), (i, h, s))
+    for (i, fam), (h, moved) in itertools.product(
+            enumerate(hom_space(a, b)), zip(G.elements(), gset.action.T)):
+        for s, t in zip(gset.points, map(gset.points.__getitem__, moved)):
+            resid = fam[t] @ a.matrix(h, s) - b.matrix(h, s) @ fam[s]
+            report.note(float(np.max(np.abs(resid))), (i, h, s))
     out.append(PropertyResult("hom-space-intertwines", report))
 
     alg = twisted_algebra(("*",), _klein_phi(False))
@@ -564,13 +564,16 @@ def battery_fm(seed: int = 0, grid: str = "small") -> list:
 
 
 SCOPES = ("cocycle", "weyl", "lattice", "star", "equivariant", "fm")
+# Most points of battery_cocycle's window ``centered(g, 4)``: rank 5
+MAX_PARAM_WINDOW_POINTS = 9 ** 5
 
 
 def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
                 params: Mapping = None, corrupt_phi: bool = False) -> list:
     """Run one scope (or every scope) and return the collected results.
 
-    An unknown scope or grid, a negative seed and invalid ``params`` raise
+    An unknown scope or grid, a negative seed, invalid ``params`` and
+    ``params`` whose window exceeds ``MAX_PARAM_WINDOW_POINTS`` raise
     ``ValueError`` before any battery runs.  An exception raised inside a
     battery is a failed check, not bad input: it is recorded as a failing
     ``<scope>-battery`` result whose witness names the exception, and the
@@ -582,8 +585,11 @@ def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
         raise ValueError(f"unknown scope {scope!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if params:
-        params_from_dict(params)
+    points = 9 ** params_from_dict(params).g if params else 0
+    if points > MAX_PARAM_WINDOW_POINTS:
+        raise ValueError(f"the parameter's window has {points} points; "
+                         f"verify takes at most MAX_PARAM_WINDOW_POINTS "
+                         f"({MAX_PARAM_WINDOW_POINTS})")
     batteries = {
         "cocycle": lambda: battery_cocycle(seed, grid, params),
         "weyl": lambda: battery_weyl(seed, grid, params),

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_verify_at_2_pow_64(capsys, scope):
                            "--param", HUGE_N)
     assert rc == 0 and not err
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize("rank", [6, 8])
+def test_verify_refuses_a_param_of_large_rank(capsys, rank):
+    """Past rank 5 the cocycle battery's window exceeds
+    ``MAX_PARAM_WINDOW_POINTS``: bad input, refused before any battery."""
+    param = json.dumps({"M": [[int(j > i) for j in range(rank)]
+                              for i in range(rank)], "N": 2})
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", "--param", param)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and not out and "Traceback" not in err
+    assert err == (f"error: the parameter's window has {9 ** rank} points; "
+                   f"verify takes at most MAX_PARAM_WINDOW_POINTS "
+                   f"({verify.MAX_PARAM_WINDOW_POINTS})\n")
 
 
 def test_unknown_scope_is_usage_error():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import time
 
@@ -145,6 +146,107 @@ def test_gset_rejects_non_action():
 def test_gset_rejects_duplicate_points():
     with pytest.raises(ValueError):
         GSet.trivial(klein(), ("a", "a"))
+
+
+def loop_gset_check(group, points, act):
+    """The former validation of ``GSet``, kept as its oracle: the callable
+    tabulated into ``table[s][g]``, the identity checked at every point,
+    then closure and associativity at each ``(s, g1)`` in order, values
+    compared with ``!=``.  Returns the table."""
+    table = {s: {g: act(s, g) for g in group.elements()} for s in points}
+    zero = group.zero()
+    for s, row in table.items():
+        if row[zero] != s:
+            raise ValueError(f"identity does not fix {s}")
+    for s, row in table.items():
+        for g1, mid in row.items():
+            if mid not in table:
+                raise ValueError(f"action leaves the point set at {s}.{g1}")
+            for g2, t in table[mid].items():
+                if t != row[group.add(g1, g2)]:
+                    raise ValueError(
+                        f"action is not associative at ({s}, {g1}, {g2})")
+    return table
+
+
+def random_gset_map(rng):
+    """A group, at most five points and a seeded map on them: translation
+    of ``Z/m`` orbits along a homomorphism from the group, then one of:
+    unchanged, one entry moved to another point, one identity entry moved,
+    two or three entries moved to the outside values ``"x"`` and ``"y"``
+    (both used), or every entry drawn at random."""
+    G = FiniteAbelianGroup([(2,), (3,), (4,), (2, 2), (6,)][rng.integers(5)])
+    elts, points, rows = list(G.elements()), [], []
+    while not points or (len(points) < 5 and rng.random() < 0.5):
+        m = int(rng.integers(1, 6 - len(points)))
+        c = [int(rng.integers(m)) * (m // math.gcd(m, d)) for d in G.factors]
+        orbit = [(len(rows), r) for r in range(m)]
+        for r in range(m):
+            rows.append([orbit[(r + sum(a * b for a, b in zip(c, g))) % m]
+                         for g in elts])
+        points += orbit
+    kind = int(rng.integers(5))
+    cells = [(p, i) for p in range(len(points)) for i in range(len(elts))]
+    if kind == 1 and len(elts) > 1:
+        p, i = cells[rng.integers(len(cells))]
+        rows[p][max(i, 1)] = points[rng.integers(len(points))]
+    elif kind == 2:
+        rows[rng.integers(len(points))][0] = points[rng.integers(len(points))]
+    elif kind == 3:
+        for n, j in enumerate(rng.choice(len(cells), min(len(cells), 3),
+                                         replace=False)):
+            p, i = cells[j]
+            rows[p][i] = "xy"[n] if n < 2 else "xy"[rng.integers(2)]
+    elif kind == 4:
+        pool = points + ["x", "y"]
+        rows = [[pool[rng.integers(len(pool))] for _ in elts]
+                for _ in points]
+    table = {s: dict(zip(elts, row)) for s, row in zip(points, rows)}
+    return G, tuple(points), lambda s, g: table[s][g]
+
+
+def test_gset_array_check_matches_the_loop_oracle_on_random_maps():
+    """On seeded random maps the array check of ``GSet`` raises the
+    message of the former loop, or accepts what it accepted with the same
+    action."""
+    rng = np.random.default_rng(26)
+    seen = set()
+    for _ in range(1500):
+        G, points, act = random_gset_map(rng)
+        try:
+            table = loop_gset_check(G, points, act)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                GSet(G, points, act)
+            assert str(got.value) == str(exc), (G, points)
+            seen.add(str(exc).split(" at ")[0].split(" fix ")[0])
+            continue
+        gset = GSet(G, points, act)
+        assert gset.action.tolist() == [[points.index(t) for t in row.values()]
+                                        for row in table.values()]
+        assert gset.table == table
+        seen.add("accepted")
+    assert seen == {"accepted", "identity does not",
+                    "action leaves the point set",
+                    "action is not associative"}
+
+
+def test_gset_views_are_read_only():
+    G = FiniteAbelianGroup((4,))
+    gset = GSet.regular(G)
+    assert "table" not in GSet.__slots__
+    with pytest.raises(TypeError):
+        gset.table[(0,)][(1,)] = (3,)
+    with pytest.raises(TypeError):
+        gset.table[(0,)] = {}
+    with pytest.raises(ValueError):
+        gset.action[0, 1] = 3
+    assert gset.act((0,), (5,)) == (1,)
+    obj = free({s: 1 for s in gset.points}, GroupCocycleTable.trivial(G),
+               gset)
+    with pytest.raises(ValueError,
+                       match=r"^to_module needs a trivial underlying action$"):
+        to_module(obj)
 
 
 # ---------------------------------------------------------------------------

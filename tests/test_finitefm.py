@@ -373,12 +373,28 @@ def test_equivariance_check_fails_where_the_oracle_does_on_a_wrong_shift(
 
 def test_model_rejects_bad_embeddings():
     B = FiniteAbelianGroup((4,))
-    with pytest.raises(ValueError):
+    order = r"^embedding does not respect the order of generator {}$"
+    with pytest.raises(ValueError, match=order.format(0)):
         TorusModel(B, FiniteAbelianGroup((2,)), [[1]])   # 2*1 != 0 mod 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=order.format(1)):
+        TorusModel(B, FiniteAbelianGroup((2, 2)), [[2, 1]])
+    with pytest.raises(ValueError, match=r"^embedding is not injective: "
+                                         r"\(2,\) maps to 0$"):
         TorusModel(B, FiniteAbelianGroup((4,)), [[2]])   # kernel contains 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^embedding is not injective: "
+                                         r"\(1, 1\) maps to 0$"):
+        TorusModel(FiniteAbelianGroup((2,)), FiniteAbelianGroup((2, 2)),
+                   [[1, 1]])
+    with pytest.raises(ValueError,
+                       match=r"^embedding matrix has the wrong shape$"):
         TorusModel(B, FiniteAbelianGroup((2,)), [[1], [0]])
+    with pytest.raises(ValueError,
+                       match=r"^embedding matrix has the wrong shape$"):
+        TorusModel(B, FiniteAbelianGroup((2,)), [[2, 0]])
+    with pytest.raises(ValueError,
+                       match=r"^twist lives on a different group$"):
+        TorusModel(B, FiniteAbelianGroup((2,)), [[2]],
+                   GroupBilinearTable.trivial(FiniteAbelianGroup((4,))))
 
 
 def test_model_iota_table_matches_the_embedding_formula():

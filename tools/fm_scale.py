@@ -10,6 +10,7 @@ It builds the derived regular model of order ``n^2`` (``Khat = B =
 generator seeded with ``S`` (default 0) and prints, per call, the wall
 time and the tracemalloc peak:
 
+* building the model, on the first line, before any module call;
 * ``check_linearization`` and ``hom_dim`` on the sheaves;
 * ``fm_lambda``, then ``check``, ``fm_lambda_inverse`` and
   ``module_hom_dim`` on the block modules it returns;
@@ -85,7 +86,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.n < 2:
         parser.error("n must be at least 2")
-    model = model_regular(args.n)
+    model = measure(f"model_regular({args.n})",
+                    lambda: model_regular(args.n))
     rng = np.random.default_rng(args.seed)
     s1, s2 = random_sheaf(model, rng), random_sheaf(model, rng)
     print(f"model_regular({args.n}): |Khat| = |B| = {model.B.size}, "
