@@ -32,20 +32,12 @@ from .exprs import (
     word_side,
     word_to_poly,
 )
-from .finitefm import TorusModel
-from .lattice import (
-    FiniteAbelianGroup,
-    GroupBilinearTable,
-    compute_H_hat,
-    compute_K_hat,
-    descend_cocycle,
-    lambda_sharp,
-)
-from .cocycle import Phase
+from .lattice import (compute_H_hat, compute_K_hat, descend_cocycle,
+                      lambda_sharp)
 from .qweyl import PeriodMatrix, mul_crossed
 from .laurent import star_mul
-from .verify import (default_params, fm_round_trip, params_from_dict,
-                     run_battery)
+from .verify import (default_params, fm_demo_model, fm_round_trip,
+                     params_from_dict, run_battery)
 
 
 # Largest quotient group whose sharp map ``param analyze`` lists; the listing
@@ -142,15 +134,8 @@ def cmd_star_mul(args) -> int:
     return 0
 
 
-def _demo_model() -> TorusModel:
-    B = FiniteAbelianGroup((4,))
-    Khat = FiniteAbelianGroup((2,))
-    return TorusModel(B, Khat, [[2]],
-                      GroupBilinearTable(Khat, [[Phase(1, 2)]]))
-
-
 def cmd_fm_demo(args) -> int:
-    model = _demo_model()
+    model = fm_demo_model()
     run = fm_round_trip(model, np.random.default_rng(args.seed))
     law, fact, (hd_sheaf, hd_module) = run.law, run.fact, run.hom_dims
     ok = law.ok and fact.ok and run.roundtrip_ok and hd_sheaf == hd_module

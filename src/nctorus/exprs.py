@@ -7,8 +7,12 @@ Words are ``*``-separated products of generator atoms: ``t1, t2, ...`` and
 product -- so reorderings pick up their phases and ``t2*t1`` comes back
 normal ordered with the correct root-of-unity coefficient.
 
-Laurent expressions are sums of terms like ``3/4*t1^2*t2^-1`` with
-rational or complex coefficients (``i``, ``2i``, ``(1-1/2i)``).
+Laurent expressions are sums of terms like ``3/4*t1^2*t2^-1``.  A
+coefficient factor is signed (``-2``, ``+-i``) and is a rational (``3``,
+``3/4``, ``1.5``), an imaginary rational (``i``, ``2i``) or a
+parenthesized signed sum of coefficient factors, nested to any depth
+(``(1-1/2i)``, ``-(3+(1+2i))``).  ``()`` and ``(+)`` are refused as empty
+coefficients, and nesting beyond Python's recursion limit is refused too.
 
 Rendering is deterministic: terms are emitted in sorted exponent order
 with a canonical coefficient format, and exact phases appear as ``w(p/q)``
@@ -17,13 +21,16 @@ meaning the unit of argument ``2*pi*p/q``.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import re
 from fractions import Fraction
 from typing import Sequence
 
 from .cocycle import BilinearCocycle
 from .laurent import LaurentPoly
-from .qweyl import Coeff, PeriodMatrix, QPolynomial, mul_crossed
+from .qweyl import PeriodMatrix, QPolynomial, mul_crossed
 
 
 class ParseError(ValueError):
@@ -105,25 +112,27 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_coeff(text: str) -> complex:
-    """A coefficient factor: rational, imaginary rational, or a
-    parenthesized complex combination."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1].strip()
-        split = None
-        for pos in range(1, len(inner)):
-            if inner[pos] in "+-" and inner[pos - 1] not in "/+-":
-                split = pos
-        if split is None:
-            return _parse_coeff(inner)
-        left, right = inner[:split], inner[split:]
-        return _parse_coeff(left) + _parse_coeff(right)
-    sign = 1
+def _split_sign(text: str) -> tuple:
+    """``(sign, rest)``: the leading run of ``+``/``-`` (spaces between
+    allowed) folded into ``1`` or ``-1``, and the stripped remainder."""
+    sign, text = 1, text.strip()
     while text and text[0] in "+-":
         if text[0] == "-":
             sign = -sign
-        text = text[1:].strip()
+        text = text[1:].lstrip()
+    return sign, text
+
+
+def _parse_coeff(text: str) -> complex:
+    """A signed coefficient factor: rational, imaginary rational, or a
+    parenthesized signed sum of such factors, nested to any depth."""
+    sign, text = _split_sign(text)
+    if text.startswith("(") and text.endswith(")"):
+        terms = _split_terms(text[1:-1])
+        if not terms:
+            raise ParseError("empty coefficient")
+        value = functools.reduce(operator.add, map(_parse_coeff, terms))
+        return value if sign > 0 else -value
     if not text:
         raise ParseError("empty coefficient")
     if text == "i":
@@ -177,12 +186,7 @@ def parse_laurent(text: str, g: int) -> LaurentPoly:
         return LaurentPoly.zero(g)
     total = LaurentPoly.zero(g)
     for raw in _split_terms(text):
-        term = raw.strip()
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:].strip()
+        sign, term = _split_sign(raw)
         if not term:
             raise ParseError(f"empty term in {text!r}")
         coeff = complex(sign)
@@ -199,7 +203,10 @@ def parse_laurent(text: str, g: int) -> LaurentPoly:
                                      f"(expected 1..{g})")
                 exps[index - 1] += 1 if m.group(2) is None else int(m.group(2))
             else:
-                coeff *= _parse_coeff(factor)
+                try:
+                    coeff *= _parse_coeff(factor)
+                except RecursionError:
+                    raise ParseError("coefficient nested too deeply") from None
         total = total + LaurentPoly.monomial(g, tuple(exps), coeff)
     return total
 
@@ -219,6 +226,8 @@ def _fmt_real(x: float) -> str:
 def _fmt_complex(z: complex) -> str:
     re_part, im_part = z.real, z.imag
     scale = abs(re_part) + abs(im_part)
+    if not math.isfinite(scale):
+        raise ValueError(f"coefficient {z} overflows")
     if scale:
         if abs(im_part) <= 1e-12 * scale:
             im_part = 0.0
@@ -248,52 +257,32 @@ def _fmt_monomial(exponents: Sequence, names) -> list:
     return pieces
 
 
-def render_laurent(p: LaurentPoly) -> str:
-    if not p:
-        return "0"
+def _render_sum(terms) -> str:
+    """Join ``(coefficient, factors)`` terms into a signed sum.  A
+    coefficient's leading minus becomes the term's sign, a coefficient of
+    ``1`` is dropped before other factors, and no terms print as ``0``."""
     out = []
-    for t in p.support():
-        coeff = p.coeff(t)
-        mono = _fmt_monomial(t, "t")
+    for coeff, factors in terms:
         c_str = _fmt_complex(coeff)
-        negate = c_str.startswith("-") and not c_str.startswith("-(")
-        if negate:
-            c_str = c_str[1:]
-        if mono and c_str == "1":
-            body = "*".join(mono)
-        else:
-            body = "*".join([c_str] + mono)
-        if not out:
-            out.append(body if not negate else f"-{body}")
-        else:
-            out.append(f"- {body}" if negate else f"+ {body}")
-    return " ".join(out)
+        sign = " - " if c_str[0] == "-" else " + "
+        c_str = c_str.removeprefix("-")
+        out += sign, "*".join(factors if factors and c_str == "1"
+                              else [c_str, *factors])
+    if not out:
+        return "0"
+    out[0] = out[0].strip(" +")  # the first sign is "-" or nothing
+    return "".join(out)
+
+
+def render_laurent(p: LaurentPoly) -> str:
+    return _render_sum((c, _fmt_monomial(t, "t")) for t, c in p.terms())
 
 
 def render_word_poly(p: QPolynomial, hatted: bool = False) -> str:
     """Deterministic text for a crossed-product element; exact phases are
     kept symbolic as ``w(p/q)`` factors."""
     names_t, names_g = ("th", "gh") if hatted else ("t", "g")
-    keys = p.support()
-    if not keys:
-        return "0"
-    out = []
-    for a, b in keys:
-        c = p.coeff(a, b)
-        pieces = []
-        scalar = _fmt_complex(c.scalar)
-        negate = scalar.startswith("-") and not scalar.startswith("-(")
-        if negate:
-            scalar = scalar[1:]
-        mono = _fmt_monomial(a, names_t) + _fmt_monomial(b, names_g)
-        if scalar != "1" or not (mono or c.phase):
-            pieces.append(scalar)
-        if c.phase:
-            pieces.append(f"w({c.phase})")
-        pieces.extend(mono)
-        body = "*".join(pieces)
-        if not out:
-            out.append(body if not negate else f"-{body}")
-        else:
-            out.append(f"- {body}" if negate else f"+ {body}")
-    return " ".join(out)
+    return _render_sum(
+        (c.scalar, [f"w({c.phase})"] * bool(c.phase)
+         + _fmt_monomial(a, names_t) + _fmt_monomial(b, names_g))
+        for (a, b), c in sorted(p.terms.items()))

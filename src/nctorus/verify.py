@@ -462,6 +462,14 @@ def battery_equivariant(seed: int = 0, grid: str = "small",
     return out
 
 
+def fm_demo_model() -> TorusModel:
+    """``B = Z/4`` over the dual translations ``Z/2`` embedded as ``2``,
+    twisted by ``1/2``: the model of ``fm demo``."""
+    K2 = FiniteAbelianGroup((2,))
+    return TorusModel(FiniteAbelianGroup((4,)), K2, [[2]],
+                      GroupBilinearTable(K2, [[Phase(1, 2)]]))
+
+
 def _fm_models() -> list:
     B4 = FiniteAbelianGroup((4,))
     K2 = FiniteAbelianGroup((2,))
@@ -470,7 +478,7 @@ def _fm_models() -> list:
     K22 = FiniteAbelianGroup((2, 2))
     return [
         TorusModel(B4, K2, [[2]]),
-        TorusModel(B4, K2, [[2]], GroupBilinearTable(K2, [[Phase(1, 2)]])),
+        fm_demo_model(),
         TorusModel(B4, K4, [[1]], GroupBilinearTable(K4, [[Phase(1, 4)]])),
         TorusModel(B22, K22, [[1, 0], [0, 1]],
                    GroupBilinearTable(K22, [[Phase.zero(), Phase(1, 2)],

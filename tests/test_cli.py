@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,10 +7,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nctorus import finitefm, verify
+from nctorus import cli, finitefm, verify
 from nctorus.equivariant import EquivariantObject
 from nctorus.cli import MAX_ANALYZE_SIZE, build_parser, main
+from nctorus.exprs import parse_laurent
+from nctorus.laurent import star_mul
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +109,19 @@ def test_star_mul_coefficient_too_large_for_float_is_bad_input(capsys, expr):
     rc, out, err = run_cli(capsys, "star", "mul", expr, "1")
     assert rc == 2 and not out
     assert err.startswith("error:") and "too large" in err
+
+
+@pytest.mark.parametrize("expr1, expr2", [
+    ("9" * 300, "9" * 300),                          # inf
+    ("9" * 300 + "*t1", "9" * 300 + "i*t2"),         # inf + inf i
+    ("9" * 300 + "*t1 - 9" + "9" * 300, "9" * 300),  # a sum of infs
+], ids=["real", "complex", "in-a-sum"])
+def test_star_mul_product_too_large_to_print_is_bad_input(capsys, expr1,
+                                                          expr2):
+    """Such a product printed as ``0`` before."""
+    rc, out, err = run_cli(capsys, "star", "mul", expr1, expr2)
+    assert rc == 2 and not out
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_bad_param_json(capsys):
@@ -362,3 +381,115 @@ def test_one_parser_serves_every_call_like_a_fresh_process(capsys):
         assert (rc, out, err) == (fresh.returncode, fresh.stdout,
                                   fresh.stderr)
     assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------------------------------
+# the text grammar under random input
+
+# one_of draws its branches evenly, so a branch named twice is drawn twice
+# as often: the well-formed choices come first and are the more likely
+_powers = st.one_of(st.integers(-4, 4), st.integers(-4, 4),
+                    st.integers(-2**70, 2**70),
+                    st.sampled_from(["1" + "0" * 4000, "-" + "9" * 4000,
+                                     "1" + "0" * 5000]))
+_atoms = st.builds(lambda kind, index, power, caret:
+                   f"{kind}{index}" + (f"^{power}" if caret else ""),
+                   st.sampled_from(["t", "t", "t", "g", "th", "gh", "x", ""]),
+                   st.one_of(st.integers(1, 2), st.integers(1, 2),
+                             st.integers(0, 10**6)),
+                   _powers, st.booleans())
+_numbers = st.sampled_from(["2", "3/4", "1.5", "i", "2i", "7/3", "1",
+                            "9" * 300, "8" * 300 + "i"])
+_junk = st.sampled_from(["1/0", "9" * 400, "", "(", "()", "x", "1e3"])
+_coeffs = st.recursive(
+    st.one_of(_numbers, _numbers, _junk),
+    lambda inner: st.builds(
+        lambda signs, first, rest: f"{signs}({first}{''.join(rest)})",
+        st.sampled_from(["", "", "-", "+-", " - "]), inner,
+        st.lists(st.builds(str.__add__,
+                           st.sampled_from(["+", "-", " - ", "", "*"]),
+                           inner),
+                 max_size=2)),
+    max_leaves=6)
+_monomials = st.builds(lambda index, power: f"t{index}^{power}",
+                       st.integers(1, 2), _powers)
+_terms = st.builds(lambda signs, factors: signs + "*".join(factors),
+                   st.sampled_from(["", "", "-", "+-", "- "]),
+                   st.lists(st.one_of(_coeffs, _monomials, _monomials,
+                                      _atoms),
+                            min_size=1, max_size=4))
+# sums of well-formed terms: a coefficient and monomials in t1, t2
+_sums = st.lists(
+    st.builds(lambda coeff, monomials: "*".join([coeff, *monomials]),
+              _numbers, st.lists(_monomials, max_size=2)),
+    min_size=1, max_size=3).map(" + ".join)
+_texts = st.one_of(
+    _sums, _sums,
+    st.lists(_terms, min_size=1, max_size=4).map(" + ".join),
+    st.lists(_terms, min_size=1, max_size=4).map(" - ".join),
+    st.text(alphabet="tgh1230^-+*/()i. ", max_size=20),
+    st.builds(lambda depth, inner: "(" * depth + inner + ")" * depth,
+              st.sampled_from([1, 50, 600]), _coeffs))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=2), inner,
+                                            max_size=3)),
+    max_leaves=8)
+_matrices = st.one_of(st.integers(0, 3), st.integers(0, 16)).flatmap(
+    lambda rank: st.lists(
+        st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
+                 min_size=rank, max_size=rank),
+        min_size=rank, max_size=rank))
+_well_formed = st.builds(
+    lambda M, N, g: json.dumps(
+        {"M": M, "N": N, **({} if g is None else {"g": g})}),
+    _matrices,
+    st.one_of(st.integers(2, 12), st.integers(-2, 70), st.just(2**64),
+              st.integers(2, 10**40)),
+    st.one_of(st.none(), st.none(), st.integers(0, 4)))
+_params = st.one_of(
+    st.none(), st.none(), _well_formed, _well_formed,
+    # a valid JSON object of any other shape
+    st.builds(lambda M, N, g: json.dumps({"M": M, "N": N, "g": g}),
+              _json | _matrices, _json, _json),
+    _json.map(json.dumps),
+    st.sampled_from(["{", "@/nonexistent/param.json", "[1, 2]"]))
+_words = st.one_of(st.lists(_atoms, max_size=3).map("*".join),
+                   st.lists(_atoms, max_size=3).map("*".join), _texts)
+_commands = st.one_of(
+    st.builds(lambda a, b: ["star", "mul", a, b], _texts, _texts),
+    st.builds(lambda a, b: ["qweyl", "mul", a, b], _words, _words),
+    st.sampled_from([["param", "analyze"], ["param", "analyze", "--json"]]))
+
+CALL_LIMIT_S = 2.0
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # an argparse usage error
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_commands, _params)
+def test_random_text_exits_0_or_2_in_bounded_time(command, param):
+    argv = command + ([] if param is None else ["--param", param])
+    code, out, err, seconds = _call(argv)
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    assert seconds < CALL_LIMIT_S, argv
+    if code == 0 and command[0] == "star":
+        lam = cli._load_params(param)
+        want = star_mul(parse_laurent(command[2], lam.g),
+                        parse_laurent(command[3], lam.g), lam)
+        back = parse_laurent(out, lam.g)
+        assert back.coeffs.keys() == want.coeffs.keys()
+        assert all(abs(back.coeffs[t] - c) <= 2e-12 * abs(c)
+                   for t, c in want.coeffs.items())

@@ -766,6 +766,9 @@ def test_factorization_through_plain_transform():
         report = verify_factorization(model, sheaf)
         assert report.ok, (model, report)
         assert report.max_dev < 1e-9
+    for model in ALL_MODELS:
+        empty = verify_factorization(model, free_sheaf(model, {}))
+        assert empty.ok and empty.max_dev == 0.0
 
 
 def flipped(module):
@@ -789,6 +792,33 @@ def test_factorization_flags_a_wrong_comparison_permutation(monkeypatch):
     assert report.witness[0] == "translation"
     assert report.witness[1] in set(model.Khat.elements())
     oracle = kron_factorization(model, sheaf, flipped(right(model, sheaf)))
+    assert report.witness == oracle.witness
+    assert abs(report.max_dev - oracle.max_dev) <= 1e-15
+
+
+def character_twisted(module, yhat):
+    """The module with its ``B``-action multiplied by the character of
+    ``yhat``: a wrong grading of the kernel."""
+    rep = character_twist(BRepresentation(module.model.B, module.pi), yhat)
+    return ModuleOnXLambda(module.model, rep.pi, module.n)
+
+
+@pytest.mark.parametrize("make, yhat", [(model_full_z4, (1,)),
+                                        (model_klein, (0, 1))])
+def test_factorization_flags_a_character_twisted_action(monkeypatch, make,
+                                                         yhat):
+    rng = np.random.default_rng(59)
+    model = make()
+    sheaf = random_sheaf(model, rng)
+    right = finitefm.fm_lambda
+    monkeypatch.setattr(
+        finitefm, "fm_lambda",
+        lambda model, sheaf: character_twisted(right(model, sheaf), yhat))
+    report = verify_factorization(model, sheaf)
+    assert not report.ok
+    assert report.witness == ("character", yhat)
+    oracle = kron_factorization(
+        model, sheaf, character_twisted(right(model, sheaf), yhat))
     assert report.witness == oracle.witness
     assert abs(report.max_dev - oracle.max_dev) <= 1e-15
 

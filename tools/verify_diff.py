@@ -18,6 +18,9 @@ Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
 * ``fm demo --seed s``, as text and with ``--json``;
 * ``star mul`` of two fixed multi-term polynomials under every entry of
   ``PARAMS``, so that star products are compared digit for digit;
+* ``qweyl mul`` of two fixed words under every entry of ``PARAMS``, on
+  the noncommutative side under the first and third and on the gerby side
+  under the other two, so that crossed-product elements are too;
 * ``param analyze --json`` on the default parameters and on the four of
   ``PARAMS`` (``N = 64``, ``N = 12`` with g = 3, ``N = 6``, and the
   ``N = 2**64`` quotient that ``param analyze`` refuses with exit 2).
@@ -62,6 +65,15 @@ STAR_FACTORS = {
         "1/2*t1*t2*t3 + 3*t2^-2 - 5/4i*t1^-1*t3 + 9*t1^2*t2^3*t3^-2"),
 }
 
+# fixed ``qweyl mul`` words, one pair per entry of ``PARAMS``; no word starts
+# with a sign, and the products print a signed scalar, a phase or both
+QWEYL_WORDS = [
+    ("t2^-3*g2^4", "t1^8*g1^-1"),
+    ("th3*gh2^-2*th1^2", "gh3^2*th2*gh1^-1"),
+    ("g2^3*t2", "t1*g1^2"),
+    ("gh2*th1^1099511627776", "th2^-1*gh1"),
+]
+
 
 def commands(seeds, scope: str) -> list[list[str]]:
     out = []
@@ -80,6 +92,8 @@ def commands(seeds, scope: str) -> list[list[str]]:
         out += [demo, demo + ["--json"]]
     out += [["star", "mul", *STAR_FACTORS[len(p["M"])], "--param",
              json.dumps(p)] for p in PARAMS]
+    out += [["qweyl", "mul", *words, "--param", json.dumps(p)]
+            for p, words in zip(PARAMS, QWEYL_WORDS)]
     out.append(["param", "analyze", "--json"])
     out += [["param", "analyze", "--json", "--param", json.dumps(p)]
             for p in PARAMS]
