@@ -5,7 +5,7 @@ From the antisymmetrized exponent matrix of a
 integer/rational arithmetic:
 
 * the sublattice of exponents whose phases commute with everything
-  (:func:`compute_H_hat`, by Smith reduction),
+  (:func:`compute_H_hat`, by one Hermite form),
 * the finite quotient it cuts out, presented as a direct sum of cyclic
   groups with an explicit section (:func:`compute_K_hat`),
 * a representative of the cocycle on that quotient whose ``sharp`` map
@@ -487,6 +487,11 @@ def compute_H_hat(Lam: Sequence[Sequence[int]], N: int) -> SublatticeBasis:
     :meth:`~nctorus.cocycle.BilinearCocycle.antisymmetrized` table).  The
     result always contains ``N Z^g``, and its index in ``Z^g`` is the size
     of the finite quotient computed by :func:`compute_K_hat`.
+
+    The solutions are read off one Hermite form: the columns
+    ``(Lam t + N s, t)`` of ``Z^2g`` with a zero top half are the ``(0, t)``
+    for the solutions ``t``, and the column Hermite form puts a basis of
+    them in its last ``g`` columns.
     """
     N = int(N)
     if N < 1:
@@ -499,10 +504,9 @@ def compute_H_hat(Lam: Sequence[Sequence[int]], N: int) -> SublatticeBasis:
         for j in range(g):
             if (L[i][j] + L[j][i]) % N:
                 raise ValueError("Lam must be antisymmetric modulo N")
-    D, _, V, _ = _smith_rows(L)
-    mult = [N // math.gcd(D[i][i], N) for i in range(g)]
-    B = [[V[i][j] * mult[j] for j in range(g)] for i in range(g)]
-    return SublatticeBasis(B, N)
+    top = [row + [N * (i == j) for j in range(g)] for i, row in enumerate(L)]
+    canon = _hermite_columns(top + [row + [0] * g for row in _identity(g)])
+    return SublatticeBasis([row[g:] for row in canon[g:]], N)
 
 
 def _cyclic_factors(relations: Sequence[Sequence[int]]):

@@ -10,6 +10,8 @@ import itertools
 import math
 import operator
 import pickle
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -534,6 +536,46 @@ def test_H_hat_even_half_diagonal_allowed():
     kernel = brute_kernel_residues(A, 4, 2)
     for t in itertools.product(range(4), repeat=2):
         assert sub.contains(t) == (t in kernel)
+
+
+def smith_H_hat(Lam, N):
+    """The dual kernel from a Smith reduction of ``Lam`` alone: the columns
+    of ``V`` scaled by ``N / gcd(d_i, N)`` (the oracle)."""
+    L = [[int(x) % N for x in row] for row in Lam]
+    g = len(L)
+    D, _, V, _ = _smith_rows(L)
+    mult = [N // math.gcd(D[i][i], N) for i in range(g)]
+    return SublatticeBasis([[V[i][j] * mult[j] for j in range(g)]
+                            for i in range(g)], N)
+
+
+def test_H_hat_matches_the_smith_route():
+    rng = random.Random(27)  # Python ints, for N beyond int64
+    cases = [(6, 2**64 + 13)] + [
+        (rng.randint(1, 5), rng.choice([2, 3, 4, 6, 8, 12, 16, 30, 64, 97,
+                                        2**64]))
+        for _ in range(400)]
+    for g, N in cases:
+        M = [[rng.randrange(N) if rng.random() < 0.7 else 0
+              for _ in range(g)] for _ in range(g)]
+        A = BilinearCocycle(M, N).antisymmetrized()
+        assert compute_H_hat(A, N) == smith_H_hat(A, N), (A, N)
+
+
+def test_H_hat_at_large_rank_and_order():
+    """The Smith route took minutes here: its entries swell."""
+    rng = random.Random(16)
+    g, N = 16, 10**40
+    M = [[rng.randrange(-10**30, 10**30) for _ in range(g)] for _ in range(g)]
+    A = BilinearCocycle(M, N).antisymmetrized()
+    start = time.perf_counter()
+    sub = compute_H_hat(A, N)
+    assert time.perf_counter() - start < 5
+    for col in sub.columns():
+        assert all(sum(a * t for a, t in zip(row, col)) % N == 0
+                   for row in A)
+    for i in range(g):
+        assert sub.contains(tuple(N * int(k == i) for k in range(g)))
 
 
 def test_H_hat_validates_antisymmetry():
