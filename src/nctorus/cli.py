@@ -10,7 +10,8 @@ Subcommands::
 
 ``--param`` takes the deformation data as an inline JSON object
 ``{"M": [[...]], "N": n}`` or ``@path`` to a file holding one.  Exit
-status is 0 on success, 1 when a verification fails, 2 on bad input.
+status is 0 on success, 1 when a verification fails, 2 on bad input or
+when memory runs out.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .exprs import (
 )
 from .lattice import (compute_H_hat, compute_K_hat, descend_cocycle,
                       lambda_sharp)
-from .qweyl import PeriodMatrix, mul_crossed
+from .qweyl import mul_crossed
 from .laurent import star_mul
 from .verify import (default_params, fm_demo_model, fm_round_trip,
                      params_from_dict, run_battery)
@@ -58,12 +59,6 @@ def _load_params(text: str | None) -> BilinearCocycle:
     if not isinstance(data, dict):
         raise ParseError("parameters must be a JSON object")
     return params_from_dict(data)
-
-
-def _default_period_matrix(lam: BilinearCocycle) -> PeriodMatrix:
-    """Shift scalars matching the cocycle: ``q[i][j] = zeta_N^{M_ij}``."""
-    return PeriodMatrix([[np.exp(2j * np.pi * lam.M[i][j] / lam.N)
-                          for j in range(lam.g)] for i in range(lam.g)])
 
 
 def _emit(data: dict, as_json: bool, lines) -> None:
@@ -112,16 +107,16 @@ def cmd_param_analyze(args) -> int:
 
 def cmd_qweyl_mul(args) -> int:
     lam = _load_params(args.param)
-    Q = _default_period_matrix(lam)
     a1 = parse_word(args.word1, lam.g)
     a2 = parse_word(args.word2, lam.g)
     sides = {word_side(a) for a in (a1, a2) if a}
     if len(sides) > 1:
         raise ParseError("cannot multiply across the two crossed products")
     side = sides.pop() if sides else "nc"
-    p1 = word_to_poly(a1, lam, Q)
-    p2 = word_to_poly(a2, lam, Q)
-    prod = mul_crossed(p1, p2, lam, Q, side=side)
+    # the cocycle is its own exact exchange rule, q[i][j] = zeta_N^{M_ij}
+    p1 = word_to_poly(a1, lam, lam)
+    p2 = word_to_poly(a2, lam, lam)
+    prod = mul_crossed(p1, p2, lam, lam, side=side)
     print(render_word_poly(prod, hatted=(side == "gerby")))
     return 0
 
@@ -264,8 +259,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

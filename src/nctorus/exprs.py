@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .cocycle import BilinearCocycle
 from .laurent import LaurentPoly
-from .qweyl import PeriodMatrix, QPolynomial, mul_crossed
+from .qweyl import ExchangeRule, QPolynomial, mul_crossed
 
 
 class ParseError(ValueError):
@@ -80,8 +80,10 @@ def word_side(atoms: Sequence) -> str:
 
 
 def word_to_poly(atoms: Sequence, lam: BilinearCocycle,
-                 Q: PeriodMatrix) -> QPolynomial:
-    """Multiply a word out, atom by atom, in its crossed product."""
+                 Q: ExchangeRule) -> QPolynomial:
+    """Multiply a word out, atom by atom, in its crossed product, with the
+    bilinear exchange rule ``Q``: a ``PeriodMatrix`` of complex scalars or
+    a ``BilinearCocycle`` of exact roots."""
     side = word_side(atoms)
     g = lam.g
     acc = QPolynomial.one(g)

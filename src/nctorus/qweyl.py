@@ -4,11 +4,13 @@
 Products are given on monomials and extended bilinearly.  The ``t``'s
 q-commute through root-of-unity phases drawn from a
 :class:`~nctorus.cocycle.BilinearCocycle` (only its antisymmetrization
-enters), while ``t``'s and ``gamma``'s exchange through arbitrary nonzero
-complex scalars collected in a :class:`PeriodMatrix`.  The same data also
-yields the mirror-image crossed product in which the roles of the phases
-and the scalars swap sides (``side="gerby"``), and a bimodule carrying a
-left action of the dual shifts and a right action of the plain shifts.
+enters), while ``t``'s and ``gamma``'s exchange through a bilinear rule
+``Q(x, y) = prod_{i,j} q[i][j] ** (x_i y_j)``: a :class:`PeriodMatrix` of
+nonzero complex scalars, or a cocycle's exact ``q[i][j] = zeta_N^{M_ij}``.
+The same data also yields the mirror-image crossed product in which the
+roles of the phases and the scalars swap sides (``side="gerby"``), and a
+bimodule carrying a left action of the dual shifts and a right action of
+the plain shifts.
 
 Coefficients are :class:`Coeff` pairs (exact phase, complex scalar) so the
 root-of-unity bookkeeping stays exact for as long as possible.
@@ -17,13 +19,15 @@ root-of-unity bookkeeping stays exact for as long as possible.
 from __future__ import annotations
 
 import math
+import operator
 from numbers import Number
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeAlias
 
 from .cocycle import BilinearCocycle, Phase
 
 Vec = tuple[int, ...]
 Key = tuple[Vec, Vec]
+ExchangeRule: TypeAlias = "PeriodMatrix | BilinearCocycle"
 
 
 class Coeff:
@@ -59,7 +63,7 @@ class Coeff:
             return Coeff(self.scalar * other.scalar, self.phase + other.phase)
         if isinstance(other, Phase):
             return Coeff(self.scalar, self.phase + other)
-        if isinstance(other, Number):
+        if isinstance(other, (complex, Number)):  # complex skips the ABC
             return Coeff(self.scalar * other, self.phase)
         return NotImplemented
 
@@ -115,6 +119,16 @@ class PeriodMatrix:
 
     def entry(self, i: int, j: int) -> complex:
         return self.q[i][j]
+
+    def __call__(self, x: Sequence[int], y: Sequence[int]) -> complex:
+        """The exchange scalar ``prod_{i,j} q[i][j] ** (x_i y_j)``."""
+        scalar = 1.0 + 0j
+        for xi, row in zip(x, self.q):
+            if xi:
+                for yj, qij in zip(y, row):
+                    if yj:
+                        scalar *= qij ** (xi * yj)
+        return scalar
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodMatrix):
@@ -276,7 +290,7 @@ def mul_W(f: QPolynomial, h: QPolynomial, lam: BilinearCocycle) -> QPolynomial:
 
 
 def mul_crossed(f: QPolynomial, h: QPolynomial, lam: BilinearCocycle,
-                Q: PeriodMatrix, side: str = "nc") -> QPolynomial:
+                Q: ExchangeRule, side: str = "nc") -> QPolynomial:
     """Crossed-product multiplication, in either of two mirror flavors.
 
     ``side="nc"``: the ``t``'s q-commute through the cocycle phases, the
@@ -284,46 +298,36 @@ def mul_crossed(f: QPolynomial, h: QPolynomial, lam: BilinearCocycle,
     gamma_j``:
 
         (t^a gamma^b)(t^a' gamma^b') =
-            prod_{i,j} q[i][j]^(a'_i b_j)
-            * zeta_N^(sum_{i>j} A_ij a_i a'_j) * t^{a+a'} gamma^{b+b'}.
+            Q(a', b) * zeta_N^(sum_{i>j} A_ij a_i a'_j)
+            * t^{a+a'} gamma^{b+b'}.
 
     ``side="gerby"``: the mirror image -- the ``t``'s commute, the
     ``gamma``'s q-commute through the phases, and the exchange scalar is
-    transposed to ``q[j][i]``.
+    transposed to ``Q(b, a')``.
     """
     if side not in ("nc", "gerby"):
         raise ValueError("side must be 'nc' or 'gerby'")
     if f.g != h.g or lam.g != f.g or Q.g != f.g:
         raise ValueError("rank mismatch")
     A = lam.antisymmetrized()
-    N = lam.N
-    g = f.g
-    q = Q.q
+    nc = side == "nc"
     out: dict[Key, Coeff] = {}
     for (a, b), ca in f.terms.items():
         for (a2, b2), cb in h.terms.items():
-            scalar = 1.0 + 0j
-            for i in range(g):
-                if not a2[i]:
-                    continue
-                for j in range(g):
-                    if b[j]:
-                        base = q[i][j] if side == "nc" else q[j][i]
-                        scalar *= base ** (a2[i] * b[j])
-            if side == "nc":
-                e = _reorder_exponent(A, a, a2)
+            if nc:
+                s, e = Q(a2, b), _reorder_exponent(A, a, a2)
             else:
-                e = _reorder_exponent(A, b, b2)
-            key = (tuple(x + y for x, y in zip(a, a2)),
-                   tuple(x + y for x, y in zip(b, b2)))
-            c = ca * cb * Coeff(scalar, Phase(e, N))
+                s, e = Q(b, a2), _reorder_exponent(A, b, b2)
+            key = (tuple(map(operator.add, a, a2)),
+                   tuple(map(operator.add, b, b2)))
+            c = ca * cb * s * Phase(e, lam.N) if e else ca * cb * s
             out[key] = out[key] + c if key in out else c
-    return QPolynomial(g, out)
+    return QPolynomial(f.g, out)
 
 
-def gamma_action(f: QPolynomial, j: int, Q: PeriodMatrix) -> QPolynomial:
+def gamma_action(f: QPolynomial, j: int, Q: ExchangeRule) -> QPolynomial:
     """Conjugation by the ``j``-th shift on pure t-polynomials:
-    ``t^a -> prod_i q[i][j]^{-a_i} t^a``.
+    ``t^a -> Q(a, -e_j) t^a = prod_i q[i][j]^{-a_i} t^a``.
 
     Matches sandwiching with ``gamma_j`` powers in the crossed product:
     ``gamma_j^{-1} (t^a) gamma_j`` computed by :func:`mul_crossed` gives the
@@ -331,16 +335,12 @@ def gamma_action(f: QPolynomial, j: int, Q: PeriodMatrix) -> QPolynomial:
     """
     if not 0 <= j < f.g:
         raise ValueError(f"shift index {j} out of range")
-    zero = (0,) * f.g
+    back = tuple(-int(k == j) for k in range(f.g))
     out = {}
     for (a, b), c in f.terms.items():
-        if b != zero:
+        if any(b):
             raise ValueError("gamma_action acts on pure t-polynomials")
-        scalar = 1.0 + 0j
-        for i, ai in enumerate(a):
-            if ai:
-                scalar *= Q.q[i][j] ** (-ai)
-        out[(a, b)] = c * Coeff(scalar)
+        out[(a, b)] = c * Q(a, back)
     return QPolynomial(f.g, out)
 
 
@@ -366,28 +366,25 @@ class PModuleElement(_Terms):
         return f"PModuleElement({self.g}, {' + '.join(bits) or '0'})"
 
 
-def pmodule_act_gamma(v: PModuleElement, i: int, Q: PeriodMatrix) -> PModuleElement:
+def pmodule_act_gamma(v: PModuleElement, i: int, Q: ExchangeRule) -> PModuleElement:
     """Right action of the ``i``-th shift: lowers ``ahat_i`` by one and
-    scales by ``prod_k q[k][i]^{-a_k}``."""
+    scales by ``Q(a, -e_i) = prod_k q[k][i]^{-a_k}``."""
     if not 0 <= i < v.g:
         raise ValueError(f"shift index {i} out of range")
+    back = tuple(-int(k == i) for k in range(v.g))
     out: dict[Key, Coeff] = {}
     for (ahat, a), c in v.terms.items():
-        scalar = 1.0 + 0j
-        for k, ak in enumerate(a):
-            if ak:
-                scalar *= Q.q[k][i] ** (-ak)
-        key = (tuple(x - int(k == i) for k, x in enumerate(ahat)), a)
-        add = c * Coeff(scalar)
+        key = (tuple(map(operator.add, ahat, back)), a)
+        add = c * Q(a, back)
         out[key] = out[key] + add if key in out else add
     return PModuleElement(v.g, out)
 
 
 def pmodule_act_gammahat(v: PModuleElement, i: int, lam: BilinearCocycle,
-                         Q: PeriodMatrix) -> PModuleElement:
+                         Q: ExchangeRule) -> PModuleElement:
     """Left action of the ``i``-th dual shift: raises ``a_i`` by one, scales
-    by ``prod_k q[i][k]^{ahat_k}`` and by the exact reordering phase
-    ``zeta_N^(sum_{v<i} A_iv a_v)``.
+    by ``Q(e_i, ahat) = prod_k q[i][k]^{ahat_k}`` and by the exact
+    reordering phase ``zeta_N^(sum_{v<i} A_iv a_v)``.
 
     These operators satisfy the same q-commutation as the cocycle phases
     (``gammahat_i gammahat_j = zeta_N^{A_ij} gammahat_j gammahat_i``) and
@@ -398,15 +395,11 @@ def pmodule_act_gammahat(v: PModuleElement, i: int, lam: BilinearCocycle,
     if lam.g != v.g or Q.g != v.g:
         raise ValueError("rank mismatch")
     A = lam.antisymmetrized()
-    N = lam.N
+    up = tuple(int(k == i) for k in range(v.g))
     out: dict[Key, Coeff] = {}
     for (ahat, a), c in v.terms.items():
-        scalar = 1.0 + 0j
-        for k, hk in enumerate(ahat):
-            if hk:
-                scalar *= Q.q[i][k] ** hk
-        e = sum(A[i][w] * a[w] for w in range(i))
-        key = (ahat, tuple(x + int(k == i) for k, x in enumerate(a)))
-        add = c * Coeff(scalar, Phase(e, N))
+        e = _reorder_exponent(A, up, a)
+        key = (ahat, tuple(map(operator.add, a, up)))
+        add = c * Q(up, ahat) * Phase(e, lam.N)
         out[key] = out[key] + add if key in out else add
     return PModuleElement(v.g, out)

@@ -582,10 +582,10 @@ def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
 
     An unknown scope or grid, a negative seed, invalid ``params`` and
     ``params`` whose window exceeds ``MAX_PARAM_WINDOW_POINTS`` raise
-    ``ValueError`` before any battery runs.  An exception raised inside a
-    battery is a failed check, not bad input: it is recorded as a failing
-    ``<scope>-battery`` result whose witness names the exception, and the
-    remaining scopes still run.
+    ``ValueError`` before any battery runs.  An exception other than
+    ``MemoryError`` raised inside a battery is a failed check, not bad
+    input: it is recorded as a failing ``<scope>-battery`` result whose
+    witness names the exception, and the remaining scopes still run.
     """
     if grid not in ("small", "full"):
         raise ValueError(f"unknown grid {grid!r}")
@@ -610,6 +610,8 @@ def run_battery(scope: str = "all", seed: int = 0, grid: str = "small",
     for name in SCOPES if scope == "all" else (scope,):
         try:
             results.extend(batteries[name]())
+        except MemoryError:
+            raise
         except Exception as exc:
             results.append(_exact(f"{name}-battery", False,
                                   f"{type(exc).__name__}: {exc}"))

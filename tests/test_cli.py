@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus import cli, finitefm, verify
@@ -68,7 +69,7 @@ def test_qweyl_mul_reordering_phase(capsys):
 def test_qweyl_mul_shift_exchange(capsys):
     rc, out, _ = run_cli(capsys, "qweyl", "mul", "g2", "t1^2")
     assert rc == 0
-    assert out.strip() == "-t1^2*g2"
+    assert out.strip() == "w(1/2)*t1^2*g2"
 
 
 def test_qweyl_mul_gerby(capsys):
@@ -288,6 +289,23 @@ def test_verify_records_a_battery_exception_as_failure(capsys, monkeypatch,
         assert out.endswith(" checks, 1 failure\n")
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError, "MemoryError"),
+    (MemoryError("cannot allocate 8 GiB"), "cannot allocate 8 GiB")])
+def test_verify_out_of_memory_is_no_failed_check(capsys, monkeypatch, exc,
+                                                 message):
+    """Exit 1 means only that a check failed: a MemoryError inside a
+    battery leaves run_battery and exits 2, without a traceback."""
+    def exhausted(seed, grid):
+        raise exc
+
+    monkeypatch.setattr(verify, "battery_lattice", exhausted)
+    with pytest.raises(MemoryError):
+        verify.run_battery("lattice")
+    rc, out, err = run_cli(capsys, "verify", "--scope", "all", "--seed", "7")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def by_name(results):
     return {r.name: r for r in results}
 
@@ -475,6 +493,7 @@ _commands = st.one_of(
     st.sampled_from([["param", "analyze"], ["param", "analyze", "--json"]]))
 
 CALL_LIMIT_S = 2.0
+_EXACT_FACTOR = re.compile(r"w\(\d+/\d+\)|(th|gh|t|g)\d+(\^-?\d+)?")
 
 
 def _call(argv):
@@ -490,15 +509,24 @@ def _call(argv):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_commands, _params)
+# a float period scalar raised to these powers printed a wrong phase
+@example(["qweyl", "mul", "g2^" + "9" * 20, "t1^" + "9" * 17], None)
 def test_random_text_exits_0_or_2_in_bounded_time(command, param):
     """The text commands on random input: exit 0 or 2, no traceback, a
-    bounded time per call, and a printed star product that reads back as
-    the product."""
+    bounded time per call, a printed star product that reads back as the
+    product, and a printed crossed product of one exact term."""
     argv = command + ([] if param is None else ["--param", param])
     code, out, err, seconds = _call(argv)
     assert code in (0, 2), (argv, err)
     assert "Traceback" not in err
     assert seconds < CALL_LIMIT_S, argv
+    if code == 0 and command[0] == "qweyl":
+        # a product of two words is one exact term: an optional exchange
+        # phase w(p/q) times generator powers, and no float scalar
+        factors = out.strip().split("*")
+        assert sum(f.startswith("w(") for f in factors) <= 1, out
+        assert out.strip() == "1" or all(map(_EXACT_FACTOR.fullmatch,
+                                             factors)), out
     if code == 0 and command[0] == "star":
         lam = cli._load_params(param)
         want = star_mul(parse_laurent(command[2], lam.g),
@@ -507,3 +535,37 @@ def test_random_text_exits_0_or_2_in_bounded_time(command, param):
         assert back.coeffs.keys() == want.coeffs.keys()
         assert all(abs(back.coeffs[t] - c) <= 2e-12 * abs(c)
                    for t, c in want.coeffs.items())
+
+
+# verify and fm demo: the two commands that may exit 1.  A rank-5 --param
+# makes verify --scope all --grid full take about 1.6 s in-process.
+BATTERY_CALL_LIMIT_S = 5.0
+_seeds = st.one_of(st.integers(0, 50), st.integers(-3, -1),
+                   st.integers(2**62, 2**80))
+_batteries = st.one_of(
+    st.builds(lambda scope, grid, seed, as_json, corrupt, param:
+              ["verify", "--scope", scope, "--grid", grid, "--seed", str(seed),
+               *(["--json"] if as_json else []),
+               *(["--corrupt-phi"] if corrupt else []),
+               *([] if param is None else ["--param", param])],
+              st.sampled_from(["all", *verify.SCOPES]),
+              st.sampled_from(["small", "full"]), _seeds, st.booleans(),
+              st.booleans(), _params),
+    st.builds(lambda seed, as_json:
+              ["fm", "demo", "--seed", str(seed),
+               *(["--json"] if as_json else [])],
+              _seeds, st.booleans()))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_batteries)
+@example(["verify", "--scope", "equivariant", "--seed", "7", "--corrupt-phi"])
+def test_random_battery_runs_exit_0_1_or_2_in_bounded_time(argv):
+    """verify and fm demo on random scopes, grids, seeds and parameters:
+    exit 0, 1 or 2, no traceback and a bounded time per call.  Exit 1 means
+    a failed check, which only the deliberately corrupted run may show."""
+    code, out, err, seconds = _call(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert code != 1 or "--corrupt-phi" in argv, (argv, out)
+    assert "Traceback" not in err
+    assert seconds < BATTERY_CALL_LIMIT_S, argv

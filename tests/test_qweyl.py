@@ -1,5 +1,7 @@
 """q-Weyl algebra tests: exact phase bookkeeping, both crossed products,
-and the bimodule actions, with hand-computed monomial relations frozen in."""
+and the bimodule actions, with hand-computed monomial relations frozen in,
+the former per-entry power loops as the oracle of the exchange rule, and
+the relations holding with ``==`` when the exchange rule is a cocycle."""
 
 import math
 
@@ -17,6 +19,7 @@ from nctorus.qweyl import (
     max_value_diff,
     mul_W,
     mul_crossed,
+    _reorder_exponent,
     pmodule_act_gamma,
     pmodule_act_gammahat,
 )
@@ -360,3 +363,169 @@ def test_max_value_diff_counts_a_nan_as_infinite():
         h = cls(1, {keys[0]: Coeff(1.5), keys[1]: Coeff(1.0)})
         assert max_value_diff(f, h) == max_value_diff(h, f) == math.inf
         assert max_value_diff(f, f) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the exchange rule against the per-entry power loops it replaced
+
+def loop_mul_crossed(f, h, lam, Q, side="nc"):
+    """Crossed product raising each period entry to its power in place."""
+    A = lam.antisymmetrized()
+    out = {}
+    for (a, b), ca in f.terms.items():
+        for (a2, b2), cb in h.terms.items():
+            scalar = 1.0 + 0j
+            for i in range(f.g):
+                if not a2[i]:
+                    continue
+                for j in range(f.g):
+                    if b[j]:
+                        base = Q.q[i][j] if side == "nc" else Q.q[j][i]
+                        scalar *= base ** (a2[i] * b[j])
+            e = _reorder_exponent(A, a, a2) if side == "nc" \
+                else _reorder_exponent(A, b, b2)
+            key = (tuple(x + y for x, y in zip(a, a2)),
+                   tuple(x + y for x, y in zip(b, b2)))
+            c = ca * cb * Coeff(scalar, Phase(e, lam.N))
+            out[key] = out[key] + c if key in out else c
+    return QPolynomial(f.g, out)
+
+
+def loop_gamma_action(f, j, Q):
+    out = {}
+    for (a, b), c in f.terms.items():
+        scalar = 1.0 + 0j
+        for i, ai in enumerate(a):
+            if ai:
+                scalar *= Q.q[i][j] ** (-ai)
+        out[(a, b)] = c * Coeff(scalar)
+    return QPolynomial(f.g, out)
+
+
+def loop_pmodule_act_gamma(v, i, Q):
+    out = {}
+    for (ahat, a), c in v.terms.items():
+        scalar = 1.0 + 0j
+        for k, ak in enumerate(a):
+            if ak:
+                scalar *= Q.q[k][i] ** (-ak)
+        key = (tuple(x - int(k == i) for k, x in enumerate(ahat)), a)
+        add = c * Coeff(scalar)
+        out[key] = out[key] + add if key in out else add
+    return PModuleElement(v.g, out)
+
+
+def loop_pmodule_act_gammahat(v, i, lam, Q):
+    A = lam.antisymmetrized()
+    out = {}
+    for (ahat, a), c in v.terms.items():
+        scalar = 1.0 + 0j
+        for k, hk in enumerate(ahat):
+            if hk:
+                scalar *= Q.q[i][k] ** hk
+        e = sum(A[i][w] * a[w] for w in range(i))
+        key = (ahat, tuple(x + int(k == i) for k, x in enumerate(a)))
+        add = c * Coeff(scalar, Phase(e, lam.N))
+        out[key] = out[key] + add if key in out else add
+    return PModuleElement(v.g, out)
+
+
+def random_cocycle(rng, max_g=3, max_N=8):
+    g, N = int(rng.integers(1, max_g + 1)), int(rng.integers(1, max_N + 1))
+    return BilinearCocycle(rng.integers(0, N, size=(g, g)).tolist(), N)
+
+
+def random_module_element(rng, g, terms=3):
+    return PModuleElement(g, {
+        (tuple(int(x) for x in rng.integers(-2, 3, size=g)),
+         tuple(int(x) for x in rng.integers(-2, 3, size=g))):
+        Coeff(complex(rng.normal(), rng.normal()),
+              Phase(int(rng.integers(0, 12)), 12))
+        for _ in range(terms)})
+
+
+def test_exchange_rule_matches_the_power_loops_bit_for_bit():
+    """The nc product, ``gamma_action`` and both bimodule actions multiply
+    the same factors in the same order as the loops did."""
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        lam = random_cocycle(rng)
+        g = lam.g
+        Q = random_q(rng, g)
+        f, h = random_qpoly(rng, g), random_qpoly(rng, g)
+        assert mul_crossed(f, h, lam, Q) == loop_mul_crossed(f, h, lam, Q)
+        t = random_qpoly(rng, g, gammas=False)
+        v = random_module_element(rng, g)
+        for j in range(g):
+            assert gamma_action(t, j, Q) == loop_gamma_action(t, j, Q)
+            assert pmodule_act_gamma(v, j, Q) == loop_pmodule_act_gamma(v, j, Q)
+            assert pmodule_act_gammahat(v, j, lam, Q) \
+                == loop_pmodule_act_gammahat(v, j, lam, Q)
+
+
+def test_gerby_exchange_rule_matches_the_power_loops_to_rounding():
+    """On the gerby side ``Q(b, a')`` multiplies the factors with the loop
+    over ``b`` outermost, the loop took ``a'`` outermost: the scalars agree
+    to within 1e-15 relative and the phases exactly."""
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        lam = random_cocycle(rng)
+        g = lam.g
+        Q = random_q(rng, g)
+        f = random_qpoly(rng, g, terms=1)
+        h = random_qpoly(rng, g, terms=1)
+        got = mul_crossed(f, h, lam, Q, "gerby")
+        want = loop_mul_crossed(f, h, lam, Q, "gerby")
+        assert got.terms.keys() == want.terms.keys()
+        for key, c in want.terms.items():
+            assert got.terms[key].phase == c.phase
+            assert abs(got.terms[key].scalar - c.scalar) <= 1e-15 * abs(c.scalar)
+
+
+def test_period_matrix_exchange_rule_values():
+    Q = PeriodMatrix([[2.0, 3.0], [5.0, 7.0]])
+    assert Q((1, -2), (0, 1)) == 3.0 * 7.0 ** -2
+    assert Q((0, 0), (4, 4)) == Q((4, 4), (0, 0)) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# a cocycle as the exchange rule: every relation holds exactly
+
+def test_cocycle_exchange_rule_makes_every_relation_exact():
+    """With ``Q = lam``, i.e. ``q[i][j] = zeta_N^{M_ij}``, each exchange
+    scalar is an exact phase, and the exchange relations, the gamma
+    sandwich and both bimodule relations hold with ``==``."""
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        lam = random_cocycle(rng)
+        g, N, A = lam.g, lam.N, lam.antisymmetrized()
+        i, j = (int(x) for x in rng.integers(0, g, size=2))
+        zero = (0,) * g
+        ti = QPolynomial.monomial(g, tuple(int(k == i) for k in range(g)))
+        gj = QPolynomial.monomial(g, zero, tuple(int(k == j) for k in range(g)))
+        gj_inv = QPolynomial.monomial(g, zero,
+                                      tuple(-int(k == j) for k in range(g)))
+        for side, (x, y) in (("nc", (i, j)), ("gerby", (j, i))):
+            assert mul_crossed(gj, ti, lam, lam, side) \
+                == mul_crossed(ti, gj, lam, lam, side) * Phase(lam.M[x][y], N)
+        f = random_qpoly(rng, g, gammas=False)
+        sandwich = mul_crossed(mul_crossed(gj_inv, f, lam, lam), gj, lam, lam)
+        assert sandwich == gamma_action(f, j, lam)
+        v = random_module_element(rng, g)
+        assert pmodule_act_gammahat(pmodule_act_gammahat(v, j, lam, lam),
+                                    i, lam, lam) \
+            == pmodule_act_gammahat(pmodule_act_gammahat(v, i, lam, lam),
+                                    j, lam, lam) * Phase(A[i][j], N)
+        assert pmodule_act_gamma(pmodule_act_gammahat(v, i, lam, lam), j, lam) \
+            == pmodule_act_gammahat(pmodule_act_gamma(v, j, lam), i, lam, lam)
+
+
+def test_cocycle_exchange_rule_is_exact_at_huge_exponents():
+    """A float period scalar raised to a huge power loses every digit;
+    the cocycle keeps the exponent in Python ints."""
+    E = 10 ** 40
+    lam = BilinearCocycle([[0, 1], [0, 0]], 3)
+    g2 = QPolynomial.monomial(2, (0, 0), (0, E))
+    t1 = QPolynomial.monomial(2, (E, 0))
+    assert mul_crossed(g2, t1, lam, lam) \
+        == QPolynomial.monomial(2, (E, 0), (0, E), Phase(1, 3))

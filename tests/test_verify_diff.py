@@ -19,9 +19,9 @@ def test_the_repo_against_itself_differs_nowhere(capsys):
     assert out[-1] == "0 of the outputs differ"
     # verify and verify --corrupt-phi on both grids, the cocycle and star
     # scopes on two PARAMS entries and both grids, and fm demo, text and
-    # json, then four star products, four crossed products and five param
+    # json, then four star products, five crossed products and five param
     # analyses
-    assert len(out) == 1 + 8 + 8 + 2 + 4 + 4 + 5
+    assert len(out) == 1 + 8 + 8 + 2 + 4 + 5 + 5
     assert all(line.startswith("same ") for line in out[:-1])
     assert out[-2].startswith("same    (exit 2) nctorus param analyze")
 

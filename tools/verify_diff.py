@@ -20,7 +20,9 @@ Each checkout runs its own ``src/`` through ``python -m nctorus.cli``:
   ``PARAMS``, so that star products are compared digit for digit;
 * ``qweyl mul`` of two fixed words under every entry of ``PARAMS``, on
   the noncommutative side under the first and third and on the gerby side
-  under the other two, so that crossed-product elements are too;
+  under the other two, so that crossed-product elements are too, and of
+  ``QWEYL_HUGE`` under the default parameters, whose shift exponents only
+  an exact exchange phase survives;
 * ``param analyze --json`` on the default parameters and on the four of
   ``PARAMS`` (``N = 64``, ``N = 12`` with g = 3, ``N = 6``, and the
   ``N = 2**64`` quotient that ``param analyze`` refuses with exit 2).
@@ -73,6 +75,8 @@ QWEYL_WORDS = [
     ("g2^3*t2", "t1*g1^2"),
     ("gh2*th1^1099511627776", "th2^-1*gh1"),
 ]
+# shift exponents written out in full: the exchange phase is w(1/4)
+QWEYL_HUGE = ("g2^99999999999999999999", "t1^99999999999999999")
 
 
 def commands(seeds, scope: str) -> list[list[str]]:
@@ -94,6 +98,7 @@ def commands(seeds, scope: str) -> list[list[str]]:
              json.dumps(p)] for p in PARAMS]
     out += [["qweyl", "mul", *words, "--param", json.dumps(p)]
             for p, words in zip(PARAMS, QWEYL_WORDS)]
+    out.append(["qweyl", "mul", *QWEYL_HUGE])
     out.append(["param", "analyze", "--json"])
     out += [["param", "analyze", "--json", "--param", json.dumps(p)]
             for p in PARAMS]
