@@ -37,6 +37,17 @@ Elt = tuple[int, ...]
 # the largest deviation any numerical check in the package accepts
 TOL = 1e-9
 
+# Most bytes that one batch of elements g1 gathers in check_linearization
+# and in the G-set axioms; a batch holds at least one g1
+LAW_BATCH_BYTES = 2**20
+
+
+def _batches(count: int, nbytes: int) -> list:
+    """``range(count)`` in runs of as many indices as fit
+    ``LAW_BATCH_BYTES`` at ``nbytes`` each, and at least one."""
+    step = max(1, LAW_BATCH_BYTES // max(nbytes, 1))
+    return [np.arange(count)[lo:lo + step] for lo in range(0, count, step)]
+
 
 class GSet:
     """Finite set with a right action of a finite abelian group, stored
@@ -65,17 +76,20 @@ class GSet:
         moved = np.flatnonzero(A[:, 0] != np.arange(n))  # 0 is the zero
         if moved.size:
             raise ValueError(f"identity does not fix {points[moved[0]]}")
-        # at each (s, g1) in order: closure, then s.g1.g2 == s.(g1+g2)
-        out = (A < 0) | (A >= n)
-        bad = ~out[..., None] & (A[np.where(out, 0, A)]
-                                 != A[:, _add_index(group)])
-        p, i = divmod(int(np.argmax(out | bad.any(axis=2))), len(elts))
-        if out[p, i]:
+        # at each (s, g1) in order: closure, then s.g1.g2 == s.(g1+g2) for
+        # every g2, compared on a batch of columns g1 at a time
+        fail, add = (A < 0) | (A >= n), _add_index(group)
+        for i in _batches(len(elts), A.nbytes):
+            fail[:, i] |= (A[np.where(fail[:, i], 0, A[:, i])]
+                           != A[:, add[i]]).any(axis=2)
+        p, i = divmod(int(np.argmax(fail)), len(elts))
+        if not 0 <= A[p, i] < n:
             raise ValueError(
                 f"action leaves the point set at {points[p]}.{elts[i]}")
-        if bad[p, i].any():
+        if fail[p, i]:
+            g2 = int(np.argmax(A[A[p, i]] != A[p, add[i]]))
             raise ValueError(f"action is not associative at ({points[p]}, "
-                             f"{elts[i]}, {elts[np.argmax(bad[p, i])]})")
+                             f"{elts[i]}, {elts[g2]})")
         A.flags.writeable = False
         self.group, self.points, self.action, self._table = \
             group, points, A, None
@@ -330,21 +344,23 @@ def check_linearization(obj: EquivariantObject,
 
     On the object's stack ``P[s, g]``, each ``g1`` takes one product per
     target point ``t = s.g1``: ``P[t]``, all ``g2`` stacked down its rows,
-    times ``rho_{g1}[s]``.  ``ValueError`` when ``phi`` lives on another
-    group.
+    times ``rho_{g1}[s]``.  The products of as many ``g1`` as keep their
+    differences (the size of ``P`` each) within ``LAW_BATCH_BYTES`` run as
+    one batch.  ``ValueError`` when ``phi`` lives on another group.
     """
     (elts, add, ph), P = _indexed(obj.gset, phi), obj.stack
     act, points, (k, n, d) = obj.gset.action, obj.gset.points, P.shape[:3]
     src = np.argsort(act, axis=0)  # [t, g]: the point that g moves onto t
-    dev = np.empty((n, k, n))
-    for i in range(n):
-        # [t, g2]: rho_{g2}[t] rho_{g1}[s] - phi(g1, g2) rho_{g1+g2}[s] for
-        # g1 = elts[i] and s = src[t, i]
-        diff = (P.reshape(k, n * d, d) @ P[src[:, i], i]).reshape(P.shape)
-        rhs = P[src[:, i, None], add[i]]
-        rhs *= ph[i][:, None, None]
+    dev, rows = np.empty((n, k, n)), P.reshape(k, n * d, d)
+    for i in _batches(n, P.nbytes):
+        # [g1, t, g2]: rho_{g2}[t] rho_{g1}[s] - phi(g1, g2) rho_{g1+g2}[s]
+        # for g1 = elts[i] and s = src[t, i]
+        s = src[:, i].T
+        diff = (rows @ P[s, i[:, None]]).reshape(len(i), *P.shape)
+        rhs = P[s[..., None], add[i, None]]
+        rhs *= ph[i, None, :, None, None]
         diff -= rhs
-        np.abs(diff).max(axis=(2, 3), initial=0.0, out=dev[i])
+        dev[i] = np.abs(diff).max(axis=(3, 4), initial=0.0)
     # [g1, g2, s], back from the target points; an empty map deviates by
     # nothing, even where a NaN met the padding
     dims = np.array([obj.dims[s] for s in points])

@@ -411,11 +411,11 @@ class ModuleOnXLambda:
     permutation (:func:`fm_ab_equivariance_iso`).  There :meth:`check`
     reads the blocks, and ``pi`` and ``n`` are dense views, each built on
     first use.  Module homs are the sheaf homs of the blocks, through the
-    frame of a dense module, bases of its character eigenspaces; a block
-    module needs none.
+    frame of a dense module, bases of its character eigenspaces, kept from
+    its first framing on; a block module needs none.
     """
 
-    __slots__ = ("model", "dim", "blocks", "_pi", "_n")
+    __slots__ = ("model", "dim", "blocks", "_pi", "_n", "_frame")
 
     def __init__(self, model: TorusModel, pi: Mapping, n: Mapping):
         # the operators are one family of square matrices of one size
@@ -424,7 +424,7 @@ class ModuleOnXLambda:
             raise ValueError("translation operators must match the "
                              "representation dimension")
         self.model, self.dim, self.blocks = model, rep.dim, None
-        self._pi, self._n = rep.pi, ops.pi
+        self._pi, self._n, self._frame = rep.pi, ops.pi, None
 
     @property
     def pi(self) -> dict:
@@ -512,7 +512,7 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
         raise ValueError("object does not live on this model's dual points")
     module = ModuleOnXLambda.__new__(ModuleOnXLambda)
     module.model, module.dim, module.blocks = model, sheaf.total_dim(), sheaf
-    module._pi = module._n = None
+    module._pi = module._n = module._frame = None
     return module
 
 
@@ -521,9 +521,9 @@ def _framed(model: TorusModel, module: ModuleOnXLambda):
     ``(W, R)``, ``R W = 1``: in the graded layout the columns of ``W`` for
     ``beta`` span that block and the rows of ``R`` read it off.  A block
     module needs none (``None``); a dense one is framed by orthonormal
-    bases ``W_beta`` of its character eigenspaces, ``R_beta = W_beta^H
-    P_beta`` with ``P_beta`` the character projector, its translations
-    compressed between them.  ``ValueError`` as from
+    bases ``W_beta`` of its character eigenspaces and ``R_beta = W_beta^H
+    P_beta`` with ``P_beta`` the character projector, both found once per
+    module, its translations compressed between them.  ``ValueError`` as from
     :func:`_projector_images`, or for blocks on other points."""
     if module.blocks is not None:
         blocks = module.blocks
@@ -534,15 +534,17 @@ def _framed(model: TorusModel, module: ModuleOnXLambda):
             blocks = EquivariantObject._stacked(model.gset, blocks.dims,
                                                 blocks.stack)
         return blocks, None
-    bases = _eigenspace_bases(module.rep())
-    W, act = [w for _, w in bases.values()], model.gset.action.tolist()
+    if module._frame is None:
+        bases = _eigenspace_bases(module.rep()).values()
+        module._frame = ([w for _, w in bases],
+                         np.concatenate([w.conj().T @ p for p, w in bases]))
+    (W, R), act = module._frame, model.gset.action.tolist()
     rho = {k: {beta: W[act[p][i]].conj().T @ n @ W[p]
                for p, beta in enumerate(model.gset.points)}
            for i, (k, n) in enumerate(module.n.items())}
-    dims = {beta: w.shape[1] for beta, w in zip(bases, W)}
+    dims = {beta: w.shape[1] for beta, w in zip(model.gset.points, W)}
     return EquivariantObject(model.gset, dims, rho), (
-        np.concatenate(W, axis=1),
-        np.concatenate([w.conj().T @ p for p, w in bases.values()]))
+        np.concatenate(W, axis=1), R)
 
 
 def fm_lambda_inverse(model: TorusModel,

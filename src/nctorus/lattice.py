@@ -207,10 +207,11 @@ class FiniteAbelianGroup:
     pass ``operator.index``, so a float or ``Fraction`` raises ``TypeError``
     on every group.  A group never enumerated (such as a quotient of order
     ``2**64``) builds no cache and reduces each exponent into a new ``Phase``.
+    Its :func:`_add_index`, once built, is kept and not pickled either.
     """
 
     __slots__ = ("factors", "exponent", "_weights", "_diag", "_elements",
-                 "_index", "_ids", "_roots", "_chars")
+                 "_index", "_ids", "_roots", "_chars", "_add")
 
     def __init__(self, factors: Sequence[int]):
         fs = tuple(int(d) for d in factors)
@@ -221,7 +222,7 @@ class FiniteAbelianGroup:
         self._weights = tuple(self.exponent // d for d in fs)
         self._diag = [[w * (i == j) for j in range(len(fs))]
                       for i, w in enumerate(self._weights)]
-        self._elements = self._index = self._roots = None
+        self._elements = self._index = self._roots = self._add = None
         self._ids, self._chars = {}, {}  # _chars: kept rows of the pairing
 
     def __reduce__(self):
@@ -418,10 +419,15 @@ class GroupBilinearTable:
 
 
 def _add_index(group: FiniteAbelianGroup) -> np.ndarray:
-    """``[i, j]``: the index of the sum of elements ``i`` and ``j``."""
-    X = np.indices(group.factors).reshape(group.rank, group.size)
-    return np.ravel_multi_index(X[:, :, None] + X[:, None], group.factors,
-                                mode="wrap").reshape(group.size, group.size)
+    """``[i, j]``: the index of the sum of elements ``i`` and ``j``, a
+    read-only array that the group keeps from the first call on."""
+    if group._add is None:
+        X = np.indices(group.factors).reshape(group.rank, group.size)
+        group._add = np.ravel_multi_index(
+            X[:, :, None] + X[:, None], group.factors,
+            mode="wrap").reshape(group.size, group.size)
+        group._add.flags.writeable = False
+    return group._add
 
 
 def _phase_matrix(group: FiniteAbelianGroup, E) -> np.ndarray:

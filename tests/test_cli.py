@@ -478,8 +478,17 @@ _well_formed = st.builds(
     st.one_of(st.integers(2, 12), st.integers(-2, 70), st.just(2**64),
               st.integers(2, 10**40)),
     st.one_of(st.none(), st.none(), st.integers(0, 4)))
+# well-formed parameters of rank 1-5, each with its rank; verify runs every
+# scope on them
+_ranked_params = st.integers(1, 5).flatmap(lambda g: st.tuples(
+    st.just(g), st.builds(
+        lambda M, N: json.dumps({"M": M, "N": N}),
+        st.lists(st.lists(st.integers(-3, 3), min_size=g, max_size=g),
+                 min_size=g, max_size=g),
+        st.integers(2, 12))))
 _params = st.one_of(
     st.none(), st.none(), _well_formed, _well_formed,
+    _ranked_params.map(lambda gp: gp[1]),
     # a valid JSON object of any other shape
     st.builds(lambda M, N, g: json.dumps({"M": M, "N": N, "g": g}),
               _json | _matrices, _json, _json),
@@ -491,6 +500,25 @@ _commands = st.one_of(
     st.builds(lambda a, b: ["star", "mul", a, b], _texts, _texts),
     st.builds(lambda a, b: ["qweyl", "mul", a, b], _words, _words),
     st.sampled_from([["param", "analyze"], ["param", "analyze", "--json"]]))
+
+
+
+def _one_sided_products(g, param):
+    """``qweyl mul`` of two words in the generators of one side of the
+    crossed product, at a parameter of rank ``g``, with that parameter."""
+    def word(hat):
+        atom = st.builds(lambda kind, index, power: f"{kind}{hat}{index}^{power}",
+                         st.sampled_from("tg"), st.integers(1, g), _powers)
+        return st.lists(atom, min_size=1, max_size=3).map("*".join)
+    return st.sampled_from(["", "h"]).flatmap(
+        lambda hat: st.tuples(word(hat), word(hat))).map(
+            lambda words: (["qweyl", "mul", *words], param))
+
+
+# one call in four multiplies well-formed words
+_calls = st.one_of(st.tuples(_commands, _params), st.tuples(_commands, _params),
+                   st.tuples(_commands, _params),
+                   _ranked_params.flatmap(lambda gp: _one_sided_products(*gp)))
 
 CALL_LIMIT_S = 2.0
 _EXACT_FACTOR = re.compile(r"w\(\d+/\d+\)|(th|gh|t|g)\d+(\^-?\d+)?")
@@ -508,13 +536,14 @@ def _call(argv):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_commands, _params)
+@given(_calls)
 # a float period scalar raised to these powers printed a wrong phase
-@example(["qweyl", "mul", "g2^" + "9" * 20, "t1^" + "9" * 17], None)
-def test_random_text_exits_0_or_2_in_bounded_time(command, param):
+@example((["qweyl", "mul", "g2^" + "9" * 20, "t1^" + "9" * 17], None))
+def test_random_text_exits_0_or_2_in_bounded_time(call):
     """The text commands on random input: exit 0 or 2, no traceback, a
     bounded time per call, a printed star product that reads back as the
     product, and a printed crossed product of one exact term."""
+    command, param = call
     argv = command + ([] if param is None else ["--param", param])
     code, out, err, seconds = _call(argv)
     assert code in (0, 2), (argv, err)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from nctorus import equivariant
 from nctorus.cocycle import Phase
 from nctorus.equivariant import (
     TOL,
@@ -205,13 +206,12 @@ def random_gset_map(rng):
     return G, tuple(points), lambda s, g: table[s][g]
 
 
-def test_gset_array_check_matches_the_loop_oracle_on_random_maps():
-    """On seeded random maps the array check of ``GSet`` raises the
-    message of the former loop, or accepts what it accepted with the same
-    action."""
-    rng = np.random.default_rng(26)
+def assert_gset_check_matches_the_loop(rng, maps):
+    """On ``maps`` seeded random maps the array check of ``GSet`` raises
+    the message of the former loop, or accepts what it accepted with the
+    same action."""
     seen = set()
-    for _ in range(1500):
+    for _ in range(maps):
         G, points, act = random_gset_map(rng)
         try:
             table = loop_gset_check(G, points, act)
@@ -229,6 +229,21 @@ def test_gset_array_check_matches_the_loop_oracle_on_random_maps():
     assert seen == {"accepted", "identity does not",
                     "action leaves the point set",
                     "action is not associative"}
+
+
+def test_gset_array_check_matches_the_loop_oracle_on_random_maps():
+    assert_gset_check_matches_the_loop(np.random.default_rng(26), 1500)
+
+
+@pytest.mark.parametrize("budget", [1, 100])
+def test_gset_check_in_batches_of_elements_matches_the_loop_oracle(
+        monkeypatch, budget):
+    """The axioms compared one element ``g1`` at a time (a budget of one
+    byte) or in batches of one or more with a ragged last one (100 bytes
+    fit at most 12 entries of ``action`` per batch) give the same
+    messages and actions as the former loop."""
+    monkeypatch.setattr(equivariant, "LAW_BATCH_BYTES", budget)
+    assert_gset_check_matches_the_loop(np.random.default_rng(2901), 500)
 
 
 def test_gset_views_are_read_only():
@@ -750,6 +765,93 @@ def test_check_linearization_on_zero_and_uneven_fibers():
                              m + 1e-6 * rng.normal(size=m.shape))
         report = assert_reports_agree(obj, phi)
         assert report.ok == (not dims["d"])
+
+
+def per_g1_check_linearization(obj, phi):
+    """The law check one product per element ``g1`` (the former
+    ``check_linearization``, kept as its oracle)."""
+    G, P = obj.group, obj.stack
+    elts, add, ph = list(G.elements()), _add_index(G), phi.values
+    act, points, (k, n, d) = obj.gset.action, obj.gset.points, P.shape[:3]
+    src = np.argsort(act, axis=0)  # [t, g]: the point that g moves onto t
+    dev = np.empty((n, k, n))
+    for i in range(n):
+        diff = (P.reshape(k, n * d, d) @ P[src[:, i], i]).reshape(P.shape)
+        rhs = P[src[:, i, None], add[i]]
+        rhs *= ph[i][:, None, None]
+        diff -= rhs
+        np.abs(diff).max(axis=(2, 3), initial=0.0, out=dev[i])
+    dims = np.array([obj.dims[s] for s in points])
+    empty = dims[act] * dims[:, None] == 0
+    dev = np.where(empty[:, add], 0.0,
+                   dev[np.arange(n), act]).transpose(1, 2, 0)
+    report = LinearizationReport()
+    for j in (np.argmax(~(dev <= TOL)), np.argmax(dev)):
+        g1, g2, p = np.unravel_index(j, dev.shape)
+        report.note(float(dev[g1, g2, p]), (elts[g1], elts[g2], points[p]))
+    return report
+
+
+def batch_cases(rng):
+    """``(object, phi)`` pairs on regular and trivial G-sets: lawful free
+    objects and conjugates of them, the same under a corrupted twist, with
+    a NaN in one transport, and with zero fibers, all or some."""
+    for factors in [(), (2,), (4,), (2, 2), (2, 3), (2, 4), (3, 3), (4, 4)]:
+        G = FiniteAbelianGroup(factors)
+        phi = (random_bilinear_phi(G, rng) if factors
+               else GroupCocycleTable.trivial(G))
+        for gset in (GSet.regular(G), GSet.trivial(G, ("a", "b", "c"))):
+            points = gset.points
+            obj = free({s: int(rng.integers(1, 3)) for s in points}, phi,
+                       gset)
+            yield obj, phi
+            yield obj.conjugate({s: rng.normal(size=(d, d))
+                                 + 1j * rng.normal(size=(d, d))
+                                 for s, d in obj.dims.items()}), phi
+            if G.size > 1:
+                table = dict(phi.table)
+                key = list(table)[int(rng.integers(1, len(table)))]
+                table[key] *= np.exp(2j * np.pi * rng.uniform(0.1, 0.9))
+                yield obj, GroupCocycleTable(G, table)
+            g = list(G.elements())[int(rng.integers(G.size))]
+            s = points[int(rng.integers(len(points)))]
+            m = obj.rho[g][s].copy()
+            m[-1, 0] = np.nan
+            yield with_transport(obj, g, s, m), phi
+            yield free({s: 0 for s in points}, phi, gset), phi
+            yield free({s: int(rng.integers(0, 2)) * (p % 2)
+                        for p, s in enumerate(points)}, phi, gset), phi
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 2, 3],
+                         ids=["one-batch", "one-g1", "twos", "ragged-threes"])
+def test_batched_law_check_matches_the_per_g1_loop(monkeypatch, per_batch):
+    """With the byte budget set to hold every ``g1`` of an object, one,
+    two or three of them (a ragged last batch where three do not divide
+    ``|G|``), the report equals the per-``g1`` loop's bit for bit and
+    agrees with the per-triple loop."""
+    rng = np.random.default_rng(2903)
+    batches, kinds = set(), set()
+    for obj, phi in batch_cases(rng):
+        n, size = obj.group.size, max(obj.stack.nbytes, 1)
+        monkeypatch.setattr(equivariant, "LAW_BATCH_BYTES",
+                            size * (per_batch or n))
+        lengths = [len(i) for i in equivariant._batches(
+            n, obj.stack.nbytes)]
+        assert lengths[0] == min(n, per_batch or n)
+        batches.add((len(lengths) > 1, lengths[-1] < lengths[0]))
+        want = per_g1_check_linearization(obj, phi)
+        assert tuple(check_linearization(obj, phi)) == tuple(want)
+        assert_reports_agree(obj, phi)
+        kinds.add((want.ok, want.max_dev == math.inf,
+                   len(obj.gset.points) == n))
+    if per_batch is None:
+        assert batches == {(False, False)}
+    elif per_batch == 3:
+        assert (True, True) in batches
+    assert kinds == {(ok, inf, regular) for ok, inf in
+                     [(True, False), (False, False), (False, True)]
+                     for regular in (True, False)}
 
 
 def test_free_matches_the_loop_oracle():

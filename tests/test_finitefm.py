@@ -1158,6 +1158,35 @@ def test_inverse_handles_conjugated_modules():
     assert check_linearization(back, model.phi).ok
 
 
+def test_a_dense_module_finds_its_eigenspace_bases_once(monkeypatch):
+    """The inverse of a dense module and then its hom space or hom count
+    take one stacked SVD between them, and give what fresh copies framed
+    afresh give.  Block modules, fresh copies and conjugates keep no
+    frame."""
+    calls = []
+    right = finitefm._eigenspace_bases
+    monkeypatch.setattr(finitefm, "_eigenspace_bases",
+                        lambda rep: calls.append(rep) or right(rep))
+    rng = np.random.default_rng(2907)
+    for model in (model_klein(), model_full_z4(), model_halved(True)):
+        block, target = (fm_lambda(model, random_sheaf(model, rng))
+                         for _ in range(2))
+        for hom in (module_hom_space, module_hom_dim):
+            module = dense_copy(block)
+            assert module._frame is None
+            calls.clear()
+            back, got = fm_lambda_inverse(model, module), hom(module, target)
+            assert len(calls) == 1 and module._frame is not None
+            back2 = fm_lambda_inverse(model, dense_copy(block))
+            want = hom(dense_copy(block), target)
+            assert len(calls) == 3
+            assert back.dims == back2.dims
+            assert np.array_equal(back.stack, back2.stack)
+            assert np.array_equal(got, want)
+            assert module.conjugate(np.eye(module.dim))._frame is None
+        assert block._frame is None and target._frame is None
+
+
 def test_module_check_flags_corruption():
     rng = np.random.default_rng(53)
     model = model_halved(True)

@@ -25,6 +25,7 @@ from nctorus.lattice import (
     FiniteAbelianGroup,
     GroupBilinearTable,
     SublatticeBasis,
+    _add_index,
     _smith_rows,
     compute_H_hat,
     compute_K_hat,
@@ -257,6 +258,53 @@ def test_group_builds_its_index_only_when_enumerated():
     assert G._elements is None and G._index is None
     assert len(list(G.elements())) == 24
     assert len(G._elements) == len(G._index) == 24
+
+
+def fresh_add_index(factors):
+    """The addition index built afresh, as ``_add_index`` did per call."""
+    size = math.prod(factors)
+    X = np.indices(factors).reshape(len(factors), size)
+    return np.ravel_multi_index(X[:, :, None] + X[:, None], factors,
+                                mode="wrap").reshape(size, size)
+
+
+def test_the_addition_index_is_kept_read_only():
+    rng = np.random.default_rng(2905)
+    shapes = [()] + [tuple(int(d) for d in rng.integers(1, 7, rank))
+                     for rank in rng.integers(1, 4, 40)]
+    for factors in shapes:
+        G = FiniteAbelianGroup(factors)
+        assert G._add is None
+        add = _add_index(G)
+        assert np.array_equal(add, fresh_add_index(factors)), factors
+        assert _add_index(G) is add and not add.flags.writeable
+        with pytest.raises(ValueError):
+            add[0, 0] = 1
+        elts = list(G.elements())
+        i, j = rng.integers(G.size, size=2)
+        assert elts[add[i, j]] == G.add(elts[i], elts[j])
+
+
+@pytest.mark.parametrize("clone", [lambda G: pickle.loads(pickle.dumps(G)),
+                                   copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_a_copied_group_does_not_carry_the_addition_index(clone):
+    G = FiniteAbelianGroup((2, 6))
+    add = _add_index(G)
+    G2 = clone(G)
+    assert G2 == G and G2._add is None
+    assert np.array_equal(_add_index(G2), add) and _add_index(G2) is not add
+
+
+def test_quotient_queries_build_no_addition_index():
+    """``param analyze`` needs no addition index: the 4 096-element
+    quotient of a rank-2 form with ``N = 64`` and its sharp map enumerate
+    the group but leave the index unbuilt."""
+    lam = BilinearCocycle([[0, 1], [0, 0]], 64)
+    quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), lam.N))
+    assert quo.group.size == 4096
+    lambda_sharp(descend_cocycle(lam, quo))
+    assert quo.group._elements is not None and quo.group._add is None
 
 
 def test_group_pairing_is_bimultiplicative_and_separates():
