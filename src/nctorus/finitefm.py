@@ -23,8 +23,8 @@ character eigenspaces.  Module homs are the sheaf homs of the blocks,
 through the frame that spans and reads off each block; one routine gives
 both, of either form, to :func:`fm_lambda_inverse`, :func:`module_hom_dim`
 and :func:`module_hom_space`.  Tensoring with a :class:`DeformedKernel`
-and passing to invariants is the independent oracle that
-:func:`verify_factorization` checks the transform against.
+slices the invariants into placed transports, the independent oracle that
+:func:`verify_factorization` checks the transform against block by block.
 
 :func:`star_on_points` is the function-algebra shadow of the same twist: a
 double sum over translates weighted by the inverse of a nondegenerate
@@ -333,20 +333,19 @@ def random_sheaf(model: TorusModel, rng) -> EquivariantObject:
 
 class DeformedKernel:
     """The ``|Khat|``-dimensional space mediating the twisted transform,
-    kept as the oracle :func:`verify_factorization` checks
-    :func:`fm_lambda` against.
+    the oracle of :func:`verify_factorization`.
 
     Basis vectors ``e_j`` are indexed by the translation subgroup.  The
     kernel action ``left_matrix`` sends ``e_j`` to ``lam(j, k) e_{j-k}``
     and composes up to the inverse twist, which is exactly what cancels
     the twist of an equivariant object when the two are tensored.  The
-    commuting ``right_matrix`` sends ``e_j`` to
-    ``lam(k, k)^-1 lam(k, j)^-1 e_{j+k}``; its normalization is chosen so
-    that the operators it induces on invariants satisfy the module
-    relations and match the plain transform without any residual scalar.
-    Both place the embedded roots of the twist's exponent matrix, the
-    right one's as ``lam(k, -(j + k))``, along the index map ``j -> j - k``
-    (``j + k``) that :func:`translate_graded` reads, one matrix per call.
+    commuting ``right_matrix`` sends ``e_j`` to ``lam(k, k)^-1 lam(k, j)^-1
+    e_{j+k}``; its normalization is chosen so that the operators it induces
+    on invariants satisfy the module relations and match the plain
+    transform without any residual scalar.  On the invariants of an object
+    tensored with the kernel, slice ``j`` is the placed ``rho[-j] / |Khat|``
+    (``left_matrix(k)`` sends ``e_0`` to ``e_{-k}``), and ``right_matrix(k)``
+    moves it to slice ``j + k`` times ``c = right_matrix(k)[j + k, j]``.
     """
 
     __slots__ = ("model", "order", "index", "_phases")
@@ -615,46 +614,46 @@ def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> int:
 
 def verify_factorization(model: TorusModel,
                          sheaf: EquivariantObject) -> LinearizationReport:
-    """Check the deformed transform against the kernel construction.
-
-    Tensoring with the :class:`DeformedKernel` makes the left action
-    honest; averaging it over the vectors ``e_i (x) e_0`` embeds the graded
-    space as its invariants.  There the right kernel operators, acting on
-    the kernel factor alone (a matmul broadcast over the graded basis),
-    and the ``B``-action graded by the sum of the two gradings must equal
-    those of :func:`fm_lambda` on the nose.  The witness names the first
-    failing translation, then the first failing character.  Raises
-    ``ValueError``, as :func:`fm_lambda` does, when the object violates
-    the transport law.
+    """Check the deformed transform against the kernel construction: on
+    each slice ``g = -j`` of the invariants (:class:`DeformedKernel`), each
+    block ``X[t, p]`` of ``n[k]`` must give ``rho[g][t] X[t, p] == c
+    rho[g + k][p]`` at ``t = p + iota(k)``, each one of ``pi[a]`` ``== <p,
+    a> rho[g][p]`` at ``t = p``, and both 0 elsewhere.  A block module
+    gives its stack, one block per row ``t``; its ``B``-action is the plain
+    transform, so its character part holds by construction and is skipped.
+    A dense module is cut in the sheaf's graded layout.  The witness names
+    the first failing translation, then the first failing character.
+    Raises ``ValueError``, as :func:`fm_lambda` does, when the object
+    violates the transport law.
     """
-    module = fm_lambda(model, sheaf)
-    kernel = DeformedKernel(model)
-    d, act, nK = list(sheaf.dims.values()), model.gset.action, kernel.size
-    at = np.cumsum([0, *d]).tolist()
-    total, zero = at[-1], kernel.index[model.Khat.zero()]
-    # rows indexed by (graded basis vector, kernel basis vector)
-    emb = np.zeros((total, nK, total), dtype=complex)
-    for i, (k, rho) in enumerate(sheaf.rho.items()):
-        tau = kernel.left_matrix(k)[:, zero]
-        for (p, u), t in zip(enumerate(rho.values()), act[:, i].tolist()):
-            emb[at[t]:at[t + 1], :, at[p]:at[p + 1]] += \
-                u[:, None, :] * tau[:, None]
-    emb /= nK
-    flat = emb.reshape(total * nK, total)
-    report = LinearizationReport()
-
-    def dev(moved, op) -> float:
-        return float(np.max(np.abs(moved.reshape(flat.shape) - flat @ op))) \
-            if total else 0.0
-
-    for k in model.Khat.elements():
-        report.note(dev(kernel.right_matrix(k) @ emb, module.n[k]),
-                    ("translation", k))
-    # [row, j, a]: <beta + iota(j), a> down the rows of the block of beta
-    chars = np.repeat(_character_table(model.B)[act], d, axis=0)
-    for i, a in enumerate(model.B.elements()):
-        report.note(dev(chars[:, :, i, None] * emb, module.pi[a]),
-                    ("character", a))
+    module, kernel = fm_lambda(model, sheaf), DeformedKernel(model)
+    P, act, add = sheaf.stack, model.gset.action, _add_index(model.Khat)
+    (S, nK, D), ks = P.shape[:3], np.arange(act.shape[1])
+    # [k, 1, 1, g]: c at the slice j = -g, the one entry of row j
+    c = np.array([kernel.right_matrix(k).sum(axis=1) for k in kernel.order])[
+        :, None, None, np.argmax(add == 0, axis=1)]
+    if module.blocks is not None:  # row t of n[k]: one block, from src[k, t]
+        src = np.argsort(act, axis=0).T[..., None]
+        parts = [(ks, src, module.blocks.stack[src, ks[:, None, None]], c)]
+    else:  # every block [t, p]; rows past the last one pad the blocks
+        d, (t, p) = np.array(list(sheaf.dims.values())), np.ogrid[:S, :S]
+        rows = np.where(np.arange(D) < d[:, None],
+                        (np.cumsum(d) - d)[:, None] + np.arange(D), d.sum())
+        n, pi = (np.pad(list(m.values()), ((0, 0), (0, 1), (0, 1)))[
+            :, rows[:, None, :, None], rows[None, :, None, :]]
+                 for m in (module.n, module.pi))
+        chars = _character_table(model.B).T[:, None] * (t == p)
+        parts = [(ks, p, n, c * (t == act.T[:, None])[..., None]),
+                 (np.zeros(len(pi), int), p, pi, chars[..., None])]
+    report, rows = LinearizationReport(), P.reshape(S, 1, nK * D, D)
+    for (name, group), (i, src, X, scale) in zip(
+            [("translation", model.Khat), ("character", model.B)], parts):
+        # label l: rho[g][t] X[l, t, m] == scale[l, t, m, g] rho[g + i[l]][s]
+        src = np.broadcast_to(src, X.shape[:3])  # s = src[l, t, m]
+        for l, x in enumerate(group.elements()):
+            want = scale[l][..., None, None] * P[src[l][..., None], add[i[l]]]
+            dev = np.abs((rows @ X[l]).reshape(want.shape) - want)
+            report.note(float(dev.max(initial=0.0)) / nK, (name, x))
     return report
 
 

@@ -891,6 +891,42 @@ def kron_factorization(model, sheaf, module):
     return report
 
 
+def emb_factorization(model, sheaf, module):
+    """The kernel check of ``module`` on the kernel embedding, a ``(total,
+    |Khat|, total)`` tensor: each right kernel operator a matmul broadcast
+    over the graded basis, the character diagonal a broadcast product, and
+    ``|Khat| + |B|`` dense ``(total |Khat|) x total x total`` products (the
+    oracle for sizes that ``kron_factorization`` cannot reach)."""
+    kernel = DeformedKernel(model)
+    d, act, nK = list(sheaf.dims.values()), model.gset.action, kernel.size
+    at = np.cumsum([0, *d]).tolist()
+    total, zero = at[-1], kernel.index[model.Khat.zero()]
+    # rows indexed by (graded basis vector, kernel basis vector)
+    emb = np.zeros((total, nK, total), dtype=complex)
+    for i, (k, rho) in enumerate(sheaf.rho.items()):
+        tau = kernel.left_matrix(k)[:, zero]
+        for (p, u), t in zip(enumerate(rho.values()), act[:, i].tolist()):
+            emb[at[t]:at[t + 1], :, at[p]:at[p + 1]] += \
+                u[:, None, :] * tau[:, None]
+    emb /= nK
+    flat = emb.reshape(total * nK, total)
+    report = LinearizationReport()
+
+    def dev(moved, op) -> float:
+        return float(np.max(np.abs(moved.reshape(flat.shape) - flat @ op))) \
+            if total else 0.0
+
+    for k in model.Khat.elements():
+        report.note(dev(kernel.right_matrix(k) @ emb, module.n[k]),
+                    ("translation", k))
+    # [row, j, a]: <beta + iota(j), a> down the rows of the block of beta
+    chars = np.repeat(finitefm._character_table(model.B)[act], d, axis=0)
+    for i, a in enumerate(model.B.elements()):
+        report.note(dev(chars[:, :, i, None] * emb, module.pi[a]),
+                    ("character", a))
+    return report
+
+
 def test_transform_and_factorization_match_the_dense_oracles():
     rng = np.random.default_rng(67)
     for model in ALL_MODELS + [model_regular(3)]:
@@ -924,6 +960,44 @@ def test_factorization_memory_on_the_order_16_regular_model():
         tracemalloc.stop()
     assert report.ok
     assert peak < 150 * 2**20
+
+
+@pytest.mark.parametrize("wrong, witness, dev", [
+    (None, None, 8.37e-17),
+    (flipped, ("translation", (0, 0)), 0.12819387295326),
+    (lambda m: character_twisted(m, (1, 0)), ("character", (1, 0)),
+     0.13949813137671477),
+], ids=["valid", "flipped", "character-twisted"])
+def test_factorization_matches_the_emb_oracle_on_the_order_16_regular_model(
+        monkeypatch, wrong, witness, dev):
+    """At a size where one ``kron(I, R_k)`` alone would take 225 MiB."""
+    model = model_regular(4)
+    sheaf = random_sheaf(model, np.random.default_rng(0))
+    module = fm_lambda(model, sheaf)
+    if wrong is not None:
+        module = wrong(module)
+        monkeypatch.setattr(finitefm, "fm_lambda",
+                            lambda model, sheaf: module)
+    report = verify_factorization(model, sheaf)
+    oracle = emb_factorization(model, sheaf, module)
+    assert report.witness == oracle.witness == witness
+    assert abs(report.max_dev - oracle.max_dev) <= 1e-15
+    assert abs(report.max_dev - dev) <= 1e-15
+
+
+def test_factorization_memory_on_the_order_25_regular_model():
+    """The kernel embedding alone would take 234 MiB here."""
+    model = model_regular(5)
+    sheaf = random_sheaf(model, np.random.default_rng(0))
+    assert model.Khat.size == 25
+    tracemalloc.start()
+    try:
+        report = verify_factorization(model, sheaf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 64 * 2**20
 
 
 def test_transport_law_memory_on_the_order_16_regular_model():

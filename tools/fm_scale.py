@@ -14,17 +14,20 @@ time and the tracemalloc peak:
 * ``check_linearization`` and ``hom_dim`` on the sheaves;
 * ``fm_lambda``, then ``check``, ``fm_lambda_inverse`` and
   ``module_hom_dim`` on the block modules it returns;
+* ``verify_factorization`` of the first sheaf, which checks the block
+  module;
 * ``conjugate`` by a random unitary, which stores dense operators, then
   ``check``, ``fm_lambda_inverse``, ``module_hom_dim`` and
   ``module_hom_space`` on those (the last only while its basis, one
   complex ``dim2 x dim1`` matrix per hom, fits in
-  ``finitefm.MAX_HOM_BASIS_BYTES``, beyond which the call refuses);
-* ``verify_factorization`` of the first sheaf.
+  ``finitefm.MAX_HOM_BASIS_BYTES``, beyond which the call refuses).
 
 BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1`` is set before numpy
 is imported).  Each call runs once, in the order above, with tracemalloc
-tracing, which slows numpy calls little but Python loops more.  At
-``n = 5`` the dense ``check`` alone runs for minutes.
+tracing, which slows numpy calls little but Python loops more.  So the
+whole block path prints before the first dense row.  At ``n = 5`` the
+dense ``check`` alone runs for minutes, and at ``n = 6`` the dense rows
+need several GB.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ def main(argv=None) -> int:
     measure("check (block)", m1.check)
     measure("fm_lambda_inverse (block)", lambda: fm_lambda_inverse(model, m1))
     measure("module_hom_dim (block)", lambda: module_hom_dim(m1, m2))
+    measure("verify_factorization", lambda: verify_factorization(model, s1))
     c1 = measure("conjugate", lambda: m1.conjugate(unitary(m1.dim, rng)))
     c2 = m2.conjugate(unitary(m2.dim, rng))
     measure("check (conjugated)", c1.check)
@@ -114,7 +118,6 @@ def main(argv=None) -> int:
     else:
         print(f"{'module_hom_space (conjugated)':<34} skipped: its basis "
               f"takes {basis_bytes / 2**20:.0f} MiB", flush=True)
-    measure("verify_factorization", lambda: verify_factorization(model, s1))
     return 0
 
 
