@@ -617,14 +617,14 @@ def verify_factorization(model: TorusModel,
     """Check the deformed transform against the kernel construction: on
     each slice ``g = -j`` of the invariants (:class:`DeformedKernel`), each
     block ``X[t, p]`` of ``n[k]`` must give ``rho[g][t] X[t, p] == c
-    rho[g + k][p]`` at ``t = p + iota(k)``, each one of ``pi[a]`` ``== <p,
-    a> rho[g][p]`` at ``t = p``, and both 0 elsewhere.  A block module
-    gives its stack, one block per row ``t``; its ``B``-action is the plain
-    transform, so its character part holds by construction and is skipped.
-    A dense module is cut in the sheaf's graded layout.  The witness names
-    the first failing translation, then the first failing character.
-    Raises ``ValueError``, as :func:`fm_lambda` does, when the object
-    violates the transport law.
+    rho[g + k][p]`` at ``t = p + iota(k)``, ``c = right_matrix(k)[j, j -
+    k]``, each one of ``pi[a]`` ``== <p, a> rho[g][p]`` at ``t = p``, and
+    both 0 elsewhere.  A block module gives its stack, one block per row
+    ``t``; its ``B``-action is the plain transform, so its character part
+    holds by construction and is skipped.  A dense module is cut in the
+    sheaf's graded layout.  The witness names the first failing
+    translation, then the first failing character.  Raises ``ValueError``,
+    as :func:`fm_lambda` does, when the object violates the transport law.
     """
     module, kernel = fm_lambda(model, sheaf), DeformedKernel(model)
     P, act, add = sheaf.stack, model.gset.action, _add_index(model.Khat)
@@ -637,10 +637,10 @@ def verify_factorization(model: TorusModel,
         parts = [(ks, src, module.blocks.stack[src, ks[:, None, None]], c)]
     else:  # every block [t, p]; rows past the last one pad the blocks
         d, (t, p) = np.array(list(sheaf.dims.values())), np.ogrid[:S, :S]
-        rows = np.where(np.arange(D) < d[:, None],
-                        (np.cumsum(d) - d)[:, None] + np.arange(D), d.sum())
+        at = np.where(np.arange(D) < d[:, None],
+                      (np.cumsum(d) - d)[:, None] + np.arange(D), d.sum())
         n, pi = (np.pad(list(m.values()), ((0, 0), (0, 1), (0, 1)))[
-            :, rows[:, None, :, None], rows[None, :, None, :]]
+            :, at[:, None, :, None], at[None, :, None, :]]
                  for m in (module.n, module.pi))
         chars = _character_table(model.B).T[:, None] * (t == p)
         parts = [(ks, p, n, c * (t == act.T[:, None])[..., None]),
