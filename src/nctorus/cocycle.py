@@ -79,11 +79,6 @@ class Phase:
     def zero(cls) -> "Phase":
         return cls(0)
 
-    @classmethod
-    def parse(cls, text: str) -> "Phase":
-        """Inverse of ``str``: accepts ``"p/q"`` or a bare integer string."""
-        return cls(Fraction(text.strip()))
-
     @property
     def q(self) -> Fraction:
         """The exponent ``n/d`` as a ``Fraction`` in ``[0, 1)``."""

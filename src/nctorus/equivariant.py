@@ -56,9 +56,10 @@ class GSet:
     once per point and element, each distinct value outside the point set
     indexed past it.  The axioms are checked on the array on construction,
     so downstream code can rely on them.  ``table[s][g] = s.g`` is a
-    read-only view, built on first use."""
+    read-only view and ``orbits`` the orbit decomposition, each built on
+    first use."""
 
-    __slots__ = ("group", "points", "action", "_table")
+    __slots__ = ("group", "points", "action", "_table", "_orbits")
 
     def __init__(self, group: FiniteAbelianGroup, points: Sequence,
                  act: Callable | np.ndarray):
@@ -91,8 +92,8 @@ class GSet:
             raise ValueError(f"action is not associative at ({points[p]}, "
                              f"{elts[i]}, {elts[g2]})")
         A.flags.writeable = False
-        self.group, self.points, self.action, self._table = \
-            group, points, A, None
+        self.group, self.points, self.action = group, points, A
+        self._table = self._orbits = None
 
     @property
     def table(self) -> Mapping:
@@ -103,6 +104,27 @@ class GSet:
                 elts, map(at, row)))) for s, row in zip(
                     self.points, self.action.tolist())})
         return self._table
+
+    @property
+    def orbits(self) -> tuple:
+        """``(orbits, P, I)``, built on first use: per orbit its first
+        point ``p``, its points in the order the elements first reach them
+        from ``p`` and the stabilizer of ``p``; then, orbit after orbit,
+        the index arrays of ``(p, element)`` moving ``p`` onto each point
+        (point indices, element order)."""
+        if self._orbits is None:
+            orbits, seen, pairs = [], set(), []
+            for p, row in enumerate(self.action.tolist()):
+                if p not in seen:
+                    orbit = list(dict.fromkeys(row))
+                    seen.update(orbit)
+                    pairs += [(p, row.index(t)) for t in orbit]
+                    orbits.append((p, orbit,
+                                   [i for i, t in enumerate(row) if t == p]))
+            pairs = np.array(pairs).T
+            pairs.flags.writeable = False
+            self._orbits = (orbits, *pairs)
+        return self._orbits
 
     def matches(self, other: "GSet") -> bool:
         """Whether ``other`` has the same points, group and action."""
@@ -275,14 +297,24 @@ class EquivariantObject:
     def conjugate(self, T: Mapping) -> "EquivariantObject":
         """Change basis in every fiber: ``rho'_g[s] = T[s.g] rho_g[s] T[s]^-1``.
 
-        Produces an isomorphic object satisfying the same scalar law: one
-        batched product, the ``T[s]`` padded and inverted per dimension.
+        Produces an isomorphic object satisfying the same scalar law: the
+        ``T[s]`` zero-padded into one stack for :meth:`_conjugated`.
         """
         points, dims = self.gset.points, list(self.dims.values())
-        Tp, Tinv = np.zeros((2, len(points), *self.stack.shape[2:]), complex)
+        Tp = np.zeros((len(points), *self.stack.shape[2:]), complex)
         for n in set(dims):
             at = [p for p, d in enumerate(dims) if d == n]
             Tp[at, :n, :n] = [T[points[p]] for p in at]
+        return self._conjugated(Tp)
+
+    def _conjugated(self, Tp: np.ndarray) -> "EquivariantObject":
+        """Conjugate by a stack ``Tp[p]`` of fiber maps, padded with zeros
+        or the identity: one batched product, the inverses taken per fiber
+        dimension."""
+        dims = list(self.dims.values())
+        Tinv = np.zeros_like(Tp)
+        for n in set(dims):
+            at = [p for p, d in enumerate(dims) if d == n]
             Tinv[at, :n, :n] = np.linalg.inv(Tp[at, :n, :n])
         return EquivariantObject._stacked(
             self.gset, self.dims, Tp[self.gset.action] @ self.stack
@@ -346,7 +378,11 @@ def check_linearization(obj: EquivariantObject,
     target point ``t = s.g1``: ``P[t]``, all ``g2`` stacked down its rows,
     times ``rho_{g1}[s]``.  The products of as many ``g1`` as keep their
     differences (the size of ``P`` each) within ``LAW_BATCH_BYTES`` run as
-    one batch.  ``ValueError`` when ``phi`` lives on another group.
+    one batch.  A pass is decided by one max over the deviations as
+    computed, per ``(g1, t, g2)``: ``s -> s.g1`` is a bijection, and an
+    empty map deviates by exactly 0 while the entries are finite.  Only a
+    failure (or a NaN) reorders them by ``(g1, g2, s)`` to locate the
+    witness.  ``ValueError`` when ``phi`` lives on another group.
     """
     (elts, add, ph), P = _indexed(obj.gset, phi), obj.stack
     act, points, (k, n, d) = obj.gset.action, obj.gset.points, P.shape[:3]
@@ -361,6 +397,10 @@ def check_linearization(obj: EquivariantObject,
         rhs *= ph[i, None, :, None, None]
         diff -= rhs
         dev[i] = np.abs(diff).max(axis=(3, 4), initial=0.0)
+    report, worst = LinearizationReport(), dev.max()
+    if worst <= TOL:
+        report.note(float(worst), None)
+        return report
     # [g1, g2, s], back from the target points; an empty map deviates by
     # nothing, even where a NaN met the padding
     dims = np.array([obj.dims[s] for s in points])
@@ -368,7 +408,6 @@ def check_linearization(obj: EquivariantObject,
     dev = np.where(empty[:, add], 0.0,
                    dev[np.arange(n), act]).transpose(1, 2, 0)
     # the first deviation above TOL (or NaN) is the witness, then the largest
-    report = LinearizationReport()
     for j in (np.argmax(~(dev <= TOL)), np.argmax(dev)):
         g1, g2, p = np.unravel_index(j, dev.shape)
         report.note(float(dev[g1, g2, p]), (elts[g1], elts[g2], points[p]))
@@ -502,17 +541,7 @@ def _orbit_walk(a: EquivariantObject, b: EquivariantObject):
     if not gset.matches(b.gset):
         raise ValueError("objects live on different G-sets")
     points, fa, fb = gset.points, list(a.dims.values()), list(b.dims.values())
-    # per orbit: its first point p, its points in the order the elements
-    # first reach them from p and the stabilizer of p; the (p, element)
-    # pairs of the transports out of every orbit
-    orbits, seen, pairs = [], set(), []
-    for p, row in enumerate(gset.action.tolist()):
-        if p not in seen:
-            orbit = list(dict.fromkeys(row))
-            seen.update(orbit)
-            pairs += [(p, row.index(t)) for t in orbit]
-            orbits.append((p, orbit, [i for i, t in enumerate(row) if t == p]))
-    P, I = np.array(pairs).T
+    orbits, P, I = gset.orbits  # the transports out of every orbit at P, I
     # on free orbits, the law on the direct sum of the fibers at rho_0
     # (element 0 is the group's zero)
     free = [p for p, _, stab in orbits if len(stab) == 1 and fa[p] * fb[p]]
@@ -571,11 +600,13 @@ def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
     of the stabilizer of ``s``: it lies in the image of the projector that
     averages ``chi -> rho^b_h[s] chi rho^a_h[s]^-1`` over the stabilizer.
     Transport gives the rest, ``chi[s.g] = rho^b_g[s] chi[s]
-    rho^a_g[s]^-1`` (Frobenius reciprocity).  Returns Frobenius-orthonormal
-    basis families, one QR per orbit.  Raises ``ValueError`` as
-    :func:`_orbit_walk` does, or when the average is not a projector.
+    rho^a_g[s]^-1`` (Frobenius reciprocity).  ``a``'s transports out of
+    every orbit are inverted in one call per shape, after the walk.
+    Returns Frobenius-orthonormal basis families, one QR per orbit.  Raises
+    ``ValueError`` as :func:`_orbit_walk` does, or when the average is not
+    a projector.
     """
-    out = []
+    walked, shapes = [], {}
     for s, orbit, rho_b, rho_a, fixing in _orbit_walk(a, b):
         da, db = a.dims[s], b.dims[s]
         if not da * db:
@@ -589,9 +620,16 @@ def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
             sol = _projector_images(P.reshape(1, db * da, -1), [s])[0].T
         else:
             sol = np.eye(db * da)
-        chi = sol.reshape(-1, 1, db, da)
-        moved = rho_b @ chi @ np.linalg.inv(rho_a)
-        q, _ = np.linalg.qr(moved.reshape(len(sol), len(orbit) * db * da).T)
+        shapes.setdefault(rho_a.shape, []).append(len(walked))
+        walked.append((orbit, sol.reshape(-1, 1, db, da), rho_b, rho_a))
+    inverse = {}
+    for at in shapes.values():
+        inverse.update(zip(at, np.linalg.inv(np.array(
+            [walked[k][3] for k in at]))))
+    out = []
+    for k, (orbit, chi, rho_b, _) in enumerate(walked):
+        (db, da), moved = chi.shape[2:], rho_b @ chi @ inverse[k]
+        q, _ = np.linalg.qr(moved.reshape(len(chi), len(orbit) * db * da).T)
         for fam in q.T.reshape(-1, len(orbit), db, da):
             full = {p: np.zeros((b.dims[p], a.dims[p]), dtype=complex)
                     for p in a.gset.points}
@@ -655,7 +693,7 @@ class TwistedAlgebra:
     lets the invariants below be read off the twist.
     """
 
-    __slots__ = ("points", "group", "phi", "basis", "_index")
+    __slots__ = ("points", "group", "phi", "basis")
 
     def __init__(self, points: Sequence, group: FiniteAbelianGroup,
                  phi: GroupCocycleTable):
@@ -668,7 +706,6 @@ class TwistedAlgebra:
         self.group = group
         self.phi = phi
         self.basis = [(s, g) for s in self.points for g in group.elements()]
-        self._index = {k: i for i, k in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
@@ -692,16 +729,6 @@ class TwistedAlgebra:
                 coeff, key = hit
                 out[key] = out.get(key, 0j) + coeff * c1 * c2
         return {k: v for k, v in out.items() if v != 0}
-
-    def left_regular_matrix(self, key) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for k2 in self.basis:
-            hit = self.product_on_basis(key, k2)
-            if hit is None:
-                continue
-            coeff, target = hit
-            m[self._index[target], self._index[k2]] = coeff
-        return m
 
     def _radical_size(self) -> int:
         """Number of ``g`` with ``phi(g, h) = phi(h, g)`` for every ``h``.

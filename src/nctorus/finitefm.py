@@ -106,12 +106,6 @@ class BRepresentation:
         report.note(law.max_dev, law.witness and law.witness[:2])
         return report
 
-    def conjugate(self, T) -> "BRepresentation":
-        T = np.asarray(T, dtype=complex)
-        Tinv = np.linalg.inv(T)
-        return BRepresentation(
-            self.group, {a: T @ m @ Tinv for a, m in self.pi.items()})
-
     def __repr__(self) -> str:
         return f"BRepresentation(B={list(self.group.factors)}, dim={self.dim})"
 
@@ -130,14 +124,6 @@ def _graded_dims(dims: Mapping, B: FiniteAbelianGroup) -> np.ndarray:
     return d
 
 
-def _graded_layout(dims: Mapping, B: FiniteAbelianGroup):
-    """Canonical block order for a dual-graded space: group element order,
-    returning ``[(beta, offset, dim), ...]`` and the total dimension."""
-    d = _graded_dims(dims, B)
-    return list(zip(B.elements(), (np.cumsum(d) - d).tolist(),
-                    d.tolist())), int(d.sum())
-
-
 def _shift(B: FiniteAbelianGroup, yhat):
     """Coordinates of ``B``'s elements, column ``i`` for element ``i``,
     those of ``yhat`` reduced, and the index map from element ``i`` to
@@ -146,14 +132,6 @@ def _shift(B: FiniteAbelianGroup, yhat):
     y = np.array(B.reduce(yhat), dtype=np.int64)
     return X, y, np.reshape(np.ravel_multi_index(
         X - y[:, None], B.factors, mode="wrap"), B.size)
-
-
-def fm_ab_phase_table(dims: Mapping, B: FiniteAbelianGroup):
-    """Exact diagonal of the transform: for each group element the list of
-    pairing phases down the canonical block basis."""
-    layout, _ = _graded_layout(dims, B)
-    return layout, {a: [B.pairing(beta, a) for beta, _, d in layout
-                        for _ in range(d)] for a in B.elements()}
 
 
 def _character_table(B: FiniteAbelianGroup, inverse: bool = False):
@@ -315,20 +293,29 @@ def free_sheaf(model: TorusModel, base_dims: Mapping) -> EquivariantObject:
 def random_sheaf(model: TorusModel, rng) -> EquivariantObject:
     """Free object on a random grading of dimensions 0 to 2, conjugated by
     random invertible fiberwise maps: a generic object satisfying the
-    transport law."""
+    transport law.
+
+    Per point, in order, one draw of the real and imaginary parts of a
+    square matrix, then one of its column scales, each written straight
+    into a padded stack: the matrices padded with the identity, the scales
+    with ones.  One QR of the stack orthonormalizes the matrices (on the
+    padding it is the identity), and the batched product of
+    :meth:`~nctorus.equivariant.EquivariantObject.conjugate` applies them,
+    the inverses taken per fiber dimension.
+    """
     dims = {s: int(rng.integers(0, 3)) for s in model.gset.points}
     if not any(dims.values()):
         dims[model.gset.points[0]] = 1
     obj = free_sheaf(model, dims)
-    draws = {s: (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                 0.5 + rng.random(n)) for s, n in obj.dims.items()}
-    # one QR per fiber dimension, then each factor scales its columns
-    T = {}
-    for n in set(obj.dims.values()):
-        points = [s for s, d in obj.dims.items() if d == n]
-        q, _ = np.linalg.qr(np.array([draws[s][0] for s in points]))
-        T.update(zip(points, q * np.array([[draws[s][1]] for s in points])))
-    return obj.conjugate(T)
+    fibers, D = list(obj.dims.values()), obj.stack.shape[2]
+    draws = np.zeros((len(fibers), D, D), dtype=complex)
+    draws[:] = np.eye(D)
+    parts = draws.view(float).reshape(len(fibers), D, D, 2)  # real, imag
+    scales = np.full((len(fibers), 1, D), 0.5)  # u of each scale 0.5 + u
+    for p, n in enumerate(fibers):
+        parts[p, :n, :n] = rng.normal(size=(2, n, n)).transpose(1, 2, 0)
+        scales[p, 0, :n] = rng.random(n)
+    return obj._conjugated(np.linalg.qr(draws)[0] * (scales + 0.5))
 
 
 class DeformedKernel:
@@ -675,15 +662,6 @@ def star_on_points(phi_vals: Mapping, psi_vals: Mapping,
     F, H = _translates(K, phi_vals, psi_vals)
     out = ((F @ _phase_matrix(K, -np.array(omega._E))) * H).sum(1) / K.size
     return dict(zip(K.elements(), out.tolist()))
-
-
-def fourier_component(vals: Mapping, khat,
-                      K: FiniteAbelianGroup) -> dict:
-    """Isotypic piece of a function: averaging against the character of
-    ``khat`` leaves the component transforming by it under translation."""
-    inverse = _character_table(K, inverse=True)[:, K._index[K.reduce(khat)]]
-    comp = _translates(K, vals)[0] @ inverse / K.size
-    return dict(zip(K.elements(), comp.tolist()))
 
 
 def dual_side_product(phi_vals: Mapping, psi_vals: Mapping,

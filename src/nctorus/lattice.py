@@ -396,14 +396,6 @@ class GroupBilinearTable:
             [[self.omega[i][j] - self.omega[j][i] for j in range(r)]
              for i in range(r)])
 
-    def is_alternating(self) -> bool:
-        """True when every value pairs an element against itself trivially."""
-        r = self.group.rank
-        if any(self.omega[i][i] != Phase.zero() for i in range(r)):
-            return False
-        return all(self.omega[i][j] + self.omega[j][i] == Phase.zero()
-                   for i in range(r) for j in range(i + 1, r))
-
     def as_dict(self) -> dict:
         return {"factors": list(self.group.factors),
                 "omega": [[str(w) for w in row] for row in self.omega]}

@@ -854,6 +854,62 @@ def test_batched_law_check_matches_the_per_g1_loop(monkeypatch, per_batch):
                      for regular in (True, False)}
 
 
+def reindexed_check_linearization(obj, phi):
+    """The batched law check reordering every deviation by ``(g1, g2, s)``
+    and locating a witness on a pass too (the former report, kept as the
+    oracle of the one-max pass)."""
+    G, P = obj.group, obj.stack
+    elts, add, ph = list(G.elements()), _add_index(G), phi.values
+    act, points, (k, n, d) = obj.gset.action, obj.gset.points, P.shape[:3]
+    src = np.argsort(act, axis=0)
+    dev, rows = np.empty((n, k, n)), P.reshape(k, n * d, d)
+    for i in equivariant._batches(n, P.nbytes):
+        s = src[:, i].T
+        diff = (rows @ P[s, i[:, None]]).reshape(len(i), *P.shape)
+        rhs = P[s[..., None], add[i, None]]
+        rhs *= ph[i, None, :, None, None]
+        diff -= rhs
+        dev[i] = np.abs(diff).max(axis=(3, 4), initial=0.0)
+    dims = np.array([obj.dims[s] for s in points])
+    empty = dims[act] * dims[:, None] == 0
+    dev = np.where(empty[:, add], 0.0,
+                   dev[np.arange(n), act]).transpose(1, 2, 0)
+    report = LinearizationReport()
+    for j in (np.argmax(~(dev <= TOL)), np.argmax(dev)):
+        g1, g2, p = np.unravel_index(j, dev.shape)
+        report.note(float(dev[g1, g2, p]), (elts[g1], elts[g2], points[p]))
+    return report
+
+
+@pytest.mark.parametrize("per_batch", [None, 1, 3],
+                         ids=["one-batch", "one-g1", "threes"])
+def test_one_max_pass_reports_as_the_full_reindex(monkeypatch, per_batch):
+    """``(ok, max_dev, witness)`` equal to the oracle's on lawful objects,
+    under a flipped twist entry, with a NaN or an inf transport entry and
+    with zero fibers, in one batch and in several."""
+    rng = np.random.default_rng(3107)
+    cases = list(batch_cases(rng))
+    for obj, phi in cases[:12]:
+        g = list(obj.group.elements())[-1]
+        s = obj.gset.points[-1]
+        m = obj.rho[g][s].copy()
+        if m.size:
+            m[0, -1] = -np.inf
+            cases.append((with_transport(obj, g, s, m), phi))
+    kinds = set()
+    for obj, phi in cases:
+        n = obj.group.size
+        monkeypatch.setattr(equivariant, "LAW_BATCH_BYTES",
+                            max(obj.stack.nbytes, 1) * (per_batch or n))
+        with np.errstate(invalid="ignore"):  # inf meets the zero padding
+            got = check_linearization(obj, phi)
+            want = reindexed_check_linearization(obj, phi)
+        assert (got.max_dev, got.witness) == (want.max_dev, want.witness)
+        kinds.add((want.ok, want.max_dev == 0.0, math.isinf(want.max_dev)))
+    assert kinds == {(True, True, False), (True, False, False),
+                     (False, False, False), (False, False, True)}
+
+
 def test_free_matches_the_loop_oracle():
     """Bit for bit, also for a non-cocycle twist, which ``free`` detects."""
     rng = np.random.default_rng(1413)
@@ -1240,6 +1296,78 @@ def test_hom_space_is_frobenius_orthonormal():
                     assert np.max(np.abs(resid), initial=0.0) < 1e-9
 
 
+def per_orbit_hom_space(a, b):
+    """:func:`hom_space` inverting ``a``'s transports orbit by orbit, inside
+    the walk (the former routine, kept as its oracle)."""
+    out = []
+    for s, orbit, rho_b, rho_a, fixing in equivariant._orbit_walk(a, b):
+        da, db = a.dims[s], b.dims[s]
+        if not da * db:
+            continue
+        if fixing is not None:
+            rb, ra_inv = fixing
+            P = np.einsum("hij,hlk->ikjl", rb, ra_inv) / len(rb)
+            sol = equivariant._projector_images(
+                P.reshape(1, db * da, -1), [s])[0].T
+        else:
+            sol = np.eye(db * da)
+        chi = sol.reshape(-1, 1, db, da)
+        moved = rho_b @ chi @ np.linalg.inv(rho_a)
+        q, _ = np.linalg.qr(moved.reshape(len(sol), len(orbit) * db * da).T)
+        for fam in q.T.reshape(-1, len(orbit), db, da):
+            full = {p: np.zeros((b.dims[p], a.dims[p]), dtype=complex)
+                    for p in a.gset.points}
+            full.update(zip(orbit, fam))
+            out.append(full)
+    return out
+
+
+def test_hom_space_matches_the_per_orbit_inverse_oracle_byte_for_byte():
+    """Random sheaves on the torus models and conjugated free objects on
+    G-sets with stabilizers; some pairs put two orbits of one shape into
+    one inverse call."""
+    rng = np.random.default_rng(83)
+    cases = [(random_sheaf(model, rng), random_sheaf(model, rng))
+             for model in torus_models() for _ in range(3)]
+    for gset in [quotient_gset((2, 4)), quotient_gset((4, 4)),
+                 GSet.trivial(FiniteAbelianGroup((2, 2)), ("p", "q", "r"))]:
+        phi = random_bilinear_phi(gset.group, rng)
+        cases += [tuple(conjugated_free(
+            {s: int(rng.integers(0, 2)) for s in gset.points}, phi, gset,
+            rng) for _ in range(2)) for _ in range(2)]
+    merged = 0
+    for a, b in cases:
+        shapes = [rho_a.shape for s, _, _, rho_a, _ in
+                  equivariant._orbit_walk(a, b) if a.dims[s] * b.dims[s]]
+        merged += len(shapes) > len(set(shapes))
+        got, want = hom_space(a, b), per_orbit_hom_space(a, b)
+        assert len(got) == len(want)
+        for fam, oracle in zip(got, want):
+            assert list(fam) == list(oracle)
+            assert all(fam[s].shape == oracle[s].shape
+                       and fam[s].tobytes() == oracle[s].tobytes()
+                       for s in oracle)
+    assert merged >= 3
+
+
+def test_gset_builds_its_orbit_decomposition_once():
+    """``orbits`` is built on first use, kept, and lists every point once,
+    each reached from its orbit's first point by the recorded element."""
+    for gset in [quotient_gset((2, 4)), torus_models()[2].gset,
+                 GSet.trivial(FiniteAbelianGroup((3,)), ("p", "q"))]:
+        orbits, P, I = gset.orbits
+        assert gset.orbits is gset.orbits
+        assert not (P.flags.writeable or I.flags.writeable)
+        assert sorted(t for _, orbit, _ in orbits for t in orbit) == \
+            list(range(len(gset.points)))
+        assert gset.action[P, I].tolist() == [t for _, orbit, _ in orbits
+                                               for t in orbit]
+        for p, orbit, stab in orbits:
+            assert orbit[0] == p == min(orbit)
+            assert stab == [i for i in range(gset.group.size)
+                            if gset.action[p, i] == p]
+
+
 def singular_transport_pairs():
     """A free sheaf on a free G-set against its copy with every transport
     zeroed, both ways round."""
@@ -1405,12 +1533,24 @@ def test_algebra_nondegenerate_point_twist_is_matrix_algebra():
     assert gram_trace_form_rank(alg) == 4
 
 
+def left_regular_matrix(alg, key):
+    """The matrix of left multiplication by the basis vector ``key``."""
+    index = {k: i for i, k in enumerate(alg.basis)}
+    m = np.zeros((alg.dim, alg.dim), dtype=complex)
+    for k2 in alg.basis:
+        hit = alg.product_on_basis(key, k2)
+        if hit is not None:
+            coeff, target = hit
+            m[index[target], index[k2]] = coeff
+    return m
+
+
 def kron_center_dim(alg, tol=1e-9):
     """Oracle: an element is central exactly when its left regular matrix
     commutes with every basis one (the representation is faithful, the
     algebra being unital), so the center is the null space of the stacked
     commutator system."""
-    mats = [alg.left_regular_matrix(k) for k in alg.basis]
+    mats = [left_regular_matrix(alg, k) for k in alg.basis]
     stacked = np.stack([m.reshape(-1) for m in mats], axis=1)
     eye = np.eye(alg.dim)
     total = np.vstack([(np.kron(eye, m.T) - np.kron(m, eye)) @ stacked
@@ -1423,7 +1563,7 @@ def kron_center_dim(alg, tol=1e-9):
 
 def gram_trace_form_rank(alg, tol=1e-9):
     """Oracle: the rank of the Gram matrix of the left regular trace form."""
-    mats = [alg.left_regular_matrix(k) for k in alg.basis]
+    mats = [left_regular_matrix(alg, k) for k in alg.basis]
     gram = np.array([[np.trace(m1 @ m2) for m2 in mats] for m1 in mats])
     svals = np.linalg.svd(gram, compute_uv=False)
     scale = max(1.0, float(svals[0]) if len(svals) else 1.0)
@@ -1485,9 +1625,9 @@ def test_left_regular_is_a_homomorphism():
     alg = twisted_algebra(("*",), pauli_phi())
     for k1 in alg.basis:
         for k2 in alg.basis:
-            lhs = alg.left_regular_matrix(k1) @ alg.left_regular_matrix(k2)
+            lhs = left_regular_matrix(alg, k1) @ left_regular_matrix(alg, k2)
             coeff, key = alg.product_on_basis(k1, k2)
-            rhs = coeff * alg.left_regular_matrix(key)
+            rhs = coeff * left_regular_matrix(alg, key)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

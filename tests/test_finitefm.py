@@ -28,10 +28,8 @@ from nctorus.finitefm import (
     fm_ab,
     fm_ab_equivariance_iso,
     fm_ab_inverse,
-    fm_ab_phase_table,
     fm_lambda,
     fm_lambda_inverse,
-    fourier_component,
     free_sheaf,
     module_hom_dim,
     module_hom_space,
@@ -96,6 +94,30 @@ def model_regular(n):
 # ---------------------------------------------------------------------------
 # plain transform
 
+def graded_layout(dims, B):
+    """Canonical block order for a dual-graded space: group element order,
+    returning ``[(beta, offset, dim), ...]`` and the total dimension."""
+    d = finitefm._graded_dims(dims, B)
+    return list(zip(B.elements(), (np.cumsum(d) - d).tolist(),
+                    d.tolist())), int(d.sum())
+
+
+def fm_ab_phase_table(dims, B):
+    """Exact diagonal of the transform: for each group element the list of
+    pairing phases down the canonical block basis."""
+    layout, _ = graded_layout(dims, B)
+    return layout, {a: [B.pairing(beta, a) for beta, _, d in layout
+                        for _ in range(d)] for a in B.elements()}
+
+
+def conjugate_rep(rep, T):
+    """The representation ``T pi(a) T^-1``."""
+    T = np.asarray(T, dtype=complex)
+    Tinv = np.linalg.inv(T)
+    return BRepresentation(rep.group,
+                           {a: T @ m @ Tinv for a, m in rep.pi.items()})
+
+
 def test_fm_ab_gives_exact_representation():
     rng = np.random.default_rng(3)
     for factors in [(4,), (2, 2), (6,)]:
@@ -122,7 +144,7 @@ def test_character_projectors_match_the_per_character_loop():
         B = FiniteAbelianGroup(factors)
         dims = random_dims(B, rng)
         T = rng.normal(size=(sum(dims.values()),) * 2)
-        rep = fm_ab(dims, B).conjugate(T)
+        rep = conjugate_rep(fm_ab(dims, B), T)
         stacked = character_projectors(rep)
         assert stacked.shape == (B.size, rep.dim, rep.dim)
         # both sum |B| terms, in different orders
@@ -279,9 +301,9 @@ def loop_equivariance_iso(dims, yhat, B):
     """The comparison permutation placed one identity block at a time
     (the oracle)."""
     move = minus(B, B.reduce(yhat))
-    src, total = finitefm._graded_layout(
+    src, total = graded_layout(
         loop_translate_graded(dims, yhat, B), B)
-    dst = {beta: off for beta, off, _ in finitefm._graded_layout(dims, B)[0]}
+    dst = {beta: off for beta, off, _ in graded_layout(dims, B)[0]}
     E = np.zeros((total, total))
     for beta, off, d in src:
         t0 = dst[move(beta)]
@@ -560,6 +582,41 @@ def test_random_sheaf_matches_the_loop_oracle_bit_for_bit():
             assert rng.random() == oracle_rng.random()
 
 
+def former_random_sheaf(model, rng):
+    """:func:`random_sheaf` drawing into a dict, with one QR per fiber
+    dimension and ``conjugate`` (the former routine, kept as its oracle)."""
+    dims = {s: int(rng.integers(0, 3)) for s in model.gset.points}
+    if not any(dims.values()):
+        dims[model.gset.points[0]] = 1
+    obj = free_sheaf(model, dims)
+    draws = {s: (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                 0.5 + rng.random(n)) for s, n in obj.dims.items()}
+    T = {}
+    for n in set(obj.dims.values()):
+        points = [s for s, d in obj.dims.items() if d == n]
+        q, _ = np.linalg.qr(np.array([draws[s][0] for s in points]))
+        T.update(zip(points, q * np.array([[draws[s][1]] for s in points])))
+    return obj.conjugate(T)
+
+
+def test_random_sheaf_matches_the_former_routine_byte_for_byte():
+    """The padded stacks give the former stack byte for byte, padding
+    included, on the acceptance family and the order 9 regular model, two
+    sheaves per generator, and leave the generators in step."""
+    from test_acceptance import transform_model_family
+
+    for model in transform_model_family() + [model_regular(3)]:
+        for seed in (0, 5, 17, 31):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            for _ in range(2):
+                sheaf = random_sheaf(model, rng)
+                oracle = former_random_sheaf(model, oracle_rng)
+                assert sheaf.dims == oracle.dims
+                assert sheaf.stack.shape == oracle.stack.shape
+                assert sheaf.stack.tobytes() == oracle.stack.tobytes()
+            assert rng.random() == oracle_rng.random()
+
+
 def test_random_sheaves_satisfy_transport_law():
     rng = np.random.default_rng(17)
     for model in ALL_MODELS:
@@ -598,7 +655,7 @@ def test_fm_lambda_produces_valid_modules():
 def dense_fm_lambda(model, sheaf):
     """The transform with every operator stored dense, each transport
     block placed at ``beta + iota(k)`` (the oracle)."""
-    layout, total = finitefm._graded_layout(sheaf.dims, model.B)
+    layout, total = graded_layout(sheaf.dims, model.B)
     offset = {beta: off for beta, off, _ in layout}
     table = model.gset.table
     n = {}
@@ -838,11 +895,11 @@ def permuted_fm_lambda(model, sheaf):
     ``-iota(k)`` (the oracle)."""
     B = model.B
     dims = sheaf.dims
-    layout, total = finitefm._graded_layout(dims, B)
+    layout, total = graded_layout(dims, B)
     n = {}
     for k, rho in sheaf.rho.items():
         yhat = B.neg(model.iota(k))
-        mid_layout, mid_total = finitefm._graded_layout(
+        mid_layout, mid_total = graded_layout(
             translate_graded(dims, yhat, B), B)
         mid_offset = {beta: off for beta, off, _ in mid_layout}
         blockwise = np.zeros((mid_total, total), dtype=complex)
@@ -859,7 +916,7 @@ def kron_factorization(model, sheaf, module):
     tensor space: ``kron(I, R_k)`` and the character diagonal (the
     oracle)."""
     kernel = DeformedKernel(model)
-    layout, total = finitefm._graded_layout(sheaf.dims, model.B)
+    layout, total = graded_layout(sheaf.dims, model.B)
     nK = kernel.size
     big = total * nK
     offset = {beta: off for beta, off, _ in layout}
@@ -1140,7 +1197,7 @@ def test_a_translation_singular_on_one_block_is_refused():
     rng = np.random.default_rng(83)
     model = model_full_z4()
     mod = fm_lambda(model, random_sheaf(model, rng))
-    layout, _ = finitefm._graded_layout(mod.blocks.dims, model.B)
+    layout, _ = graded_layout(mod.blocks.dims, model.B)
     off, d = next((off, d) for beta, off, d in layout
                   if d and beta != model.B.zero())
     n = dict(mod.n)
@@ -1398,6 +1455,15 @@ def loop_star_on_points(phi_vals, psi_vals, omega):
                 acc += (-omega(k1, k2)).embed() * y1 * psi_vals[K.add(x, k2)]
         out[x] = acc / K.size
     return out
+
+
+def fourier_component(vals, khat, K):
+    """Isotypic piece of a function: averaging against the character of
+    ``khat`` leaves the component transforming by it under translation."""
+    inverse = finitefm._character_table(K, inverse=True)[
+        :, K._index[K.reduce(khat)]]
+    comp = finitefm._translates(K, vals)[0] @ inverse / K.size
+    return dict(zip(K.elements(), comp.tolist()))
 
 
 def loop_fourier_component(vals, khat, K):
