@@ -295,17 +295,19 @@ def random_sheaf(model: TorusModel, rng) -> EquivariantObject:
     random invertible fiberwise maps: a generic object satisfying the
     transport law.
 
-    Per point, in order, one draw of the real and imaginary parts of a
-    square matrix, then one of its column scales, each written straight
-    into a padded stack: the matrices padded with the identity, the scales
-    with ones.  One QR of the stack orthonormalizes the matrices (on the
-    padding it is the identity), and the batched product of
-    :meth:`~nctorus.equivariant.EquivariantObject.conjugate` applies them,
-    the inverses taken per fiber dimension.
+    The grading is one draw over the points, the same stream as one draw
+    per point.  Then per point, in order, one draw of the real and
+    imaginary parts of a square matrix and one of its column scales, each
+    written straight into a padded stack: the matrices padded with the
+    identity, the scales with ones.  One QR of the stack orthonormalizes
+    the matrices (on the padding it is the identity), and the batched
+    product of :meth:`~nctorus.equivariant.EquivariantObject.conjugate`
+    applies them, the inverses taken per fiber dimension.
     """
-    dims = {s: int(rng.integers(0, 3)) for s in model.gset.points}
+    points = model.gset.points
+    dims = dict(zip(points, rng.integers(0, 3, size=len(points)).tolist()))
     if not any(dims.values()):
-        dims[model.gset.points[0]] = 1
+        dims[points[0]] = 1
     obj = free_sheaf(model, dims)
     fibers, D = list(obj.dims.values()), obj.stack.shape[2]
     draws = np.zeros((len(fibers), D, D), dtype=complex)

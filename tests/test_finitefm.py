@@ -301,8 +301,7 @@ def loop_equivariance_iso(dims, yhat, B):
     """The comparison permutation placed one identity block at a time
     (the oracle)."""
     move = minus(B, B.reduce(yhat))
-    src, total = graded_layout(
-        loop_translate_graded(dims, yhat, B), B)
+    src, total = graded_layout(loop_translate_graded(dims, yhat, B), B)
     dst = {beta: off for beta, off, _ in graded_layout(dims, B)[0]}
     E = np.zeros((total, total))
     for beta, off, d in src:
