@@ -300,11 +300,9 @@ class EquivariantObject:
         Produces an isomorphic object satisfying the same scalar law: the
         ``T[s]`` zero-padded into one stack for :meth:`_conjugated`.
         """
-        points, dims = self.gset.points, list(self.dims.values())
-        Tp = np.zeros((len(points), *self.stack.shape[2:]), complex)
-        for n in set(dims):
-            at = [p for p, d in enumerate(dims) if d == n]
-            Tp[at, :n, :n] = [T[points[p]] for p in at]
+        Tp = np.zeros((len(self.gset.points), *self.stack.shape[2:]), complex)
+        for p, (s, n) in enumerate(self.dims.items()):
+            Tp[p, :n, :n] = T[s]
         return self._conjugated(Tp)
 
     def _conjugated(self, Tp: np.ndarray) -> "EquivariantObject":
@@ -631,10 +629,9 @@ def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
         (db, da), moved = chi.shape[2:], rho_b @ chi @ inverse[k]
         q, _ = np.linalg.qr(moved.reshape(len(chi), len(orbit) * db * da).T)
         for fam in q.T.reshape(-1, len(orbit), db, da):
-            full = {p: np.zeros((b.dims[p], a.dims[p]), dtype=complex)
-                    for p in a.gset.points}
-            full.update(zip(orbit, fam))
-            out.append(full)
+            at = dict(zip(orbit, fam))
+            out.append({p: at[p] if p in at else np.zeros(
+                (b.dims[p], a.dims[p]), dtype=complex) for p in a.gset.points})
     return out
 
 

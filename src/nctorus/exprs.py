@@ -21,9 +21,7 @@ meaning the unit of argument ``2*pi*p/q``.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -114,27 +112,67 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _split_sign(text: str) -> tuple:
-    """``(sign, rest)``: the leading run of ``+``/``-`` (spaces between
-    allowed) folded into ``1`` or ``-1``, and the stripped remainder."""
-    sign, text = 1, text.strip()
-    while text and text[0] in "+-":
-        if text[0] == "-":
-            sign = -sign
-        text = text[1:].lstrip()
-    return sign, text
+_LEAD = re.compile(r"[\s+-]*")
+
+
+def _pairs(text: str) -> dict:
+    """The position of the matching ``)`` of each ``(`` that has one."""
+    pairs, opened = {}, []
+    for m in re.finditer(r"[()]", text):
+        if m.group() == "(":
+            opened.append(m.start())
+        elif opened:
+            pairs[opened.pop()] = m.start()
+    return pairs
+
+
+def _split_sign(text: str, lo: int, hi: int) -> tuple:
+    """``(sign, lo, hi)``: ``text[lo:hi]`` stripped, its leading run of
+    signs and spaces folded into ``1`` or ``-1``."""
+    lead = _LEAD.match(text, lo, hi).group()
+    while hi > lo and text[hi - 1].isspace():
+        hi -= 1
+    return (-1) ** lead.count("-"), lo + len(lead), hi
+
+
+def _split_terms(text: str, pairs: dict, lo: int, hi: int) -> list:
+    """The ``(lo, hi)`` spans of the terms of ``text[lo:hi]``: a sign
+    starts one after a completed factor, not after an operator or a caret
+    (``t1^-2``); each group, closed within the span, is passed at once."""
+    cuts, prev, i = [lo], "", lo
+    while i < hi:
+        ch = text[i]
+        if ch in "()":
+            if pairs.get(i, hi) >= hi:  # a ")" or a group running past hi
+                raise ParseError("unbalanced parentheses")
+            i, ch = pairs[i], ")"
+        elif ch in "+-" and prev not in "^*/+-(":  # "" (the start) is too
+            cuts.append(i)
+        if not ch.isspace():
+            prev = ch
+        i += 1
+    return list(zip(cuts, cuts[1:] + [hi])) if prev else []
 
 
 def _parse_coeff(text: str) -> complex:
     """A signed coefficient factor: rational, imaginary rational, or a
-    parenthesized signed sum of such factors, nested to any depth."""
-    sign, text = _split_sign(text)
-    if text.startswith("(") and text.endswith(")"):
-        terms = _split_terms(text[1:-1])
+    parenthesized signed sum of such factors, nested to any depth; each
+    level reads only its own characters."""
+    return _coeff(text, _pairs(text), 0, len(text))
+
+
+def _coeff(text: str, pairs: dict, lo: int, hi: int) -> complex:
+    """:func:`_parse_coeff` of ``text[lo:hi]``."""
+    sign, lo, hi = _split_sign(text, lo, hi)
+    if lo < hi and text[lo] == "(" and text[hi - 1] == ")":
+        terms = _split_terms(text, pairs, lo + 1, hi - 1)
         if not terms:
             raise ParseError("empty coefficient")
-        value = functools.reduce(operator.add, map(_parse_coeff, terms))
+        value = _coeff(text, pairs, *terms[0])
+        for term in terms[1:]:
+            value += _coeff(text, pairs, *term)
         return value if sign > 0 else -value
+    text = text[lo:hi]
     if not text:
         raise ParseError("empty coefficient")
     if text == "i":
@@ -149,46 +187,15 @@ def _parse_coeff(text: str) -> complex:
 _VAR = re.compile(r"t(\d+)(?:\^(-?\d+))?\Z")
 
 
-def _split_terms(text: str) -> list:
-    """Top-level split on ``+``/``-`` keeping the sign with each term and
-    ignoring signs inside parentheses."""
-    terms = []
-    depth = 0
-    current = ""
-    prev = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses")
-        # a sign splits terms only after a completed factor, not after an
-        # operator or exponent caret (as in t1^-2)
-        if (ch in "+-" and depth == 0 and current.strip()
-                and prev not in "^*/+-("):
-            terms.append(current)
-            current = ch
-            prev = ch
-            continue
-        current += ch
-        if not ch.isspace():
-            prev = ch
-    if depth:
-        raise ParseError("unbalanced parentheses")
-    if current.strip():
-        terms.append(current)
-    return terms
-
-
 def parse_laurent(text: str, g: int) -> LaurentPoly:
     """Read a sum of coefficient-times-monomial terms in ``t1..t<g>``."""
     text = text.strip()
     if not text or text == "0":
         return LaurentPoly.zero(g)
     total = LaurentPoly.zero(g)
-    for raw in _split_terms(text):
-        sign, term = _split_sign(raw)
+    for lo, hi in _split_terms(text, _pairs(text), 0, len(text)):
+        sign, start, stop = _split_sign(text, lo, hi)
+        raw, term = text[lo:hi], text[start:stop]
         if not term:
             raise ParseError(f"empty term in {text!r}")
         coeff = complex(sign)

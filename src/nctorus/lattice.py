@@ -201,8 +201,9 @@ class FiniteAbelianGroup:
     map ``id(x) -> index`` and the ``L`` phases ``n / L``.  From then on the
     element tuples are the group's own: :meth:`reduce`, :meth:`add`,
     :meth:`neg` and :meth:`scale` return them, and a query takes ``x`` as
-    it is when ``id(x)`` is in that map.  That is sound because the group
-    keeps its own tuples alive, and it pickles and copies as its factors.
+    it is when ``id(x)`` is in that map, which is sound because the group
+    keeps its own tuples alive; it pickles and copies as its factors.  It
+    also keeps the row of phases of each character a query meets.
     Any other argument, an equal tuple too, is counted and its coordinates
     pass ``operator.index``, so a float or ``Fraction`` raises ``TypeError``
     on every group.  A group never enumerated (such as a quotient of order
@@ -223,7 +224,7 @@ class FiniteAbelianGroup:
         self._diag = [[w * (i == j) for j in range(len(fs))]
                       for i, w in enumerate(self._weights)]
         self._elements = self._index = self._roots = self._add = None
-        self._ids, self._chars = {}, {}  # _chars: kept rows of the pairing
+        self._ids, self._chars = {}, {}  # _chars: rows of phases by chi
 
     def __reduce__(self):
         return FiniteAbelianGroup, (self.factors,)
@@ -252,17 +253,43 @@ class FiniteAbelianGroup:
         """The group's own tuple equal to the reduced tuple ``x``, if any."""
         return x if self._index is None else self._elements[self._index[x]]
 
-    def _row(self, E, rows: dict, x: Sequence[int]) -> list[int]:
-        """The row ``x . E mod L`` of an integer matrix ``E``: kept in
-        ``rows`` under the position of an own ``x``, computed for any other."""
-        i = self._ids.get(id(x))
-        row = rows.get(i)
+    def _sharp(self, E, x: Sequence[int]) -> Vec:
+        """The character ``x . E`` of a table's exponent matrix ``E``:
+        ``chi_i = (x . E mod L)_i / (L / d_i)``, exact since the table's
+        order checks make column ``i`` of ``E`` a multiple of ``L / d_i``."""
+        x, L = self._ints(x), self.exponent
+        return self._own(tuple([sum(map(operator.mul, x, col)) % L // w
+                                for col, w in zip(zip(*E), self._weights)]))
+
+    def _form(self, E, rows, x: Sequence[int], y: Sequence[int]) -> Phase:
+        """The form ``x . E . y / L``: the character ``x . E`` at ``y``.
+        Once the group is enumerated, ``_chars`` keeps the row of phases of
+        each character met, one per element in element order, and ``rows``
+        shares it under each own ``x``."""
+        ids = self._ids
+        try:
+            return rows[ids[id(x)]][ids[id(y)]]
+        except KeyError:
+            i, j = ids.get(id(x)), ids.get(id(y))
+            row = rows.get(i)
         if row is None:
-            x, L = self._ints(x), self.exponent
-            row = [sum(map(operator.mul, x, col)) % L for col in zip(*E)]
+            chi, L = self._sharp(E, x), self.exponent
+            e = list(map(operator.mul, chi, self._weights))  # x . E mod L
+            if not ids:
+                return Phase._reduced(sum(map(operator.mul, e,
+                                              self._ints(y))), L)
+            row = self._chars.get(ids[id(chi)])
+            if row is None:  # in product order: the last factor's steps,
+                # then each factor before it, sums staying below rank * L
+                *outer, row = [[c * n % L for n in range(d)] for c, d
+                               in zip(e, self.factors)] or [[0]]
+                for steps in reversed(outer):
+                    row = [s + a for s in steps for a in row]
+                roots = self._roots * max(self.rank, 1)
+                row = self._chars[ids[id(chi)]] = [roots[a] for a in row]
             if i is not None:
                 rows[i] = row
-        return row
+        return row[ids[id(self.reduce(y))] if j is None else j]
 
     def reduce(self, x: Sequence[int]) -> Vec:
         x = self._ints(x)  # a tuple only when it is the group's own
@@ -295,18 +322,7 @@ class FiniteAbelianGroup:
                 for j in range(self.rank)]
 
     def pairing(self, x: Sequence[int], chi: Sequence[int]) -> Phase:
-        # unreduced is fine: x_i -> x_i + d_i adds chi_i * L to the sum
-        ids = self._ids
-        row = self._chars.get(ids.get(id(chi)))
-        if row is not None and id(x) in ids:
-            return self._roots[sum(map(operator.mul, row, x)) % self.exponent]
-        return self._root(sum(map(operator.mul, self._ints(x),
-                                  self._row(self._diag, self._chars, chi))))
-
-    def _root(self, e: int) -> Phase:
-        """The phase ``e / L``, from the roots table once enumerated."""
-        return (Phase._reduced(e, self.exponent) if self._roots is None
-                else self._roots[e % self.exponent])
+        return self._form(self._diag, self._chars, chi, x)
 
     def random_element(self, rng: np.random.Generator) -> Vec:
         return tuple(int(rng.integers(0, d)) for d in self.factors)
@@ -346,8 +362,9 @@ class GroupBilinearTable:
     Evaluation runs in integer exponents over the group exponent
     ``L = lcm(factors)``: the validated orders make every ``omega[i][j] * L``
     an integer, and ``table(x, y)`` is ``(x . E mod L) . y / L`` for that
-    integer matrix ``E``.  The row ``x . E mod L`` of each of the group's
-    own tuples is kept once computed: ``O(|G| rank)`` ints.
+    integer matrix ``E``, the character ``x . E`` at ``y``.  Each of the
+    group's own tuples queried keeps its character's row of phases, shared
+    with the group's pairing: ``O(|G|)`` references per row.
     """
 
     __slots__ = ("group", "omega", "_E", "_rows")
@@ -380,14 +397,7 @@ class GroupBilinearTable:
         return cls(group, [[z] * group.rank for _ in range(group.rank)])
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Phase:
-        # unreduced is fine: d_i * E[i][j] and d_j * E[i][j] are 0 mod L
-        G = self.group
-        ids = G._ids
-        row = self._rows.get(ids.get(id(x)))
-        if row is not None and id(y) in ids:
-            return G._roots[sum(map(operator.mul, row, y)) % G.exponent]
-        return G._root(sum(map(operator.mul, G._row(self._E, self._rows, x),
-                               G._ints(y))))
+        return self.group._form(self._E, self._rows, x, y)
 
     def antisymmetrized(self) -> "GroupBilinearTable":
         r = self.group.rank
@@ -430,7 +440,7 @@ def _phase_matrix(group: FiniteAbelianGroup, E) -> np.ndarray:
     :class:`GroupBilinearTable` bit for bit, ``diag(L / d_i)`` the pairing."""
     X = np.indices(group.factors).reshape(group.rank, group.size).T
     L = group.exponent
-    roots = np.array([group._root(n).embed() for n in range(L)])
+    roots = np.array([Phase._reduced(n, L).embed() for n in range(L)])
     E = np.array(E, dtype=np.int64).reshape(group.rank, group.rank)
     return roots[X @ E % L @ X.T % L]
 
@@ -645,12 +655,7 @@ def lambda_sharp(table: GroupBilinearTable) -> DualPairData:
     never are, thanks to their primitive diagonal.
     """
     group = table.group
-    # The character of x has coordinate (x . E mod L)_j / (L / d_j) on
-    # generator j; the table's order validation makes every E[i][j]
-    # divisible by L / d_j.
-    sharp = {x: group._own(tuple(map(operator.floordiv, group._row(
-                 table._E, table._rows, x), group._weights)))
-             for x in group.elements()}
+    sharp = {x: group._sharp(table._E, x) for x in group.elements()}
     if len(set(sharp.values())) != group.size:
         raise ValueError("pairing is degenerate: sharp is not a bijection")
     flat = {v: k for k, v in sharp.items()}

@@ -153,7 +153,7 @@ def _random_laurent(g: int, rng, terms: int = 4,
                     radius: int = 2) -> LaurentPoly:
     data = {}
     for _ in range(terms):
-        t = tuple(int(rng.integers(-radius, radius + 1)) for _ in range(g))
+        t = tuple(rng.integers(-radius, radius + 1, size=g).tolist())
         data[t] = complex(rng.normal(), rng.normal())
     return LaurentPoly(g, data)
 
@@ -161,7 +161,7 @@ def _random_laurent(g: int, rng, terms: int = 4,
 def _random_qpoly(g: int, rng, terms: int = 3, radius: int = 2) -> QPolynomial:
     poly = QPolynomial.zero(g)
     for _ in range(terms):
-        a = tuple(int(rng.integers(-radius, radius + 1)) for _ in range(g))
+        a = tuple(rng.integers(-radius, radius + 1, size=g).tolist())
         poly = poly + QPolynomial.monomial(g, a, None,
                                            complex(rng.normal(), rng.normal()))
     return poly
@@ -282,8 +282,7 @@ def battery_weyl(seed: int = 0, grid: str = "small",
     report = LinearizationReport()
     A = lam.antisymmetrized()
     for r in range(rounds):
-        key = (tuple(int(rng.integers(-1, 2)) for _ in range(g)),
-               tuple(int(rng.integers(-1, 2)) for _ in range(g)))
+        key = tuple(map(tuple, rng.integers(-1, 2, size=(2, g)).tolist()))
         v = PModuleElement(g, {key: complex(rng.normal(), rng.normal())})
         for i, j in itertools.combinations(range(g), 2):
             lhs = pmodule_act_gammahat(
@@ -427,7 +426,7 @@ def battery_equivariant(seed: int = 0, grid: str = "small",
     out.append(_exact("group-cocycle-identity", *phi.check()))
 
     gset = GSet.regular(G)
-    dims = {s: int(rng.integers(1, 3)) for s in gset.points}
+    dims = dict(zip(gset.points, rng.integers(1, 3, size=G.size).tolist()))
     obj = free(dims, phi, gset)
     out.append(PropertyResult("free-object-transport-law",
                               check_linearization(obj, phi)))
@@ -445,7 +444,8 @@ def battery_equivariant(seed: int = 0, grid: str = "small",
         return q
 
     a = obj.conjugate({s: unitary(obj.dims[s]) for s in gset.points})
-    b = free({s: int(rng.integers(1, 3)) for s in gset.points}, phi, gset)
+    b = free(dict(zip(gset.points, rng.integers(1, 3, size=G.size).tolist())),
+             phi, gset)
     b = b.conjugate({s: unitary(b.dims[s]) for s in gset.points})
     report = LinearizationReport()
     for (i, fam), (h, moved) in itertools.product(
@@ -513,7 +513,7 @@ def battery_fm(seed: int = 0, grid: str = "small") -> list:
     out = []
 
     B = FiniteAbelianGroup((2, 4))
-    dims = {b: int(rng.integers(0, 3)) for b in B.elements()}
+    dims = dict(zip(B.elements(), rng.integers(0, 3, size=B.size).tolist()))
     dims[B.zero()] = max(dims[B.zero()], 1)
     out.append(_exact("fmab-roundtrip", fm_ab_inverse(fm_ab(dims, B))
                       == {b: d for b, d in dims.items() if d}))

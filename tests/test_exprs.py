@@ -1,4 +1,5 @@
 import struct
+import timeit
 
 import numpy as np
 import pytest
@@ -305,6 +306,25 @@ def test_nesting_beyond_the_recursion_limit_is_refused():
         == LaurentPoly(1, {(0,): 2})
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_laurent("(" * 1000 + "2" + ")" * 1000, 1)
+
+
+def test_deep_nesting_reads_each_level_once():
+    """450 levels of parentheses around a sum of about 4 000 characters
+    read as one level does, the terms added left to right, in little more
+    time.  A reader that re-scans the inside of every level takes some 60
+    times as long."""
+    body = ("+1/3-2i+5/7" * 364)[1:]
+    flat, nested = f"({body})", "(" * 450 + body + ")" * 450
+    want = 1 / 3 + 0j
+    for term in [-2j, 5 / 7 + 0j] + [1 / 3 + 0j, -2j, 5 / 7 + 0j] * 363:
+        want += term
+    assert exprs._parse_coeff(nested) == exprs._parse_coeff(flat) == want
+
+    def best(text):
+        return min(timeit.repeat(lambda: exprs._parse_coeff(text),
+                                 number=1, repeat=3))
+
+    assert best(nested) < 5 * best(flat)
 
 
 def test_a_coefficient_too_large_to_print_is_refused():

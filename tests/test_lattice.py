@@ -811,7 +811,7 @@ def test_queries_match_the_per_call_loops():
             if enumerated:
                 assert K._elements is None and table._rows == {}
                 assert lambda_sharp(table).sharp == loop_sharp(table)
-                assert len(table._rows) == K.size
+                assert table._rows == {}  # sharp keeps no rows
                 elems = list(K.elements())
             forms = [element_variants(x, K.factors) for x in elems]
             pairs = itertools.product(forms, repeat=2)
@@ -826,6 +826,50 @@ def test_queries_match_the_per_call_loops():
                 for tv in (t, list(t), np.array(t, dtype=np.int64),
                            tuple(map(np.int64, t))):
                     assert quo.project(tv) == loop_project(quo, t)
+
+
+def test_kept_rows_match_the_loops_on_the_commutant_grid():
+    """Own-tuple ``table`` and ``pairing`` on every pair, and
+    ``lambda_sharp``, equal the per-call loops on every upper-triangular
+    form with ``g <= 3`` and ``N <= 6``.  A table keeps, under each
+    element, the group's row of its character, the row the pairing reads
+    for ``sharp[x]``."""
+    for g, N in itertools.product((1, 2, 3), range(1, 7)):
+        for upper in itertools.product(range(N), repeat=g * (g - 1) // 2):
+            it = iter(upper)
+            M = [[next(it) if j > i else 0 for j in range(g)]
+                 for i in range(g)]
+            lam = BilinearCocycle(M, N)
+            quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), N))
+            table, K = descend_cocycle(lam, quo), quo.group
+            sharp = lambda_sharp(table).sharp
+            assert sharp == loop_sharp(table), (M, N)
+            for x, y in itertools.product(K, repeat=2):
+                assert table(x, y) == loop_table(table, x, y), (M, N, x, y)
+                assert K.pairing(x, y) == loop_pairing(K, x, y), (M, N)
+                assert K.pairing(y, sharp[x]) == table(x, y)
+            for x in K:
+                assert table._rows[K._ids[id(x)]] \
+                    is K._chars[K._ids[id(sharp[x])]]
+
+
+def test_a_large_quotient_keeps_rows_of_the_queried_elements_only():
+    """On the 4 096-element quotient that ``param analyze`` still lists,
+    ``lambda_sharp`` keeps no row and ten own-tuple queries keep at most
+    ten rows of 4 096 phases, shared by the table and the pairing."""
+    lam = BilinearCocycle([[0, 1], [0, 0]], 64)
+    quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), lam.N))
+    table, K = descend_cocycle(lam, quo), quo.group
+    sharp = lambda_sharp(table).sharp
+    assert K.size == 4096 and table._rows == {} and K._chars == {}
+    elems = list(K)
+    rng = np.random.default_rng(4096)
+    for i, j in rng.integers(0, K.size, size=(10, 2)).tolist():
+        x, y = elems[i], elems[j]
+        assert table(x, y) == loop_table(table, x, y)
+        assert K.pairing(y, sharp[x]) == table(x, y)
+    assert 1 <= len(table._rows) <= 10 and len(K._chars) <= 10
+    assert all(len(row) == K.size for row in K._chars.values())
 
 
 def test_enumerated_queries_return_the_groups_own_tuples():
