@@ -113,12 +113,15 @@ def _parse_rational(text: str) -> Fraction:
 
 
 _LEAD = re.compile(r"[\s+-]*")
+# a group, or a sign after a completed factor (not after "^*/+-(")
+_CUT = re.compile(r"[()]|(?<=[^\s^*/+\-(])\s*[+-]")
+_PARENS = re.compile(r"[()]")
 
 
 def _pairs(text: str) -> dict:
     """The position of the matching ``)`` of each ``(`` that has one."""
     pairs, opened = {}, []
-    for m in re.finditer(r"[()]", text):
+    for m in _PARENS.finditer(text) if "(" in text else ():
         if m.group() == "(":
             opened.append(m.start())
         elif opened:
@@ -129,29 +132,27 @@ def _pairs(text: str) -> dict:
 def _split_sign(text: str, lo: int, hi: int) -> tuple:
     """``(sign, lo, hi)``: ``text[lo:hi]`` stripped, its leading run of
     signs and spaces folded into ``1`` or ``-1``."""
-    lead = _LEAD.match(text, lo, hi).group()
-    while hi > lo and text[hi - 1].isspace():
+    start = _LEAD.match(text, lo, hi).end()
+    while hi > start and text[hi - 1].isspace():
         hi -= 1
-    return (-1) ** lead.count("-"), lo + len(lead), hi
+    return -1 if text.count("-", lo, start) % 2 else 1, start, hi
 
 
 def _split_terms(text: str, pairs: dict, lo: int, hi: int) -> list:
     """The ``(lo, hi)`` spans of the terms of ``text[lo:hi]``: a sign
     starts one after a completed factor, not after an operator or a caret
     (``t1^-2``); each group, closed within the span, is passed at once."""
-    cuts, prev, i = [lo], "", lo
-    while i < hi:
-        ch = text[i]
-        if ch in "()":
+    cuts, m = [lo], _CUT.search(text, lo, hi)
+    while m:
+        i = m.start()
+        if text[i] in "()":
             if pairs.get(i, hi) >= hi:  # a ")" or a group running past hi
                 raise ParseError("unbalanced parentheses")
-            i, ch = pairs[i], ")"
-        elif ch in "+-" and prev not in "^*/+-(":  # "" (the start) is too
-            cuts.append(i)
-        if not ch.isspace():
-            prev = ch
-        i += 1
-    return list(zip(cuts, cuts[1:] + [hi])) if prev else []
+            i = pairs[i]
+        else:
+            cuts.append(i := m.end() - 1)
+        m = _CUT.search(text, i + 1, hi)
+    return list(zip(cuts, cuts[1:] + [hi]))
 
 
 def _parse_coeff(text: str) -> complex:
@@ -165,20 +166,17 @@ def _coeff(text: str, pairs: dict, lo: int, hi: int) -> complex:
     """:func:`_parse_coeff` of ``text[lo:hi]``."""
     sign, lo, hi = _split_sign(text, lo, hi)
     if lo < hi and text[lo] == "(" and text[hi - 1] == ")":
-        terms = _split_terms(text, pairs, lo + 1, hi - 1)
-        if not terms:
-            raise ParseError("empty coefficient")
-        value = _coeff(text, pairs, *terms[0])
-        for term in terms[1:]:
+        # a blank inside is one blank term: "empty coefficient" below
+        first, *rest = _split_terms(text, pairs, lo + 1, hi - 1)
+        value = _coeff(text, pairs, *first)
+        for term in rest:
             value += _coeff(text, pairs, *term)
         return value if sign > 0 else -value
     text = text[lo:hi]
     if not text:
         raise ParseError("empty coefficient")
-    if text == "i":
-        return sign * 1j
-    try:
-        value = sign * float(_parse_rational(text.removesuffix("i")))
+    try:  # "i" is "1i"
+        value = sign * float(_parse_rational(text.removesuffix("i") or "1"))
     except OverflowError:
         raise ParseError(f"coefficient {text!r} is too large") from None
     return value * 1j if text.endswith("i") else value + 0j
@@ -195,7 +193,7 @@ def parse_laurent(text: str, g: int) -> LaurentPoly:
     total = LaurentPoly.zero(g)
     for lo, hi in _split_terms(text, _pairs(text), 0, len(text)):
         sign, start, stop = _split_sign(text, lo, hi)
-        raw, term = text[lo:hi], text[start:stop]
+        term = text[start:stop]
         if not term:
             raise ParseError(f"empty term in {text!r}")
         coeff = complex(sign)
@@ -203,7 +201,7 @@ def parse_laurent(text: str, g: int) -> LaurentPoly:
         for factor in term.split("*"):
             factor = factor.strip()
             if not factor:
-                raise ParseError(f"empty factor in {raw!r}")
+                raise ParseError(f"empty factor in {text[lo:hi]!r}")
             m = _VAR.match(factor)
             if m:
                 index = int(m.group(1))

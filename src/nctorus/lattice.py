@@ -270,8 +270,7 @@ class FiniteAbelianGroup:
         try:
             return rows[ids[id(x)]][ids[id(y)]]
         except KeyError:
-            i, j = ids.get(id(x)), ids.get(id(y))
-            row = rows.get(i)
+            row = rows.get(ids.get(id(x)))
         if row is None:
             chi, L = self._sharp(E, x), self.exponent
             e = list(map(operator.mul, chi, self._weights))  # x . E mod L
@@ -279,17 +278,17 @@ class FiniteAbelianGroup:
                 return Phase._reduced(sum(map(operator.mul, e,
                                               self._ints(y))), L)
             row = self._chars.get(ids[id(chi)])
-            if row is None:  # in product order: the last factor's steps,
-                # then each factor before it, sums staying below rank * L
-                *outer, row = [[c * n % L for n in range(d)] for c, d
-                               in zip(e, self.factors)] or [[0]]
-                for steps in reversed(outer):
-                    row = [s + a for s in steps for a in row]
-                roots = self._roots * max(self.rank, 1)
-                row = self._chars[ids[id(chi)]] = [roots[a] for a in row]
-            if i is not None:
-                rows[i] = row
-        return row[ids[id(self.reduce(y))] if j is None else j]
+            if row is None:  # in product order, sums below rank * L
+                row, roots = [0], self._roots * max(self.rank, 1)
+                *outer, last = [[c * n % L for n in range(d)] for c, d
+                                in zip(e, self.factors)] or [[0]]
+                for steps in outer:
+                    row = [a + s for a in row for s in steps]
+                row = self._chars[ids[id(chi)]] = [roots[a + s] for a in row
+                                                   for s in last]
+            if id(x) in ids:
+                rows[ids[id(x)]] = row
+        return row[ids[id(self.reduce(y))]]
 
     def reduce(self, x: Sequence[int]) -> Vec:
         x = self._ints(x)  # a tuple only when it is the group's own
@@ -370,23 +369,17 @@ class GroupBilinearTable:
     __slots__ = ("group", "omega", "_E", "_rows")
 
     def __init__(self, group: FiniteAbelianGroup, omega):
-        r = group.rank
-        rows = []
-        for row in omega:
-            rows.append(tuple(w if isinstance(w, Phase) else Phase(w)
-                              for w in row))
+        r, fs = group.rank, group.factors
+        rows = tuple(tuple(w if isinstance(w, Phase) else Phase(w) for w in row)
+                     for row in omega)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ValueError(f"omega must be {r}x{r}")
-        for i in range(r):
-            for j in range(r):
-                w = rows[i][j]
-                if group.factors[i] * w != Phase.zero() \
-                        or group.factors[j] * w != Phase.zero():
-                    raise ValueError(
-                        f"omega[{i}][{j}] = {w} has order incompatible with "
-                        f"the generator orders")
+        for (i, row), j in itertools.product(enumerate(rows), range(r)):
+            if fs[i] * row[j] != Phase.zero() or fs[j] * row[j] != Phase.zero():
+                raise ValueError(f"omega[{i}][{j}] = {row[j]} has order "
+                                 f"incompatible with the generator orders")
         self.group = group
-        self.omega = tuple(rows)
+        self.omega = rows
         L = group.exponent
         self._E = tuple(tuple(w.n * (L // w.d) for w in row) for row in rows)
         self._rows = {}
@@ -440,7 +433,8 @@ def _phase_matrix(group: FiniteAbelianGroup, E) -> np.ndarray:
     :class:`GroupBilinearTable` bit for bit, ``diag(L / d_i)`` the pairing."""
     X = np.indices(group.factors).reshape(group.rank, group.size).T
     L = group.exponent
-    roots = np.array([Phase._reduced(n, L).embed() for n in range(L)])
+    roots = np.array([p.embed() for p in group._roots or map(
+        Phase._reduced, range(L), itertools.repeat(L))])
     E = np.array(E, dtype=np.int64).reshape(group.rank, group.rank)
     return roots[X @ E % L @ X.T % L]
 
@@ -638,9 +632,8 @@ class DualPairData:
 
     def dual_pairing(self, k1: Sequence[int], k2: Sequence[int]) -> Phase:
         """The pairing seen from the character side."""
-        k1 = self.group.reduce(k1)
-        k2 = self.group.reduce(k2)
-        return self.lam(self.flat[k1], self.flat[k2])
+        reduce = self.group.reduce
+        return self.lam(self.flat[reduce(k1)], self.flat[reduce(k2)])
 
     def __repr__(self) -> str:
         return f"DualPairData(group={self.group!r})"

@@ -153,7 +153,7 @@ def _random_laurent(g: int, rng, terms: int = 4,
                     radius: int = 2) -> LaurentPoly:
     data = {}
     for _ in range(terms):
-        t = tuple(rng.integers(-radius, radius + 1, size=g).tolist())
+        t = tuple(int(rng.integers(-radius, radius + 1)) for _ in range(g))
         data[t] = complex(rng.normal(), rng.normal())
     return LaurentPoly(g, data)
 
@@ -161,7 +161,7 @@ def _random_laurent(g: int, rng, terms: int = 4,
 def _random_qpoly(g: int, rng, terms: int = 3, radius: int = 2) -> QPolynomial:
     poly = QPolynomial.zero(g)
     for _ in range(terms):
-        a = tuple(rng.integers(-radius, radius + 1, size=g).tolist())
+        a = tuple(int(rng.integers(-radius, radius + 1)) for _ in range(g))
         poly = poly + QPolynomial.monomial(g, a, None,
                                            complex(rng.normal(), rng.normal()))
     return poly
