@@ -202,8 +202,7 @@ class FiniteAbelianGroup:
     element tuples are the group's own: :meth:`reduce`, :meth:`add`,
     :meth:`neg` and :meth:`scale` return them, and a query takes ``x`` as
     it is when ``id(x)`` is in that map, which is sound because the group
-    keeps its own tuples alive; it pickles and copies as its factors.  It
-    also keeps the row of phases of each character a query meets.
+    keeps its own tuples alive; it pickles and copies as its factors.
     Any other argument, an equal tuple too, is counted and its coordinates
     pass ``operator.index``, so a float or ``Fraction`` raises ``TypeError``
     on every group.  A group never enumerated (such as a quotient of order
@@ -211,20 +210,21 @@ class FiniteAbelianGroup:
     Its :func:`_add_index`, once built, is kept and not pickled either.
     """
 
-    __slots__ = ("factors", "exponent", "_weights", "_diag", "_elements",
-                 "_index", "_ids", "_roots", "_chars", "_add")
+    __slots__ = ("factors", "exponent", "_weights", "pairing", "_elements",
+                 "_index", "_ids", "_roots", "_chars", "_reads", "_add")
 
     def __init__(self, factors: Sequence[int]):
         fs = tuple(int(d) for d in factors)
         if any(d < 1 for d in fs):
             raise ValueError("cyclic factors must be positive")
         self.factors = fs
-        self.exponent = math.lcm(*fs)
-        self._weights = tuple(self.exponent // d for d in fs)
-        self._diag = [[w * (i == j) for j in range(len(fs))]
-                      for i, w in enumerate(self._weights)]
+        L = self.exponent = math.lcm(*fs)
+        self._weights = tuple(L // d for d in fs)
+        self.pairing = GroupBilinearTable(self, [  # the form diag(1 / d_i)
+            [Phase._reduced(w * (i == j), L) for j in range(len(fs))]
+            for i, w in enumerate(self._weights)])
         self._elements = self._index = self._roots = self._add = None
-        self._ids, self._chars = {}, {}  # _chars: rows of phases by chi
+        self._ids, self._chars, self._reads = {}, {}, {}
 
     def __reduce__(self):
         return FiniteAbelianGroup, (self.factors,)
@@ -253,42 +253,37 @@ class FiniteAbelianGroup:
         """The group's own tuple equal to the reduced tuple ``x``, if any."""
         return x if self._index is None else self._elements[self._index[x]]
 
-    def _sharp(self, E, x: Sequence[int]) -> Vec:
-        """The character ``x . E`` of a table's exponent matrix ``E``:
-        ``chi_i = (x . E mod L)_i / (L / d_i)``, exact since the table's
-        order checks make column ``i`` of ``E`` a multiple of ``L / d_i``."""
-        x, L = self._ints(x), self.exponent
-        return self._own(tuple([sum(map(operator.mul, x, col)) % L // w
-                                for col, w in zip(zip(*E), self._weights)]))
-
     def _form(self, E, rows, x: Sequence[int], y: Sequence[int]) -> Phase:
-        """The form ``x . E . y / L``: the character ``x . E`` at ``y``.
-        Once the group is enumerated, ``_chars`` keeps the row of phases of
-        each character met, one per element in element order, and ``rows``
-        shares it under each own ``x``."""
+        """The form ``x . E . y / L``, the character ``x . E`` at ``y``, where
+        a table's call finds no kept row.  An enumerated group counts each
+        character's reads in ``_reads`` and on read ``|G| / 64`` (the first,
+        up to order 64), once the reads have cost about what the row does,
+        keeps in ``_chars`` its row of phases in element order; ``rows``
+        shares it under each own ``x`` read."""
         ids = self._ids
-        try:
-            return rows[ids[id(x)]][ids[id(y)]]
-        except KeyError:
-            row = rows.get(ids.get(id(x)))
+        row = rows.get(ids.get(id(x)))
+        if row is not None:
+            return row[ids[id(self.reduce(y))]]
+        x, L = self._ints(x), self.exponent
+        e = [sum(map(operator.mul, x, col)) % L for col in zip(*E)]
+        num = sum(map(operator.mul, e, self._ints(y)))
+        if not ids:
+            return Phase._reduced(num, L)
+        k = self._index[tuple(map(operator.floordiv, e, self._weights))]
+        row = self._chars.get(k)
         if row is None:
-            chi, L = self._sharp(E, x), self.exponent
-            e = list(map(operator.mul, chi, self._weights))  # x . E mod L
-            if not ids:
-                return Phase._reduced(sum(map(operator.mul, e,
-                                              self._ints(y))), L)
-            row = self._chars.get(ids[id(chi)])
-            if row is None:  # in product order, sums below rank * L
+            reads = self._reads[k] = self._reads.get(k, 0) + 1
+            if 64 * reads >= len(self._elements):
                 row, roots = [0], self._roots * max(self.rank, 1)
                 *outer, last = [[c * n % L for n in range(d)] for c, d
                                 in zip(e, self.factors)] or [[0]]
-                for steps in outer:
+                for steps in outer:  # in product order, sums below rank * L
                     row = [a + s for a in row for s in steps]
-                row = self._chars[ids[id(chi)]] = [roots[a + s] for a in row
-                                                   for s in last]
-            if id(x) in ids:
-                rows[ids[id(x)]] = row
-        return row[ids[id(self.reduce(y))]]
+                row = self._chars[k] = [roots[a + s] for a in row
+                                        for s in last]
+        if row is not None and id(x) in ids:
+            rows[ids[id(x)]] = row
+        return self._roots[num % L]
 
     def reduce(self, x: Sequence[int]) -> Vec:
         x = self._ints(x)  # a tuple only when it is the group's own
@@ -319,9 +314,6 @@ class FiniteAbelianGroup:
         """One standard generator per cyclic factor."""
         return [tuple(int(i == j) for i in range(self.rank))
                 for j in range(self.rank)]
-
-    def pairing(self, x: Sequence[int], chi: Sequence[int]) -> Phase:
-        return self._form(self._diag, self._chars, chi, x)
 
     def random_element(self, rng: np.random.Generator) -> Vec:
         return tuple(int(rng.integers(0, d)) for d in self.factors)
@@ -361,9 +353,9 @@ class GroupBilinearTable:
     Evaluation runs in integer exponents over the group exponent
     ``L = lcm(factors)``: the validated orders make every ``omega[i][j] * L``
     an integer, and ``table(x, y)`` is ``(x . E mod L) . y / L`` for that
-    integer matrix ``E``, the character ``x . E`` at ``y``.  Each of the
-    group's own tuples queried keeps its character's row of phases, shared
-    with the group's pairing: ``O(|G|)`` references per row.
+    integer matrix ``E``, the character ``x . E`` at ``y``.  An own ``x``
+    read often enough keeps its character's row of ``|G|`` phases, shared
+    with the pairing (:meth:`FiniteAbelianGroup._form`).
     """
 
     __slots__ = ("group", "omega", "_E", "_rows")
@@ -375,7 +367,7 @@ class GroupBilinearTable:
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ValueError(f"omega must be {r}x{r}")
         for (i, row), j in itertools.product(enumerate(rows), range(r)):
-            if fs[i] * row[j] != Phase.zero() or fs[j] * row[j] != Phase.zero():
+            if fs[i] % row[j].d or fs[j] % row[j].d:  # d_i * omega_ij != 0
                 raise ValueError(f"omega[{i}][{j}] = {row[j]} has order "
                                  f"incompatible with the generator orders")
         self.group = group
@@ -390,7 +382,11 @@ class GroupBilinearTable:
         return cls(group, [[z] * group.rank for _ in range(group.rank)])
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Phase:
-        return self.group._form(self._E, self._rows, x, y)
+        ids = self.group._ids
+        try:
+            return self._rows[ids[id(x)]][ids[id(y)]]
+        except KeyError:
+            return self.group._form(self._E, self._rows, x, y)
 
     def antisymmetrized(self) -> "GroupBilinearTable":
         r = self.group.rank
@@ -647,8 +643,12 @@ def lambda_sharp(table: GroupBilinearTable) -> DualPairData:
     induce the same character.  Tables built by :func:`descend_cocycle`
     never are, thanks to their primitive diagonal.
     """
-    group = table.group
-    sharp = {x: group._sharp(table._E, x) for x in group.elements()}
+    group, L = table.group, table.group.exponent
+    # (x . E mod L)_i / (L / d_i): exact, since the table's order checks
+    # make column i of E a multiple of L / d_i
+    sharp = {x: group._own(tuple(map(operator.floordiv, [
+        sum(map(operator.mul, x, col)) % L for col in zip(*table._E)],
+        group._weights))) for x in group.elements()}
     if len(set(sharp.values())) != group.size:
         raise ValueError("pairing is degenerate: sharp is not a bijection")
     flat = {v: k for k, v in sharp.items()}

@@ -832,8 +832,8 @@ def test_kept_rows_match_the_loops_on_the_commutant_grid():
     """Own-tuple ``table`` and ``pairing`` on every pair, and
     ``lambda_sharp``, equal the per-call loops on every upper-triangular
     form with ``g <= 3`` and ``N <= 6``.  A table keeps, under each
-    element, the group's row of its character, the row the pairing reads
-    for ``sharp[x]``."""
+    element ``x``, the group's row of its character ``sharp[x]``, the row
+    the pairing keeps under ``sharp[x]``."""
     for g, N in itertools.product((1, 2, 3), range(1, 7)):
         for upper in itertools.product(range(N), repeat=g * (g - 1) // 2):
             it = iter(upper)
@@ -849,14 +849,16 @@ def test_kept_rows_match_the_loops_on_the_commutant_grid():
                 assert K.pairing(x, y) == loop_pairing(K, x, y), (M, N)
                 assert K.pairing(y, sharp[x]) == table(x, y)
             for x in K:
-                assert table._rows[K._ids[id(x)]] \
-                    is K._chars[K._ids[id(sharp[x])]]
+                k = K._ids[id(sharp[x])]
+                assert table._rows[K._ids[id(x)]] is K._chars[k] \
+                    is K.pairing._rows[k]
 
 
 def test_a_large_quotient_keeps_rows_of_the_queried_elements_only():
     """On the 4 096-element quotient that ``param analyze`` still lists,
     ``lambda_sharp`` keeps no row and ten own-tuple queries keep at most
-    ten rows of 4 096 phases, shared by the table and the pairing."""
+    ten rows: none, since a character's row of 4 096 phases is built on
+    its 64th read.  The pairing of ``sharp[x]`` then reads ``x``'s row."""
     lam = BilinearCocycle([[0, 1], [0, 0]], 64)
     quo = compute_K_hat(compute_H_hat(lam.antisymmetrized(), lam.N))
     table, K = descend_cocycle(lam, quo), quo.group
@@ -868,8 +870,30 @@ def test_a_large_quotient_keeps_rows_of_the_queried_elements_only():
         x, y = elems[i], elems[j]
         assert table(x, y) == loop_table(table, x, y)
         assert K.pairing(y, sharp[x]) == table(x, y)
-    assert 1 <= len(table._rows) <= 10 and len(K._chars) <= 10
-    assert all(len(row) == K.size for row in K._chars.values())
+    assert len(table._rows) <= 10 and len(K._chars) <= 10
+    x = elems[1234]
+    k = K._ids[id(sharp[x])]
+    assert k not in K._reads
+    for n, y in enumerate(elems[:64], 1):
+        assert table(x, y) == loop_table(table, x, y)
+        assert len(K._chars) == (n == 64)
+    assert list(table._rows) == [1234] and list(K._chars) == [k]
+    row = K._chars[k]
+    assert table._rows[1234] is row and len(row) == K.size
+    assert [K.pairing(sharp[x], y) for y in elems] == row
+    assert K.pairing._rows[k] is row
+
+
+def test_a_pairing_loop_over_a_large_group_keeps_one_row():
+    """``<y, a>`` for every ``a`` of a 4 096-element group, the loop of
+    ``character_twist``, reads the row of ``y`` 4 096 times and reads no
+    other: it builds ``y``'s row of phases on its 64th read, and no more."""
+    B = FiniteAbelianGroup((64, 64))
+    elems = list(B)
+    for n, y in enumerate(elems[:3], 1):
+        assert [B.pairing(y, a) for a in elems] == [
+            loop_pairing(B, y, a) for a in elems]
+        assert list(B._chars) == list(B.pairing._rows) == list(range(n))
 
 
 def test_enumerated_queries_return_the_groups_own_tuples():
