@@ -112,16 +112,14 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-_LEAD = re.compile(r"[\s+-]*")
 # a group, or a sign after a completed factor (not after "^*/+-(")
 _CUT = re.compile(r"[()]|(?<=[^\s^*/+\-(])\s*[+-]")
-_PARENS = re.compile(r"[()]")
 
 
 def _pairs(text: str) -> dict:
     """The position of the matching ``)`` of each ``(`` that has one."""
     pairs, opened = {}, []
-    for m in _PARENS.finditer(text) if "(" in text else ():
+    for m in re.finditer(r"[()]", text) if "(" in text else ():
         if m.group() == "(":
             opened.append(m.start())
         elif opened:
@@ -132,7 +130,9 @@ def _pairs(text: str) -> dict:
 def _split_sign(text: str, lo: int, hi: int) -> tuple:
     """``(sign, lo, hi)``: ``text[lo:hi]`` stripped, its leading run of
     signs and spaces folded into ``1`` or ``-1``."""
-    start = _LEAD.match(text, lo, hi).end()
+    start = lo
+    while start < hi and (text[start] in "+-" or text[start].isspace()):
+        start += 1
     while hi > start and text[hi - 1].isspace():
         hi -= 1
     return -1 if text.count("-", lo, start) % 2 else 1, start, hi
