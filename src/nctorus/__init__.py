@@ -98,86 +98,3 @@ from .qweyl import (
 )
 from .verify import PropertyResult, run_battery
 
-__all__ = [
-    "BilinearCocycle",
-    "BoundedCochain",
-    "BRepresentation",
-    "Coeff",
-    "CochainTable",
-    "DeformedKernel",
-    "DualPairData",
-    "EquivariantObject",
-    "ExponentWindow",
-    "FiniteAbelianGroup",
-    "GroupBilinearTable",
-    "GroupCocycleTable",
-    "GSet",
-    "LaurentPoly",
-    "LinearizationReport",
-    "ModuleOnXLambda",
-    "ParseError",
-    "PeriodMatrix",
-    "Phase",
-    "PModuleElement",
-    "PropertyResult",
-    "QPolynomial",
-    "QuotientPresentation",
-    "SublatticeBasis",
-    "SubgroupPresentation",
-    "TorusModel",
-    "TwistedAlgebra",
-    "WindowError",
-    "bounding_cochain",
-    "character_projectors",
-    "character_twist",
-    "check_cocycle",
-    "check_fm_ab_equivariance",
-    "check_linearization",
-    "coboundary",
-    "coboundary_transform",
-    "compute_H_hat",
-    "compute_K_hat",
-    "descend_cocycle",
-    "dual_side_product",
-    "fm_ab",
-    "fm_ab_equivariance_iso",
-    "fm_ab_inverse",
-    "fm_lambda",
-    "fm_lambda_inverse",
-    "forget",
-    "free",
-    "free_sheaf",
-    "from_module",
-    "gamma_action",
-    "hom_dim",
-    "hom_space",
-    "lambda_sharp",
-    "majorant_norm",
-    "max_coeff_diff",
-    "max_value_diff",
-    "module_hom_dim",
-    "module_hom_space",
-    "mul_crossed",
-    "mul_W",
-    "normal_order_representative",
-    "parse_laurent",
-    "parse_word",
-    "pmodule_act_gamma",
-    "pmodule_act_gammahat",
-    "random_sheaf",
-    "render_laurent",
-    "render_word_poly",
-    "retwist",
-    "run_battery",
-    "smith_normal_form",
-    "star_mul",
-    "star_on_points",
-    "subgroup_presentation",
-    "to_module",
-    "translate",
-    "translate_graded",
-    "twisted_algebra",
-    "verify_factorization",
-    "word_side",
-    "word_to_poly",
-]

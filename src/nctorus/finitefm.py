@@ -19,10 +19,11 @@ blocks at ``beta + iota(k)``, the index map of the comparison permutation.
 It keeps those blocks and builds no dense operator; its dense ``pi`` and
 ``n`` are views built on first use.  A module made from dense matrices
 (the constructor, ``conjugate``) stays dense and has its blocks in its
-character eigenspaces.  Module homs are the sheaf homs of the blocks,
-through the frame that spans and reads off each block; one routine gives
-both, of either form, to :func:`fm_lambda_inverse`, :func:`module_hom_dim`
-and :func:`module_hom_space`.  Tensoring with a :class:`DeformedKernel`
+character eigenspaces.  A module is checked as its blocks, a dense one
+through the frame that spans and reads off each block, and module homs
+are the sheaf homs of the blocks; one routine finds blocks and frame once
+per module for :meth:`ModuleOnXLambda.check`, :func:`fm_lambda_inverse`,
+:func:`module_hom_dim` and :func:`module_hom_space`.  Tensoring with a :class:`DeformedKernel`
 slices the invariants into placed transports, the independent oracle that
 :func:`verify_factorization` checks the transform against block by block.
 
@@ -34,12 +35,10 @@ Fourier components (:func:`dual_side_product`).
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping
 
 import numpy as np
 
-from .cocycle import Phase
 from .equivariant import (
     EquivariantObject,
     GroupCocycleTable,
@@ -276,10 +275,6 @@ class TorusModel:
         K = self.Khat
         return self.gset.points[self.gset.action[0, K._index[K.reduce(k)]]]
 
-    def character(self, k, a) -> Phase:
-        """Pairing phase ``<iota(k), a>`` of the embedded element with ``a``."""
-        return self.B.pairing(self.iota(k), a)
-
     def __repr__(self) -> str:
         return (f"TorusModel(B={list(self.B.factors)}, "
                 f"Khat={list(self.Khat.factors)})")
@@ -396,11 +391,12 @@ class ModuleOnXLambda:
     instead keeps the checked object, sharing its matrices, as ``blocks``:
     ``rho[k][beta]`` is the block of ``n[k]`` from the character ``beta``
     to ``beta + iota(k)``, placed by the index map of the comparison
-    permutation (:func:`fm_ab_equivariance_iso`).  There :meth:`check`
-    reads the blocks, and ``pi`` and ``n`` are dense views, each built on
-    first use.  Module homs are the sheaf homs of the blocks, through the
-    frame of a dense module, bases of its character eigenspaces, kept from
-    its first framing on; a block module needs none.
+    permutation (:func:`fm_ab_equivariance_iso`); ``pi`` and ``n`` are
+    dense views, each built on first use.  A dense module has its blocks
+    in its character eigenspaces, compressed through its frame, bases of
+    those eigenspaces; both are found on first use and kept.  A module is
+    checked as its blocks, a dense one through its frame, and module homs
+    are the sheaf homs of the blocks.
     """
 
     __slots__ = ("model", "dim", "blocks", "_pi", "_n", "_frame")
@@ -442,27 +438,34 @@ class ModuleOnXLambda:
         return self.n[self.model.Khat.reduce(k)]
 
     def check(self) -> LinearizationReport:
-        """Verify all three families of relations; the witness labels which
-        one broke first.  Blocks satisfy the first and the last by
-        construction, so only their transport law is checked."""
-        model = self.model
-        report = LinearizationReport()
-        blocks, pairs = self.blocks, ()
-        if blocks is None:
-            rep = self.rep().check()
-            report.note(rep.max_dev, ("representation", rep.witness))
-            blocks = from_module(model.Khat, {"*": self.n})
-            pairs = itertools.product(model.Khat.elements(),
-                                      model.B.elements())
+        """Verify all three families of relations on the module's blocks
+        (:func:`_framed`); the witness labels which one broke first.  Blocks
+        satisfy the ``B``-action and the exchange by construction, so only
+        their transport law is checked.  A dense module is checked through
+        its frame: ``W`` must carry the dense views ``pi'`` and ``n'`` of its
+        blocks' module to ``pi`` and ``n`` (witnesses ``("representation",
+        a)`` and ``("exchange", k)``), and one that cannot be framed fails
+        as ``("representation", reason)``."""
+        model, report = self.model, LinearizationReport()
+        try:
+            blocks, frame = _framed(model, self)
+        except ValueError as exc:
+            report.note(np.inf, ("representation", str(exc)))
+            return report
+        image = _block_module(model, blocks)
+
+        def intertwined(name, ops, views):  # W carries views to operators
+            for x, m in ops.items():
+                report.note(float(np.abs(m @ frame[0] - frame[0] @ views[x])
+                                  .max(initial=0.0)), (name, x))
+
+        if frame is not None:
+            intertwined("representation", self.pi, image.pi)
         law = check_linearization(blocks, model.phi)
         report.note(law.max_dev, law.witness
                     and ("twisted composition", *law.witness[:2]))
-        for k, a in pairs:
-            lhs = self.n_matrix(k) @ self.pi_matrix(a)
-            rhs = (-model.character(k, a)).embed() \
-                * self.pi_matrix(a) @ self.n_matrix(k)
-            report.note(float(np.abs(lhs - rhs).max(initial=0.0)),
-                        ("exchange", k, a))
+        if frame is not None:
+            intertwined("exchange", self.n, image.n)
         return report
 
     def conjugate(self, T) -> "ModuleOnXLambda":
@@ -479,6 +482,15 @@ class ModuleOnXLambda:
 
 # ---------------------------------------------------------------------------
 # the deformed transform
+
+def _block_module(model: TorusModel,
+                  blocks: EquivariantObject) -> ModuleOnXLambda:
+    """The module keeping ``blocks`` as they are, with no dense operator."""
+    module = ModuleOnXLambda.__new__(ModuleOnXLambda)
+    module.model, module.dim, module.blocks = model, blocks.total_dim(), blocks
+    module._pi = module._n = module._frame = None
+    return module
+
 
 def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
     """Transform a twisted-equivariant object on the dual points into a
@@ -498,10 +510,7 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
             f"(deviation {report.max_dev:.3g})")
     if not sheaf.gset.matches(model.gset):
         raise ValueError("object does not live on this model's dual points")
-    module = ModuleOnXLambda.__new__(ModuleOnXLambda)
-    module.model, module.dim, module.blocks = model, sheaf.total_dim(), sheaf
-    module._pi = module._n = module._frame = None
-    return module
+    return _block_module(model, sheaf)
 
 
 def _framed(model: TorusModel, module: ModuleOnXLambda):
@@ -510,29 +519,28 @@ def _framed(model: TorusModel, module: ModuleOnXLambda):
     ``beta`` span that block and the rows of ``R`` read it off.  A block
     module needs none (``None``); a dense one is framed by orthonormal
     bases ``W_beta`` of its character eigenspaces and ``R_beta = W_beta^H
-    P_beta`` with ``P_beta`` the character projector, both found once per
-    module, its translations compressed between them.  ``ValueError`` as from
-    :func:`_projector_images`, or for blocks on other points."""
-    if module.blocks is not None:
-        blocks = module.blocks
-        if not blocks.gset.matches(model.gset):
-            raise ValueError(
-                "module does not live on this model's dual points")
-        if blocks.gset is not model.gset:
-            blocks = EquivariantObject._stacked(model.gset, blocks.dims,
-                                                blocks.stack)
-        return blocks, None
-    if module._frame is None:
+    P_beta`` with ``P_beta`` the character projector, its translations
+    compressed between them: blocks and frame are found once per module
+    and kept.  ``ValueError`` as from :func:`_projector_images`, or for
+    blocks on other points."""
+    if module.blocks is None and module._frame is None:
         bases = _eigenspace_bases(module.rep()).values()
-        module._frame = ([w for _, w in bases],
-                         np.concatenate([w.conj().T @ p for p, w in bases]))
-    (W, R), act = module._frame, model.gset.action.tolist()
-    rho = {k: {beta: W[act[p][i]].conj().T @ n @ W[p]
-               for p, beta in enumerate(model.gset.points)}
-           for i, (k, n) in enumerate(module.n.items())}
-    dims = {beta: w.shape[1] for beta, w in zip(model.gset.points, W)}
-    return EquivariantObject(model.gset, dims, rho), (
-        np.concatenate(W, axis=1), R)
+        W, gset = [w for _, w in bases], module.model.gset
+        act = gset.action.tolist()
+        rho = {k: {beta: W[act[p][i]].conj().T @ n @ W[p]
+                   for p, beta in enumerate(gset.points)}
+               for i, (k, n) in enumerate(module.n.items())}
+        dims = {beta: w.shape[1] for beta, w in zip(gset.points, W)}
+        module._frame = (EquivariantObject(gset, dims, rho), (
+            np.concatenate(W, axis=1),
+            np.concatenate([w.conj().T @ p for p, w in bases])))
+    blocks, frame = module._frame or (module.blocks, None)
+    if not blocks.gset.matches(model.gset):
+        raise ValueError("module does not live on this model's dual points")
+    if blocks.gset is not model.gset:
+        blocks = EquivariantObject._stacked(model.gset, blocks.dims,
+                                            blocks.stack)
+    return blocks, frame
 
 
 def fm_lambda_inverse(model: TorusModel,

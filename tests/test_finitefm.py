@@ -461,7 +461,7 @@ def test_model_translation_orbits():
     model = model_halved(True)
     assert model.iota((1,)) == (2,)
     assert model.gset.act((1,), (1,)) == (3,)
-    assert model.character((1,), (1,)) == Phase(1, 2)
+    assert model.B.pairing(model.iota((1,)), (1,)) == Phase(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1290,10 +1290,10 @@ def test_inverse_handles_conjugated_modules():
 
 
 def test_a_dense_module_finds_its_eigenspace_bases_once(monkeypatch):
-    """The inverse of a dense module and then its hom space or hom count
-    take one stacked SVD between them, and give what fresh copies framed
-    afresh give.  Block modules, fresh copies and conjugates keep no
-    frame."""
+    """The check of a dense module, its inverse and then its hom space or
+    hom count take one stacked SVD between them and read one set of
+    compressed blocks, and give what fresh copies framed afresh give.
+    Block modules, fresh copies and conjugates keep no frame."""
     calls = []
     right = finitefm._eigenspace_bases
     monkeypatch.setattr(finitefm, "_eigenspace_bases",
@@ -1306,8 +1306,11 @@ def test_a_dense_module_finds_its_eigenspace_bases_once(monkeypatch):
             module = dense_copy(block)
             assert module._frame is None
             calls.clear()
+            assert module.check().ok
             back, got = fm_lambda_inverse(model, module), hom(module, target)
-            assert len(calls) == 1 and module._frame is not None
+            assert len(calls) == 1
+            assert back is module._frame[0] \
+                is finitefm._framed(model, module)[0]
             back2 = fm_lambda_inverse(model, dense_copy(block))
             want = hom(dense_copy(block), target)
             assert len(calls) == 3
@@ -1340,6 +1343,64 @@ def test_module_check_flags_a_nan_operator():
     assert not report.ok
     assert report.max_dev == float("inf")
     assert report.witness == ("twisted composition", (0,), (1,))
+
+
+def dense_relations_check(module):
+    """Oracle, the dense check ``ModuleOnXLambda.check`` ran before it read
+    a dense module through its frame: ``BRepresentation.check`` of ``pi``
+    (``|B|^2`` products), the transport law of ``n`` on a one-point object,
+    then ``n[k] pi(a) == <iota(k), a>^-1 pi(a) n[k]`` for every ``(k,
+    a)``."""
+    model, report = module.model, LinearizationReport()
+    rep = module.rep().check()
+    report.note(rep.max_dev, ("representation", rep.witness))
+    law = check_linearization(from_module(model.Khat, {"*": module.n}),
+                              model.phi)
+    report.note(law.max_dev, law.witness
+                and ("twisted composition", *law.witness[:2]))
+    for k, a in itertools.product(model.Khat.elements(), model.B.elements()):
+        n, pi = module.n_matrix(k), module.pi_matrix(a)
+        phase = (-model.B.pairing(model.iota(k), a)).embed()
+        report.note(float(np.abs(n @ pi - phase * pi @ n).max(initial=0.0)),
+                    ("exchange", k, a))
+    return report
+
+
+def test_module_check_agrees_with_the_dense_relations_oracle():
+    """On conjugated valid modules, spoiled translations, broken actions
+    and two modules that break only the exchange, the check through the
+    frame passes exactly when the dense oracle does; the exchange breakers
+    fail at the witnesses the frame gives them."""
+    rng = np.random.default_rng(3307)
+    cases = []
+    for model in ALL_MODELS + [model_regular(3)]:
+        mod = fm_lambda(model, random_sheaf(model, rng))
+        T = rng.normal(size=(mod.dim,) * 2) + 1j * rng.normal(
+            size=(mod.dim,) * 2)
+        cases.append((mod.conjugate(T), None))
+    model = model_halved(True)
+    mod = fm_lambda(model, random_sheaf(model, rng))
+    for scale in (2.0, np.nan):
+        cases.append((ModuleOnXLambda(
+            model, mod.pi, {**mod.n, (1,): scale * mod.n[(1,)]}), None))
+    cases += [(bad, None) for bad in broken_modules(model).values()]
+    # the translations fix every eigenspace, which iota((1,)) = (2,) moves
+    plain = TorusModel(model.B, model.Khat, [[2]])
+    pi = fm_ab(random_dims(plain.B, rng), plain.B).pi
+    one = np.eye(len(pi[(0,)]))
+    cases.append((ModuleOnXLambda(plain, pi, {(0,): one, (1,): one}),
+                  ("twisted composition", (1,), (1,))))
+    cases.append((ModuleOnXLambda(
+        model, mod.pi, {**mod.n, (1,): mod.n[(1,)] + 0.1 * mod.pi[(1,)]}),
+        ("exchange", (1,))))
+    verdicts = []
+    for module, witness in cases:
+        report = module.check()
+        assert report.ok == dense_relations_check(module).ok
+        if witness is not None:
+            assert report.witness == witness
+        verdicts.append(report.ok)
+    assert verdicts == [True] * 5 + [False] * 7
 
 
 def test_representation_check_names_a_wrong_identity():

@@ -25,9 +25,10 @@ time and the tracemalloc peak:
 BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1`` is set before numpy
 is imported).  Each call runs once, in the order above, with tracemalloc
 tracing, which slows numpy calls little but Python loops more.  So the
-whole block path prints before the first dense row.  At ``n = 5`` the
-dense ``check`` alone runs for minutes, and at ``n = 6`` the dense rows
-need several GB.
+whole block path prints before the first dense row.  The first dense
+row, ``check``, frames the conjugated module (bases of its character
+eigenspaces, its translations compressed between them); the rows after
+it reuse that frame.  At ``n = 6`` the dense rows need several GB.
 """
 
 from __future__ import annotations
