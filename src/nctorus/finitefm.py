@@ -63,8 +63,8 @@ from .lattice import (DualPairData, FiniteAbelianGroup, GroupBilinearTable,
 class BRepresentation:
     """Finite-dimensional representation of a finite abelian group ``B``.
 
-    Stores one matrix per group element; :meth:`check` verifies that they
-    actually multiply like the group.
+    Stores one matrix per group element; nothing checks that they multiply
+    like the group (:func:`fm_ab` builds ones that do).
     """
 
     __slots__ = ("group", "dim", "pi")
@@ -90,20 +90,6 @@ class BRepresentation:
 
     def matrix(self, a) -> np.ndarray:
         return self.pi[self.group.reduce(a)]
-
-    def check(self) -> LinearizationReport:
-        """The identity at zero, then the homomorphism property
-        ``pi(b) pi(a) == pi(a + b)`` as the transport law of the one-point
-        object with the trivial twist; the witness is ``("zero",)`` or the
-        first failing pair ``(a, b)``."""
-        report = LinearizationReport()
-        report.note(float(np.abs(self.matrix(self.group.zero())
-                                 - np.eye(self.dim)).max(initial=0.0)),
-                    ("zero",))
-        law = check_linearization(from_module(self.group, {"*": self.pi}),
-                                  GroupCocycleTable.trivial(self.group))
-        report.note(law.max_dev, law.witness and law.witness[:2])
-        return report
 
     def __repr__(self) -> str:
         return f"BRepresentation(B={list(self.group.factors)}, dim={self.dim})"
@@ -442,30 +428,31 @@ class ModuleOnXLambda:
         (:func:`_framed`); the witness labels which one broke first.  Blocks
         satisfy the ``B``-action and the exchange by construction, so only
         their transport law is checked.  A dense module is checked through
-        its frame: ``W`` must carry the dense views ``pi'`` and ``n'`` of its
-        blocks' module to ``pi`` and ``n`` (witnesses ``("representation",
-        a)`` and ``("exchange", k)``), and one that cannot be framed fails
-        as ``("representation", reason)``."""
+        its frame: ``W`` must carry the blocks' characters ``pi'`` (scaling
+        its columns) and translations ``n'`` to ``pi`` and ``n`` (witnesses
+        ``("representation", a)`` and ``("exchange", k)``), and one that
+        cannot be framed fails as ``("representation", reason)``."""
         model, report = self.model, LinearizationReport()
         try:
             blocks, frame = _framed(model, self)
         except ValueError as exc:
             report.note(np.inf, ("representation", str(exc)))
             return report
-        image = _block_module(model, blocks)
-
-        def intertwined(name, ops, views):  # W carries views to operators
-            for x, m in ops.items():
-                report.note(float(np.abs(m @ frame[0] - frame[0] @ views[x])
-                                  .max(initial=0.0)), (name, x))
-
-        if frame is not None:
-            intertwined("representation", self.pi, image.pi)
+        if frame is not None:  # pi'[a] is diagonal: scale W's columns
+            W = frame[0]
+            chars = np.repeat(_character_table(model.B),
+                              list(blocks.dims.values()), axis=0)
+            for (a, m), col in zip(self.pi.items(), chars.T):
+                report.note(float(np.abs(m @ W - W * col).max(initial=0.0)),
+                            ("representation", a))
         law = check_linearization(blocks, model.phi)
         report.note(law.max_dev, law.witness
                     and ("twisted composition", *law.witness[:2]))
         if frame is not None:
-            intertwined("exchange", self.n, image.n)
+            views = _block_module(model, blocks).n
+            for k, m in self.n.items():
+                report.note(float(np.abs(m @ W - W @ views[k]).max(
+                    initial=0.0)), ("exchange", k))
         return report
 
     def conjugate(self, T) -> "ModuleOnXLambda":
@@ -609,48 +596,43 @@ def module_hom_dim(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> int:
     return hom_dim(b1, b2)
 
 
-def verify_factorization(model: TorusModel,
-                         sheaf: EquivariantObject) -> LinearizationReport:
-    """Check the deformed transform against the kernel construction: on
-    each slice ``g = -j`` of the invariants (:class:`DeformedKernel`), each
-    block ``X[t, p]`` of ``n[k]`` must give ``rho[g][t] X[t, p] == c
-    rho[g + k][p]`` at ``t = p + iota(k)``, ``c = right_matrix(k)[j, j -
-    k]``, each one of ``pi[a]`` ``== <p, a> rho[g][p]`` at ``t = p``, and
-    both 0 elsewhere.  A block module gives its stack, one block per row
-    ``t``; its ``B``-action is the plain transform, so its character part
-    holds by construction and is skipped.  A dense module is cut in the
-    sheaf's graded layout.  The witness names the first failing
-    translation, then the first failing character.  Raises ``ValueError``,
-    as :func:`fm_lambda` does, when the object violates the transport law.
+def verify_factorization(model: TorusModel, sheaf: EquivariantObject,
+                         module: ModuleOnXLambda = None
+                         ) -> LinearizationReport:
+    """Check the block module of ``sheaf`` (by default ``fm_lambda(model,
+    sheaf)``) against the kernel construction: on each slice ``g = -j`` of
+    the invariants (:class:`DeformedKernel`), the block ``X[t]`` of
+    ``n[k]`` in row ``t``, read from the module's stack, must give
+    ``rho[g][t] X[t] == c rho[g + k][p]`` at ``t = p + iota(k)``, ``c =
+    right_matrix(k)[j, j - k]``.  The ``B``-action of a block module is
+    the plain transform, so the character part holds by construction.  The
+    witness names the first failing translation.  Raises ``ValueError``
+    for a dense module, for a sheaf or module on other points than the
+    model's, for graded dimensions that differ from the sheaf's and, with
+    no module given, as :func:`fm_lambda` does.
     """
-    module, kernel = fm_lambda(model, sheaf), DeformedKernel(model)
-    P, act, add = sheaf.stack, model.gset.action, _add_index(model.Khat)
-    (S, nK, D), ks = P.shape[:3], np.arange(act.shape[1])
-    # [k, 1, 1, g]: c at the slice j = -g, the one entry of row j
+    if module is None:
+        module = fm_lambda(model, sheaf)
+    elif module.blocks is None:
+        raise ValueError("a dense module has no blocks to check")
+    for obj, what in ((sheaf, "object"), (module.blocks, "module")):
+        if not obj.gset.matches(model.gset):
+            raise ValueError(f"{what} does not live on the model's points")
+    if module.blocks.dims != sheaf.dims:
+        raise ValueError("module and object differ in graded dimensions")
+    kernel, P, add = DeformedKernel(model), sheaf.stack, _add_index(model.Khat)
+    S, nK, D = P.shape[:3]
+    # [k, g]: c at the slice j = -g, the one entry of row j
     c = np.array([kernel.right_matrix(k).sum(axis=1) for k in kernel.order])[
-        :, None, None, np.argmax(add == 0, axis=1)]
-    if module.blocks is not None:  # row t of n[k]: one block, from src[k, t]
-        src = np.argsort(act, axis=0).T[..., None]
-        parts = [(ks, src, module.blocks.stack[src, ks[:, None, None]], c)]
-    else:  # every block [t, p]; rows past the last one pad the blocks
-        d, (t, p) = np.array(list(sheaf.dims.values())), np.ogrid[:S, :S]
-        at = np.where(np.arange(D) < d[:, None],
-                      (np.cumsum(d) - d)[:, None] + np.arange(D), d.sum())
-        n, pi = (np.pad(list(m.values()), ((0, 0), (0, 1), (0, 1)))[
-            :, at[:, None, :, None], at[None, :, None, :]]
-                 for m in (module.n, module.pi))
-        chars = _character_table(model.B).T[:, None] * (t == p)
-        parts = [(ks, p, n, c * (t == act.T[:, None])[..., None]),
-                 (np.zeros(len(pi), int), p, pi, chars[..., None])]
-    report, rows = LinearizationReport(), P.reshape(S, 1, nK * D, D)
-    for (name, group), (i, src, X, scale) in zip(
-            [("translation", model.Khat), ("character", model.B)], parts):
-        # label l: rho[g][t] X[l, t, m] == scale[l, t, m, g] rho[g + i[l]][s]
-        src = np.broadcast_to(src, X.shape[:3])  # s = src[l, t, m]
-        for l, x in enumerate(group.elements()):
-            want = scale[l][..., None, None] * P[src[l][..., None], add[i[l]]]
-            dev = np.abs((rows @ X[l]).reshape(want.shape) - want)
-            report.note(float(dev.max(initial=0.0)) / nK, (name, x))
+        :, np.argmax(add == 0, axis=1)]
+    # [k, t]: the point p with p + iota(k) = t, whose block is row t of n[k]
+    src = np.argsort(model.gset.action, axis=0).T
+    X = module.blocks.stack[src, np.arange(nK)[:, None]]
+    report, rows = LinearizationReport(), P.reshape(S, nK * D, D)
+    for l, k in enumerate(kernel.order):
+        want = c[l, :, None, None] * P[src[l][:, None], add[l]]
+        dev = np.abs((rows @ X[l]).reshape(want.shape) - want)
+        report.note(float(dev.max(initial=0.0)) / nK, ("translation", k))
     return report
 
 

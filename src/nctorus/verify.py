@@ -491,14 +491,15 @@ FmRun = namedtuple("FmRun", "sheaf module law fact roundtrip_ok hom_dims")
 
 def fm_round_trip(model: TorusModel, rng) -> FmRun:
     """The deformed transform on ``model`` both ways: a sheaf from ``rng``,
-    a dense copy of its module (so that the dense module routines run),
-    its ``check``, ``verify_factorization``, whether the inverse round-trips
-    and, with a second sheaf, the hom dimensions ``(sheaves, modules)``."""
+    ``verify_factorization`` of its block module, a dense copy of that
+    module (so that the dense module routines run), its ``check``, whether
+    the inverse round-trips and, with a second sheaf, the hom dimensions
+    ``(sheaves, modules)``."""
     sheaf = random_sheaf(model, rng)
     module = fm_lambda(model, sheaf)
+    fact = verify_factorization(model, sheaf, module)
     module = ModuleOnXLambda(model, module.pi, module.n)
     law = module.check()
-    fact = verify_factorization(model, sheaf)
     back = fm_lambda_inverse(model, module)
     roundtrip_ok = (back.dims == sheaf.dims
                     and check_linearization(back, model.phi).ok)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nctorus.finitefm as finitefm
+import nctorus.verify as verify
 from nctorus.cocycle import BilinearCocycle, Phase
 from nctorus.equivariant import (
     TOL,
@@ -118,13 +119,27 @@ def conjugate_rep(rep, T):
                            {a: T @ m @ Tinv for a, m in rep.pi.items()})
 
 
+def representation_check(rep):
+    """The identity at zero, then the homomorphism property ``pi(b) pi(a)
+    == pi(a + b)`` as the transport law of the one-point object with the
+    trivial twist; the witness is ``("zero",)`` or the first failing pair
+    ``(a, b)``."""
+    report = LinearizationReport()
+    report.note(float(np.abs(rep.matrix(rep.group.zero())
+                             - np.eye(rep.dim)).max(initial=0.0)), ("zero",))
+    law = check_linearization(from_module(rep.group, {"*": rep.pi}),
+                              GroupCocycleTable.trivial(rep.group))
+    report.note(law.max_dev, law.witness and law.witness[:2])
+    return report
+
+
 def test_fm_ab_gives_exact_representation():
     rng = np.random.default_rng(3)
     for factors in [(4,), (2, 2), (6,)]:
         B = FiniteAbelianGroup(factors)
         dims = random_dims(B, rng)
         rep = fm_ab(dims, B)
-        ok, dev, _ = rep.check()
+        ok, dev, _ = representation_check(rep)
         assert ok and dev < 1e-12
         assert rep.dim == sum(dims.values())
 
@@ -827,54 +842,30 @@ def test_factorization_through_plain_transform():
         assert empty.ok and empty.max_dev == 0.0
 
 
-def flipped(module):
-    """The module with every translation's rows reversed: a wrong
-    comparison permutation."""
-    return ModuleOnXLambda(module.model, module.pi,
-                           {k: np.flipud(m) for k, m in module.n.items()})
+def conjugated_transform(model, sheaf, rng):
+    """The block module of ``sheaf`` conjugated by a random fiberwise
+    unitary: the graded dimensions of ``sheaf`` with other transports, a
+    wrong module for its factorization."""
+    T = {s: np.linalg.qr(rng.normal(size=(d, d))
+                         + 1j * rng.normal(size=(d, d)))[0]
+         for s, d in sheaf.dims.items()}
+    return fm_lambda(model, sheaf.conjugate(T))
 
 
-def test_factorization_flags_a_wrong_comparison_permutation(monkeypatch):
-    rng = np.random.default_rng(59)
-    model = model_full_z4()
-    sheaf = random_sheaf(model, rng)
-    assert sheaf.total_dim() >= 2
-    assert verify_factorization(model, sheaf).ok
-    right = finitefm.fm_lambda
-    monkeypatch.setattr(finitefm, "fm_lambda",
-                        lambda model, sheaf: flipped(right(model, sheaf)))
-    report = verify_factorization(model, sheaf)
-    assert not report.ok
-    assert report.witness[0] == "translation"
-    assert report.witness[1] in set(model.Khat.elements())
-    oracle = kron_factorization(model, sheaf, flipped(right(model, sheaf)))
-    assert report.witness == oracle.witness
-    assert abs(report.max_dev - oracle.max_dev) <= 1e-15
-
-
-def character_twisted(module, yhat):
-    """The module with its ``B``-action multiplied by the character of
-    ``yhat``: a wrong grading of the kernel."""
-    rep = character_twist(BRepresentation(module.model.B, module.pi), yhat)
-    return ModuleOnXLambda(module.model, rep.pi, module.n)
-
-
-@pytest.mark.parametrize("make, yhat", [(model_full_z4, (1,)),
-                                        (model_klein, (0, 1))])
-def test_factorization_flags_a_character_twisted_action(monkeypatch, make,
-                                                         yhat):
+@pytest.mark.parametrize("make", [model_full_z4, model_klein])
+def test_factorization_flags_a_conjugated_block_module(make):
     rng = np.random.default_rng(59)
     model = make()
     sheaf = random_sheaf(model, rng)
-    right = finitefm.fm_lambda
-    monkeypatch.setattr(
-        finitefm, "fm_lambda",
-        lambda model, sheaf: character_twisted(right(model, sheaf), yhat))
-    report = verify_factorization(model, sheaf)
+    assert sheaf.total_dim() >= 2
+    assert verify_factorization(model, sheaf).ok
+    wrong = conjugated_transform(model, sheaf, rng)
+    assert wrong.blocks.dims == sheaf.dims
+    report = verify_factorization(model, sheaf, wrong)
     assert not report.ok
-    assert report.witness == ("character", yhat)
-    oracle = kron_factorization(
-        model, sheaf, character_twisted(right(model, sheaf), yhat))
+    assert report.witness[0] == "translation"
+    assert report.witness[1] in set(model.Khat.elements())
+    oracle = kron_factorization(model, sheaf, wrong)
     assert report.witness == oracle.witness
     assert abs(report.max_dev - oracle.max_dev) <= 1e-15
 
@@ -886,6 +877,44 @@ def test_factorization_rejects_a_sheaf_breaking_the_transport_law():
     wrong = free(dims, GroupCocycleTable.trivial(model.Khat), model.gset)
     with pytest.raises(ValueError, match="transport law"):
         verify_factorization(model, wrong)
+
+
+def test_factorization_refuses_a_module_it_cannot_read():
+    """A dense module, a block module of other graded dimensions, and a
+    sheaf or module on another model's points are refused."""
+    rng = np.random.default_rng(61)
+    model, other = model_full_z4(), model_halved(True)
+    sheaf = random_sheaf(model, rng)
+    module = fm_lambda(model, sheaf)
+    assert verify_factorization(model, sheaf, module).ok
+    with pytest.raises(ValueError, match="dense module"):
+        verify_factorization(model, sheaf, dense_copy(module))
+    empty = fm_lambda(model, free_sheaf(model, {}))
+    with pytest.raises(ValueError, match="graded dimensions"):
+        verify_factorization(model, sheaf, empty)
+    elsewhere = random_sheaf(other, rng)
+    with pytest.raises(ValueError, match="object does not live"):
+        verify_factorization(model, elsewhere, module)
+    with pytest.raises(ValueError, match="module does not live"):
+        verify_factorization(model, sheaf, fm_lambda(other, elsewhere))
+
+
+def test_a_round_trip_checks_each_transport_law_once(monkeypatch):
+    """``fm_round_trip`` transforms its sheaf and the second sheaf once
+    each and hands the block module to ``verify_factorization``."""
+    calls, right = [], finitefm.fm_lambda
+
+    def counted(model, sheaf):
+        calls.append(sheaf)
+        return right(model, sheaf)
+
+    monkeypatch.setattr(finitefm, "fm_lambda", counted)
+    monkeypatch.setattr(verify, "fm_lambda", counted)
+    for model in ALL_MODELS:
+        calls.clear()
+        run = verify.fm_round_trip(model, np.random.default_rng(5))
+        assert run.law.ok and run.fact.ok
+        assert len(calls) == 2 and calls[0] is run.sheaf
 
 
 def permuted_fm_lambda(model, sheaf):
@@ -1020,22 +1049,17 @@ def test_factorization_memory_on_the_order_16_regular_model():
 
 @pytest.mark.parametrize("wrong, witness, dev", [
     (None, None, 8.37e-17),
-    (flipped, ("translation", (0, 0)), 0.12819387295326),
-    (lambda m: character_twisted(m, (1, 0)), ("character", (1, 0)),
-     0.13949813137671477),
-], ids=["valid", "flipped", "character-twisted"])
+    (conjugated_transform, ("translation", (0, 1)), 0.13237704844620757),
+], ids=["valid", "conjugated"])
 def test_factorization_matches_the_emb_oracle_on_the_order_16_regular_model(
-        monkeypatch, wrong, witness, dev):
+        wrong, witness, dev):
     """At a size where one ``kron(I, R_k)`` alone would take 225 MiB."""
     model = model_regular(4)
-    sheaf = random_sheaf(model, np.random.default_rng(0))
-    module = fm_lambda(model, sheaf)
-    if wrong is not None:
-        module = wrong(module)
-        monkeypatch.setattr(finitefm, "fm_lambda",
-                            lambda model, sheaf: module)
-    report = verify_factorization(model, sheaf)
-    oracle = emb_factorization(model, sheaf, module)
+    rng = np.random.default_rng(0)
+    sheaf = random_sheaf(model, rng)
+    module = None if wrong is None else wrong(model, sheaf, rng)
+    report = verify_factorization(model, sheaf, module)
+    oracle = emb_factorization(model, sheaf, module or fm_lambda(model, sheaf))
     assert report.witness == oracle.witness == witness
     assert abs(report.max_dev - oracle.max_dev) <= 1e-15
     assert abs(report.max_dev - dev) <= 1e-15
@@ -1275,6 +1299,26 @@ def test_module_hom_dim_refuses_broken_actions_and_foreign_models():
                     count(m1, m2)
 
 
+def test_frame_check_memory_on_the_order_16_regular_model():
+    """The check of a framed dense module scales its frame's columns by
+    the characters; the ``|B|`` diagonal views alone would take 14 MiB."""
+    model = model_regular(4)
+    rng = np.random.default_rng(0)
+    mod = fm_lambda(model, random_sheaf(model, rng))
+    q, _ = np.linalg.qr(rng.normal(size=(mod.dim,) * 2)
+                        + 1j * rng.normal(size=(mod.dim,) * 2))
+    conj = mod.conjugate(q)
+    finitefm._framed(model, conj)
+    tracemalloc.start()
+    try:
+        report = conj.check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 20 * 2**20
+
+
 def test_inverse_handles_conjugated_modules():
     rng = np.random.default_rng(47)
     model = model_klein()
@@ -1347,12 +1391,12 @@ def test_module_check_flags_a_nan_operator():
 
 def dense_relations_check(module):
     """Oracle, the dense check ``ModuleOnXLambda.check`` ran before it read
-    a dense module through its frame: ``BRepresentation.check`` of ``pi``
+    a dense module through its frame: ``representation_check`` of ``pi``
     (``|B|^2`` products), the transport law of ``n`` on a one-point object,
     then ``n[k] pi(a) == <iota(k), a>^-1 pi(a) n[k]`` for every ``(k,
     a)``."""
     model, report = module.model, LinearizationReport()
-    rep = module.rep().check()
+    rep = representation_check(module.rep())
     report.note(rep.max_dev, ("representation", rep.witness))
     law = check_linearization(from_module(model.Khat, {"*": module.n}),
                               model.phi)
@@ -1406,7 +1450,7 @@ def test_module_check_agrees_with_the_dense_relations_oracle():
 def test_representation_check_names_a_wrong_identity():
     B = FiniteAbelianGroup((2,))
     rep = BRepresentation(B, {(0,): 2 * np.eye(2), (1,): np.eye(2)})
-    ok, dev, witness = rep.check()
+    ok, dev, witness = representation_check(rep)
     assert not ok and dev == pytest.approx(2.0)
     assert witness == ("zero",)
 
@@ -1415,7 +1459,8 @@ def test_zero_dimensional_representation_and_module_check_ok():
     model = model_full_z4()
     empty = np.zeros((0, 0))
     rep = BRepresentation(model.B, {a: empty for a in model.B.elements()})
-    assert rep.dim == 0 and tuple(rep.check()) == (True, 0.0, None)
+    assert rep.dim == 0
+    assert tuple(representation_check(rep)) == (True, 0.0, None)
     mod = ModuleOnXLambda(model, {a: empty for a in model.B.elements()},
                           {k: empty for k in model.Khat.elements()})
     assert mod.dim == 0 and tuple(mod.check()) == (True, 0.0, None)
@@ -1427,9 +1472,9 @@ def test_representation_check_names_a_failing_pair():
     T = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     Tinv = np.linalg.inv(T)
     pi = {(a,): T @ np.diag([1j ** a, (-1) ** a]) @ Tinv for a in range(4)}
-    assert BRepresentation(B, pi).check().ok
+    assert representation_check(BRepresentation(B, pi)).ok
     pi[(1,)] = pi[(1,)] @ np.diag([1, 2])
-    ok, dev, witness = BRepresentation(B, pi).check()
+    ok, dev, witness = representation_check(BRepresentation(B, pi))
     assert not ok and dev > 0.1
     a, b = witness
     assert a in pi and b in pi
