@@ -467,8 +467,9 @@ def _projector_ranks(P: np.ndarray, where: Sequence,
 
 
 def _projector_images(P: np.ndarray, where: Sequence,
-                      total: int = None) -> list:
-    """Orthonormal bases of the images of a stack of projectors ``P``.
+                      total: int = None) -> tuple:
+    """Orthonormal bases of the images of a stack of projectors ``P``, as
+    one stack ``W[i]`` zero-padded to the largest rank, and the ranks.
 
     Each rank ``r`` comes from :func:`_projector_ranks`, and the basis is
     the leading ``r`` left singular vectors.  Raises ``ValueError`` as
@@ -488,15 +489,14 @@ def _projector_images(P: np.ndarray, where: Sequence,
         evals, U = np.linalg.eigh(P @ P.conj().swapaxes(-1, -2))
         U, svals = U[..., ::-1], np.sqrt(np.clip(evals[..., ::-1], 0, None))
         floor = float(np.sqrt(np.finfo(float).eps * P.shape[-1]))
-    out = []
-    for w, p, r, u, s in zip(where, P, ranks, U, svals):
+    W = U[..., :max(ranks, default=0)].copy()
+    for w, p, r, basis, s in zip(where, P, ranks, W, svals):
         cut = max(TOL, floor) * max(1.0, s[0] if len(s) else 1.0)
-        basis = u[:, :r]
+        basis[:, r:] = 0
         if (np.count_nonzero(s > cut) != r
                 or np.max(np.abs(p @ basis - basis), initial=0.0) > cut):
             raise ValueError(f"averaging at {w} is no projector of rank {r}")
-        out.append(basis)
-    return out
+    return W, ranks
 
 
 def _inverse(mats: list, what: str) -> np.ndarray:
@@ -615,7 +615,7 @@ def hom_space(a: EquivariantObject, b: EquivariantObject) -> list[dict]:
             # the solutions, the scalars of the one law cancelling; chi is
             # vectorized row-major
             P = np.einsum("hij,hlk->ikjl", rb, ra_inv) / len(rb)
-            sol = _projector_images(P.reshape(1, db * da, -1), [s])[0].T
+            sol = _projector_images(P.reshape(1, db * da, -1), [s])[0][0].T
         else:
             sol = np.eye(db * da)
         shapes.setdefault(rho_a.shape, []).append(len(walked))

@@ -18,14 +18,16 @@ the plain transform, with each translation placing the object's transport
 blocks at ``beta + iota(k)``, the index map of the comparison permutation.
 It keeps those blocks and builds no dense operator; its dense ``pi`` and
 ``n`` are views built on first use.  A module made from dense matrices
-(the constructor, ``conjugate``) stays dense and has its blocks in its
-character eigenspaces.  A module is checked as its blocks, a dense one
-through the frame that spans and reads off each block, and module homs
-are the sheaf homs of the blocks; one routine finds blocks and frame once
-per module for :meth:`ModuleOnXLambda.check`, :func:`fm_lambda_inverse`,
-:func:`module_hom_dim` and :func:`module_hom_space`.  Tensoring with a :class:`DeformedKernel`
-slices the invariants into placed transports, the independent oracle that
-:func:`verify_factorization` checks the transform against block by block.
+(the constructor, ``conjugate``) stays dense; its frame, bases of its
+character eigenspaces in one zero-padded stack laid out as the blocks'
+stack, compresses its translations into blocks.  A module is checked as
+its blocks, a dense one through its frame, and module homs are the sheaf
+homs of the blocks; one routine finds blocks and frame once per module for
+:meth:`ModuleOnXLambda.check`, :func:`fm_lambda_inverse`,
+:func:`module_hom_dim` and :func:`module_hom_space`.  Tensoring with a
+:class:`DeformedKernel` slices the invariants into placed transports, the
+independent oracle that :func:`verify_factorization` checks the transform
+against block by block.
 
 :func:`star_on_points` is the function-algebra shadow of the same twist: a
 double sum over translates weighted by the inverse of a nondegenerate
@@ -146,13 +148,12 @@ def character_projectors(rep: BRepresentation) -> np.ndarray:
                         axes=1) / B.size
 
 
-def _eigenspace_bases(rep: BRepresentation) -> dict:
-    """Character projector and an orthonormal basis of its image, per
-    character; ``ValueError`` unless the images exhaust ``rep``."""
-    elts = list(rep.group.elements())
-    projs = character_projectors(rep)
-    return dict(zip(elts, zip(projs, _projector_images(projs, elts,
-                                                       rep.dim))))
+def _eigenspace_bases(rep: BRepresentation) -> tuple:
+    """Orthonormal bases of the character eigenspaces, in element order,
+    zero-padded into one stack ``W[beta]`` of shape ``(|B|, dim, D)``,
+    and their ranks; ``ValueError`` unless the images exhaust ``rep``."""
+    return _projector_images(character_projectors(rep),
+                             list(rep.group.elements()), rep.dim)
 
 
 def fm_ab_inverse(rep: BRepresentation) -> dict:
@@ -380,7 +381,8 @@ class ModuleOnXLambda:
     permutation (:func:`fm_ab_equivariance_iso`); ``pi`` and ``n`` are
     dense views, each built on first use.  A dense module has its blocks
     in its character eigenspaces, compressed through its frame, bases of
-    those eigenspaces; both are found on first use and kept.  A module is
+    those eigenspaces zero-padded into one stack in the layout of the
+    blocks' stack; both are found on first use and kept.  A module is
     checked as its blocks, a dense one through its frame, and module homs
     are the sheaf homs of the blocks.
     """
@@ -428,31 +430,29 @@ class ModuleOnXLambda:
         (:func:`_framed`); the witness labels which one broke first.  Blocks
         satisfy the ``B``-action and the exchange by construction, so only
         their transport law is checked.  A dense module is checked through
-        its frame: ``W`` must carry the blocks' characters ``pi'`` (scaling
-        its columns) and translations ``n'`` to ``pi`` and ``n`` (witnesses
-        ``("representation", a)`` and ``("exchange", k)``), and one that
+        its frame ``W[beta]``, read off the stacks: ``pi[a] W[beta] ==
+        <beta, a> W[beta]`` (``("representation", a)``) and ``n[k] W[beta]
+        == W[beta + iota(k)] rho[k][beta]`` (``("exchange", k)``).  One that
         cannot be framed fails as ``("representation", reason)``."""
         model, report = self.model, LinearizationReport()
         try:
-            blocks, frame = _framed(model, self)
+            blocks, W = _framed(model, self)
         except ValueError as exc:
             report.note(np.inf, ("representation", str(exc)))
             return report
-        if frame is not None:  # pi'[a] is diagonal: scale W's columns
-            W = frame[0]
-            chars = np.repeat(_character_table(model.B),
-                              list(blocks.dims.values()), axis=0)
-            for (a, m), col in zip(self.pi.items(), chars.T):
-                report.note(float(np.abs(m @ W - W * col).max(initial=0.0)),
+        if W is not None:
+            chars = _character_table(model.B).T[:, :, None, None]
+            for (a, m), col in zip(self.pi.items(), chars):
+                report.note(float(np.abs(m @ W - col * W).max(initial=0.0)),
                             ("representation", a))
         law = check_linearization(blocks, model.phi)
         report.note(law.max_dev, law.witness
                     and ("twisted composition", *law.witness[:2]))
-        if frame is not None:
-            views = _block_module(model, blocks).n
-            for k, m in self.n.items():
-                report.note(float(np.abs(m @ W - W @ views[k]).max(
-                    initial=0.0)), ("exchange", k))
+        if W is not None:
+            for i, (k, m) in enumerate(self.n.items()):
+                moved = W[model.gset.action[:, i]] @ blocks.stack[:, i]
+                report.note(float(np.abs(m @ W - moved).max(initial=0.0)),
+                            ("exchange", k))
         return report
 
     def conjugate(self, T) -> "ModuleOnXLambda":
@@ -469,15 +469,6 @@ class ModuleOnXLambda:
 
 # ---------------------------------------------------------------------------
 # the deformed transform
-
-def _block_module(model: TorusModel,
-                  blocks: EquivariantObject) -> ModuleOnXLambda:
-    """The module keeping ``blocks`` as they are, with no dense operator."""
-    module = ModuleOnXLambda.__new__(ModuleOnXLambda)
-    module.model, module.dim, module.blocks = model, blocks.total_dim(), blocks
-    module._pi = module._n = module._frame = None
-    return module
-
 
 def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
     """Transform a twisted-equivariant object on the dual points into a
@@ -497,30 +488,32 @@ def fm_lambda(model: TorusModel, sheaf: EquivariantObject) -> ModuleOnXLambda:
             f"(deviation {report.max_dev:.3g})")
     if not sheaf.gset.matches(model.gset):
         raise ValueError("object does not live on this model's dual points")
-    return _block_module(model, sheaf)
+    module = ModuleOnXLambda.__new__(ModuleOnXLambda)
+    module.model, module.dim, module.blocks = model, sheaf.total_dim(), sheaf
+    module._pi = module._n = module._frame = None
+    return module
 
 
 def _framed(model: TorusModel, module: ModuleOnXLambda):
-    """A module's blocks, on ``model``'s dual points, and its frame
-    ``(W, R)``, ``R W = 1``: in the graded layout the columns of ``W`` for
-    ``beta`` span that block and the rows of ``R`` read it off.  A block
-    module needs none (``None``); a dense one is framed by orthonormal
-    bases ``W_beta`` of its character eigenspaces and ``R_beta = W_beta^H
-    P_beta`` with ``P_beta`` the character projector, its translations
-    compressed between them: blocks and frame are found once per module
-    and kept.  ``ValueError`` as from :func:`_projector_images`, or for
-    blocks on other points."""
+    """A module's blocks, on ``model``'s dual points, and its frame.  A
+    block module needs none (``None``); a dense one is framed by
+    orthonormal bases ``W[beta]`` of its character eigenspaces, one stack
+    zero-padded to the largest rank as the blocks' stack is, and its
+    translations compress to ``rho[k][beta] = W[beta + iota(k)]^H n[k]
+    W[beta]``, one batched product per ``k``: blocks and frame are found
+    once per module and kept.  ``ValueError`` as from
+    :func:`_projector_images`, or for blocks on other points."""
     if module.blocks is None and module._frame is None:
-        bases = _eigenspace_bases(module.rep()).values()
-        W, gset = [w for _, w in bases], module.model.gset
-        act = gset.action.tolist()
-        rho = {k: {beta: W[act[p][i]].conj().T @ n @ W[p]
-                   for p, beta in enumerate(gset.points)}
-               for i, (k, n) in enumerate(module.n.items())}
-        dims = {beta: w.shape[1] for beta, w in zip(gset.points, W)}
-        module._frame = (EquivariantObject(gset, dims, rho), (
-            np.concatenate(W, axis=1),
-            np.concatenate([w.conj().T @ p for p, w in bases])))
+        W, ranks = _eigenspace_bases(module.rep())
+        gset, D, WH = module.model.gset, W.shape[2], W.conj().swapaxes(1, 2)
+        stack = np.empty((len(ranks), len(module.n), D, D), dtype=complex)
+        for i, n in enumerate(module.n.values()):
+            stack[:, i] = WH[gset.action[:, i]] @ (n @ W)
+        # zeros around the blocks, even where a NaN met the padding
+        r, at = np.array(ranks)[:, None, None], np.arange(D)
+        stack[(at[:, None] >= r[gset.action]) | (at >= r[:, None])] = 0
+        module._frame = (EquivariantObject._stacked(
+            gset, dict(zip(gset.points, ranks)), stack), W)
     blocks, frame = module._frame or (module.blocks, None)
     if not blocks.gset.matches(model.gset):
         raise ValueError("module does not live on this model's dual points")
@@ -561,15 +554,17 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     the twisted translations.
 
     An intertwiner is block diagonal over the characters, and on the
-    blocks it is a hom of the sheaves: ``X = W2 blockdiag(chi) R1`` for
-    each family ``chi`` of :func:`~nctorus.equivariant.hom_space` of the
-    blocks, through the frames of :func:`_framed` (a block module has
-    none).  One QR makes the result Frobenius-orthonormal.  Raises
-    ``ValueError`` as :func:`_hom_frames` and ``hom_space`` do, and before
-    allocating a basis of more than ``MAX_HOM_BASIS_BYTES`` (512 MiB, 16
-    bytes per entry of each ``dim2 x dim1`` map).
+    blocks it is a hom of the sheaves: ``X = W2 blockdiag(chi) W1^-1``
+    for each family ``chi`` of :func:`~nctorus.equivariant.hom_space` of
+    the blocks, ``W1`` and ``W2`` the frames of :func:`_framed` with their
+    columns in the graded layout, square as the eigenspaces exhaust each
+    module (a block module has none).  One QR makes the result
+    Frobenius-orthonormal.  Raises ``ValueError`` as :func:`_hom_frames`
+    and ``hom_space`` do, and before allocating a basis of more than
+    ``MAX_HOM_BASIS_BYTES`` (512 MiB, 16 bytes per entry of each ``dim2 x
+    dim1`` map).
     """
-    (b1, frame1), (b2, frame2) = _hom_frames(m1, m2)
+    (b1, W1), (b2, W2) = _hom_frames(m1, m2)
     families = hom_space(b1, b2)
     if 16 * len(families) * m1.dim * m2.dim > MAX_HOM_BASIS_BYTES:
         raise ValueError(f"a basis of {len(families)} maps {m2.dim} x "
@@ -579,11 +574,15 @@ def module_hom_space(m1: ModuleOnXLambda, m2: ModuleOnXLambda) -> list:
     for X, family in zip(chi, families):
         for p, block in enumerate(family.values()):
             X[at2[p]:at2[p + 1], at1[p]:at1[p + 1]] = block
+
+    def square(b, W):  # the frame's columns in the graded layout
+        r = np.array(list(b.dims.values()))
+        return W.swapaxes(1, 2)[np.arange(W.shape[2]) < r[:, None]].T
     # independent maps, orthonormal only if the eigenspaces are orthogonal
-    if frame2 is not None:
-        chi = frame2[0] @ chi
-    if frame1 is not None:
-        chi = chi @ frame1[1]
+    if W2 is not None:
+        chi = square(b2, W2) @ chi
+    if W1 is not None:
+        chi = chi @ np.linalg.inv(square(b1, W1))
     q, _ = np.linalg.qr(chi.reshape(len(chi), m2.dim * m1.dim).T)
     return list(q.T.reshape(chi.shape))
 

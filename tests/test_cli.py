@@ -339,9 +339,11 @@ def test_verify_fm_names_the_first_failing_model(monkeypatch, capsys):
 def without_a_basis_vector(bases, rep):
     """The eigenspace bases with one vector dropped from the first
     nonzero eigenspace."""
-    beta = next(b for b, (_, W) in bases.items() if W.shape[1])
-    proj, W = bases[beta]
-    return {**bases, beta: (proj, W[:, 1:])}
+    W, ranks = bases[0].copy(), list(bases[1])
+    beta = next(b for b, r in enumerate(ranks) if r)
+    ranks[beta] -= 1
+    W[beta] = np.pad(W[beta, :, 1:], ((0, 0), (0, 1)))
+    return W, ranks
 
 
 def with_block_modules_doubled(framed, model, module):

@@ -1308,7 +1308,7 @@ def per_orbit_hom_space(a, b):
             rb, ra_inv = fixing
             P = np.einsum("hij,hlk->ikjl", rb, ra_inv) / len(rb)
             sol = equivariant._projector_images(
-                P.reshape(1, db * da, -1), [s])[0].T
+                P.reshape(1, db * da, -1), [s])[0][0].T
         else:
             sol = np.eye(db * da)
         chi = sol.reshape(-1, 1, db, da)

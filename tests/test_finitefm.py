@@ -1168,13 +1168,14 @@ def einsum_module_hom_space(m1, m2):
     d1, d2 = m1.dim, m2.dim
     n1_inv = np.linalg.inv(np.array(list(m1.n.values())))
     n2 = np.array(list(m2.n.values()))
-    blocks1 = finitefm._eigenspace_bases(m1.rep())
-    blocks2 = finitefm._eigenspace_bases(m2.rep())
+    projs1 = character_projectors(m1.rep())
+    (bases1, r1), (bases2, r2) = (finitefm._eigenspace_bases(m.rep())
+                                  for m in (m1, m2))
     maps = [np.zeros((0, d2 * d1))]
-    for beta, row in m1.model.gset.table.items():
+    for p, (beta, row) in enumerate(m1.model.gset.table.items()):
         if beta == min(row.values()):
-            proj1, W1 = blocks1[beta]
-            W2 = blocks2[beta][1]
+            proj1 = projs1[p]
+            W1, W2 = bases1[p, :, :r1[p]], bases2[p, :, :r2[p]]
             # X_ij = W2[:, i] (x) (W1^H proj1)[j], moved by every translation
             moved = np.einsum("kai,kjb->ijab", n2 @ W2,
                               W1.conj().T @ proj1 @ n1_inv)
@@ -1300,8 +1301,9 @@ def test_module_hom_dim_refuses_broken_actions_and_foreign_models():
 
 
 def test_frame_check_memory_on_the_order_16_regular_model():
-    """The check of a framed dense module scales its frame's columns by
-    the characters; the ``|B|`` diagonal views alone would take 14 MiB."""
+    """The check of a framed dense module reads its residuals from the
+    padded frame and the blocks' stack; the ``|Khat|`` dense translation
+    views of the blocks alone would take 14 MiB."""
     model = model_regular(4)
     rng = np.random.default_rng(0)
     mod = fm_lambda(model, random_sheaf(model, rng))
@@ -1316,7 +1318,39 @@ def test_frame_check_memory_on_the_order_16_regular_model():
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < 20 * 2**20
+    assert peak < 6 * 2**20
+
+
+def former_framed_blocks(module):
+    """Oracle, the compression ``_framed`` ran before it kept one padded
+    frame: ``W_t^H n[k] W_p`` per block, ``W_p`` the eigenspace basis of
+    the point ``p`` cut to its rank and ``t = p + iota(k)``, packed by the
+    validating constructor."""
+    W, ranks = finitefm._eigenspace_bases(module.rep())
+    bases = [w[:, :r] for w, r in zip(W, ranks)]
+    gset = module.model.gset
+    act = gset.action.tolist()
+    rho = {k: {beta: bases[act[p][i]].conj().T @ n @ bases[p]
+               for p, beta in enumerate(gset.points)}
+           for i, (k, n) in enumerate(module.n.items())}
+    return EquivariantObject(gset, dict(zip(gset.points, ranks)), rho)
+
+
+def test_framed_blocks_match_the_per_block_oracle():
+    """The batched compression of a dense module's translations gives the
+    per-block compression's dimensions and stack, within rounding, on
+    modules conjugated by non-unitary maps."""
+    rng = np.random.default_rng(3511)
+    for model in ALL_MODELS + [model_regular(3)]:
+        mod = fm_lambda(model, random_sheaf(model, rng))
+        T = rng.normal(size=(mod.dim,) * 2) + 1j * rng.normal(
+            size=(mod.dim,) * 2)
+        conj = mod.conjugate(T)
+        blocks, _ = finitefm._framed(model, conj)
+        want = former_framed_blocks(conj)
+        assert blocks.dims == want.dims == mod.blocks.dims
+        assert blocks.stack.shape == want.stack.shape
+        assert np.max(np.abs(blocks.stack - want.stack), initial=0.0) <= 1e-12
 
 
 def test_inverse_handles_conjugated_modules():

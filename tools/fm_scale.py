@@ -18,10 +18,12 @@ time and the tracemalloc peak:
   ``fm_lambda``: the block identity alone, since the transport law that
   ``fm_lambda`` checks is timed on its own row;
 * ``conjugate`` by a random unitary, which stores dense operators, then
-  ``check``, ``fm_lambda_inverse``, ``module_hom_dim`` and
-  ``module_hom_space`` on those (the last only while its basis, one
-  complex ``dim2 x dim1`` matrix per hom, fits in
-  ``finitefm.MAX_HOM_BASIS_BYTES``, beyond which the call refuses).
+  ``check``, ``check`` again (``check (conjugated, framed)``: the
+  residuals and the blocks' law alone, the frame already kept),
+  ``fm_lambda_inverse``, ``module_hom_dim`` and ``module_hom_space`` on
+  those (the last only while its basis, one complex ``dim2 x dim1``
+  matrix per hom, fits in ``finitefm.MAX_HOM_BASIS_BYTES``, beyond which
+  the call refuses).
 
 BLAS runs on one thread (``OPENBLAS_NUM_THREADS=1`` is set before numpy
 is imported).  Each call runs once, in the order above, with tracemalloc
@@ -29,7 +31,8 @@ tracing, which slows numpy calls little but Python loops more.  So the
 whole block path prints before the first dense row.  The first dense
 row, ``check``, frames the conjugated module (bases of its character
 eigenspaces, its translations compressed between them); the rows after
-it reuse that frame.  At ``n = 6`` the dense rows need several GB.
+it reuse that frame, so the second ``check`` shows the cost of the check
+apart from the framing.  At ``n = 6`` the dense rows need several GB.
 """
 
 from __future__ import annotations
@@ -110,6 +113,7 @@ def main(argv=None) -> int:
     c1 = measure("conjugate", lambda: m1.conjugate(unitary(m1.dim, rng)))
     c2 = m2.conjugate(unitary(m2.dim, rng))
     measure("check (conjugated)", c1.check)
+    measure("check (conjugated, framed)", c1.check)
     measure("fm_lambda_inverse (conjugated)",
             lambda: fm_lambda_inverse(model, c1))
     hom = measure("module_hom_dim (conjugated)",
